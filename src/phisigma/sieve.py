@@ -4,6 +4,12 @@ Prime generation, smallest-prime-factor windows, per-integer
 factorization, and bulk evaluation of the multiplicative functions
 phi (Euler totient) and sigma (sum of divisors) over ranges.
 
+The bulk scan (segment_scan) covers an arithmetic progression
+lo, lo+step, ... < hi and is sliced by prime powers: for each base
+prime p and each p^j, the scanned integers divisible by p^j form one
+strided slice, located by a modular inverse, so every array operation
+touches only integers it changes.
+
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
 """
@@ -204,6 +210,19 @@ def sigma_of(fact: Factorization) -> int:
     return out
 
 
+def _multiples(lo: int, step: int, q: int) -> tuple[int, int] | None:
+    """(first index, stride) of the k with q | lo + k*step; None if no k.
+
+    With g = gcd(step, q), q | lo + k*step needs g | lo and then
+    k = -(lo/g) * (step/g)^-1 (mod q/g).
+    """
+    g = math.gcd(step, q)
+    if lo % g:
+        return None
+    m = q // g
+    return (-(lo // g)) * pow(step // g, -1, m) % m, m
+
+
 def segment_scan(
     lo: int,
     hi: int,
@@ -213,71 +232,101 @@ def segment_scan(
     want_sigma: bool = False,
     want_omega: bool = False,
     smooth_bound: int | None = None,
+    step: int = 1,
 ):
-    """Vectorized factor scan of [lo, hi).
+    """Vectorized factor scan of the progression lo, lo+step, ... < hi.
 
-    Divides every integer in the window by the supplied base primes
-    (all primes <= sqrt(hi-1) must be present for exact phi/sigma;
-    a smaller prime set is allowed when only the divided remainder
-    matters, e.g. smoothness tests with smooth_bound set).
+    Divides every scanned integer by the supplied base primes (all
+    primes <= sqrt of the last element must be present for exact
+    phi/sigma/Omega; a smaller prime set is allowed when only the
+    divided remainder matters, e.g. smoothness tests with smooth_bound
+    set).
+
+    Each prime power p^j up to the last element is visited once, on the
+    strided slice of indices k with p^j | lo + k*step (found by one
+    modular inverse, see _multiples): the slice for p^j divides the
+    remainder by p and adds 1 to Omega.  phi and sigma are built as
+    products over the prime powers p^e || n, with no division: phi
+    multiplies by p - 1 on the p-slice and by p on each p^j sub-slice
+    (j >= 2), giving p^(e-1) (p - 1); the sigma factor 1 + p + ... + p^e
+    is built over the p-slice by Horner's rule, s <- p*s + 1 on each
+    p^j sub-slice, and multiplied in once.  Whatever remains above 1
+    after the base primes is a single prime factor (for exact modes)
+    and is folded in last.
 
     Returns a dict with any of:
       'phi', 'sigma' : int64 arrays of exact values,
       'omega'        : int16 array of Omega(n) (with multiplicity),
       'rem'          : int64 array of remainders after dividing out the
                        base primes (only when smooth_bound is set).
+    Element k of each array belongs to lo + k*step.
     """
-    size = hi - lo
-    if size <= 0 or lo < 2:
+    if step < 1:
+        raise DomainError(f"need step >= 1, got {step}")
+    if hi <= lo or lo < 2:
         raise DomainError(f"need 2 <= lo < hi, got [{lo}, {hi})")
-    if hi - 1 > INPUT_CAP:
+    size = (hi - lo + step - 1) // step
+    last = lo + (size - 1) * step
+    if last > INPUT_CAP:
         raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
     per_entry = 8 * (1 + want_phi + want_sigma) + 2 * want_omega
-    check_allocation(per_entry * size, f"segment scan [{lo}, {hi})")
+    check_allocation(per_entry * size, f"segment scan [{lo}, {hi}) step {step}")
 
-    rem = np.arange(lo, hi, dtype=np.int64)
-    phi = rem.copy() if want_phi else None
+    rem = np.arange(lo, hi, step, dtype=np.int64)
+    phi = np.ones(size, dtype=np.int64) if want_phi else None
     sigma = np.ones(size, dtype=np.int64) if want_sigma else None
     omega = np.zeros(size, dtype=np.int16) if want_omega else None
 
-    top = smooth_bound if smooth_bound is not None else math.isqrt(hi - 1)
-    for p in base_primes:
-        p = int(p)
+    top = smooth_bound if smooth_bound is not None else math.isqrt(last)
+    for p in base_primes.tolist():
         if p > top:
             break
-        start = (-lo) % p
-        if start >= size:
+        hit = _multiples(lo, step, p)
+        if hit is None or hit[0] >= size:
             continue
-        sl = slice(start, size, p)
+        start, stride = hit
+        sl = slice(start, size, stride)
         r = rem[sl]
         r //= p
-        if want_sigma:
-            pw = np.full(r.shape, p, dtype=np.int64)
-            s = pw + 1
         if want_omega:
             o = omega[sl]
             o += 1
-        m = r % p == 0
-        while m.any():
-            r[m] //= p
-            if want_sigma:
-                pw[m] *= p
-                s[m] += pw[m]
+        if want_phi:
+            ph = phi[sl]
+            ph *= p - 1
+        if want_sigma:
+            s = np.full(r.shape, p + 1, dtype=np.int64)
+        q = p * p
+        while q <= last:
+            hit = _multiples(lo, step, q)
+            if hit is None or hit[0] >= size:
+                break
+            # multiples of p^j are a sub-progression of the p-slice
+            sub = slice((hit[0] - start) // stride, None, hit[1] // stride)
+            r_sub = r[sub]
+            r_sub //= p
             if want_omega:
-                o[m] += 1
-            m = r % p == 0
+                o_sub = o[sub]
+                o_sub += 1
+            if want_phi:
+                ph_sub = ph[sub]
+                ph_sub *= p
+            if want_sigma:
+                s_sub = s[sub]
+                s_sub *= p
+                s_sub += 1
+            q *= p
         if want_sigma:
             sigma[sl] *= s
-        if want_phi:
-            phi[sl] = phi[sl] // p * (p - 1)
 
+    # no fancy-index temporaries here: they dominate the window's peak
     big = rem > 1
     if want_phi:
-        phi[big] = phi[big] // rem[big] * (rem[big] - 1)
+        np.multiply(phi, rem - 1, out=phi, where=big)
     if want_sigma:
-        sigma[big] *= rem[big] + 1
+        np.multiply(sigma, rem + 1, out=sigma, where=big)
     if want_omega:
-        omega[big] += 1
+        omega += big
 
     out = {}
     if want_phi:

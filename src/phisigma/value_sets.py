@@ -1,9 +1,13 @@
 """Value sets of phi and sigma: enumeration, counting, intersection.
 
 A ValueBitmap records one bit per integer v <= x, set exactly when v is
-attained by the chosen function.  For sigma the preimage scan stops at
-n = x (sigma(n) >= n); for phi the scan extends to an explicit bound
-derived from the minimal order of the totient.
+attained by the chosen function.  The preimage scan covers only the
+residue classes that can still produce a value <= x, each up to its own
+exact cutoff (scan_progressions): for sigma, odd n <= x and even
+n <= 2x/3; for phi, odd n and n = 0 mod 4 up to x times an explicit
+bound on n/phi(n) over the small primes, capped by the minimal-order
+bound phi_preimage_bound.  n = 2 mod 4 is never scanned for phi, since
+its value phi(n/2) is already found in the odd class.
 
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes; the default builder
 additionally keeps an x+1 byte scratch array during construction.  Pass
@@ -22,8 +26,6 @@ from .errors import DomainError, check_allocation
 from .sieve import DEFAULT_SEGMENT_SIZE, primes_up_to, segment_scan
 
 EULER_GAMMA = 0.5772156649015329
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 _BIT8 = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
@@ -78,6 +80,47 @@ def _pack_bool(scratch: np.ndarray) -> np.ndarray:
     return np.packbits(scratch, bitorder="little")
 
 
+def _phi_class_top(x: int, bound: int, *, even: bool) -> int:
+    """Largest n of one class (odd, or 0 mod 4 when even) with phi(n) <= x possible.
+
+    For n = 2^a m (a = 0, or a >= 2 when even), m odd with k distinct
+    primes: n >= 2^a * (product of the first k odd primes), so with
+    n <= bound, k is at most the largest count K whose product times
+    1 (odd) or 4 (even, 4 <= 2^a) stays <= bound.  And
+    n/phi(n) = (2 if a else 1) * prod_{p | m} p/(p-1) is at most the
+    same product over the first k <= K odd primes (the i-th prime of m
+    is at least the i-th odd prime), which is largest at k = K: call it
+    R.  Hence phi(n) <= x forces n <= x * R, computed here exactly.
+    """
+    least, num, den = (4, 2, 1) if even else (1, 1, 1)
+    for q in primes_up_to(127)[1:].tolist():  # product ~1e53 exceeds any bound
+        if least * q > bound:
+            break
+        least *= q
+        num *= q
+        den *= q - 1
+    return min(bound, x * num // den)
+
+
+def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
+    """The (start, step, top) progressions whose f-values cover those <= x.
+
+    phi: odd n <= x * R_odd and n = 0 mod 4 up to x * R_4 (see
+    _phi_class_top); n = 2 mod 4 is skipped because n = 2m with m odd
+    has phi(n) = phi(m), already seen in the odd class (m = 1 for n = 2).
+    sigma: odd n <= x, since sigma(n) >= n, and even n <= 2x/3, since
+    sigma(2^a m) >= (2^(a+1) - 1) m >= 3n/2 for a >= 1.
+    n = 1 is left out of every progression (f(1) = 1).
+    """
+    if f == "sigma":
+        return [(3, 2, x), (2, 2, 2 * x // 3)]
+    bound = phi_preimage_bound(x)
+    return [
+        (3, 2, _phi_class_top(x, bound, even=False)),
+        (4, 4, _phi_class_top(x, bound, even=True)),
+    ]
+
+
 def build_value_bitmap(
     f: str,
     x: int,
@@ -87,13 +130,17 @@ def build_value_bitmap(
 ) -> ValueBitmap:
     """Enumerate the value set of f up to x into a bitmap.
 
+    Only the progressions of scan_progressions are scanned, each in
+    windows of segment_size elements; every n outside them either has
+    f(n) > x or shares its value with a scanned n.
+
     Parameters
     ----------
     f : {'phi', 'sigma'}
     x : int
         Value-set frontier, x >= 1.
     segment_size : int
-        Preimage window length per scan pass.
+        Preimage elements per scan pass.
     streaming : bool
         Write packed bytes directly instead of via a byte-per-value
         scratch array (8x smaller peak memory, slower).
@@ -105,7 +152,6 @@ def build_value_bitmap(
     if segment_size < 16:
         raise DomainError(f"segment_size too small: {segment_size}")
     nbytes = (x >> 3) + 1
-    scan_top = phi_preimage_bound(x) if f == "phi" else x
     check_allocation(
         nbytes + (0 if streaming else x + 1) + 8 * segment_size,
         f"value bitmap build at x={x}",
@@ -120,12 +166,16 @@ def build_value_bitmap(
             scratch[values] = True
 
     record(np.array([1], dtype=np.int64))  # f(1) = 1 for both functions
-    base = primes_up_to(math.isqrt(scan_top))
-    for lo in range(2, scan_top + 1, segment_size):
-        hi = min(lo + segment_size, scan_top + 1)
-        got = segment_scan(lo, hi, base, want_phi=f == "phi", want_sigma=f == "sigma")
-        vals = got["phi"] if f == "phi" else got["sigma"]
-        record(vals[vals <= x])
+    progressions = scan_progressions(f, x)
+    base = primes_up_to(math.isqrt(max(top for _, _, top in progressions)))
+    for start, step, top in progressions:
+        for lo in range(start, top + 1, step * segment_size):
+            hi = min(lo + step * segment_size, top + 1)
+            got = segment_scan(
+                lo, hi, base, want_phi=f == "phi", want_sigma=f == "sigma", step=step
+            )
+            vals = got["phi"] if f == "phi" else got["sigma"]
+            record(vals[vals <= x])
 
     if not streaming:
         bits = _pack_bool(scratch)
@@ -134,35 +184,28 @@ def build_value_bitmap(
     return ValueBitmap(limit_x=x, f_tag=f, bits=bits)
 
 
+def _prefix_popcount(bits: np.ndarray, x: int) -> int:
+    """Set bits at positions 0..x of a little-bit-order bitmap."""
+    nfull, rembits = divmod(x + 1, 8)
+    total = int(np.bitwise_count(bits[:nfull]).sum(dtype=np.int64))
+    if rembits:
+        total += int(np.bitwise_count(bits[nfull] & np.uint8((1 << rembits) - 1)))
+    return total
+
+
 def count_values(bm: ValueBitmap, x: int) -> int:
     """Number of set bits v with 1 <= v <= x (bit 0 is never set)."""
     if x < 0 or x > bm.limit_x:
         raise DomainError(f"x={x} outside bitmap range [0, {bm.limit_x}]")
-    if x == 0:
-        return 0
-    nfull = (x + 1) >> 3
-    total = int(_POPCOUNT8[bm.bits[:nfull]].sum(dtype=np.int64))
-    rembits = (x + 1) - 8 * nfull
-    if rembits:
-        last = int(bm.bits[nfull]) & ((1 << rembits) - 1)
-        total += bin(last).count("1")
-    return total
+    return _prefix_popcount(bm.bits, x)
 
 
 def intersect_count(bm_phi: ValueBitmap, bm_sigma: ValueBitmap, x: int) -> int:
     """Number of v <= x attained by both functions."""
     if x < 0 or x > min(bm_phi.limit_x, bm_sigma.limit_x):
         raise DomainError(f"x={x} not covered by both bitmaps")
-    if x == 0:
-        return 0
-    nfull = (x + 1) >> 3
-    both = bm_phi.bits[:nfull] & bm_sigma.bits[:nfull]
-    total = int(_POPCOUNT8[both].sum(dtype=np.int64))
-    rembits = (x + 1) - 8 * nfull
-    if rembits:
-        last = int(bm_phi.bits[nfull]) & int(bm_sigma.bits[nfull])
-        total += bin(last & ((1 << rembits) - 1)).count("1")
-    return total
+    n = (x >> 3) + 1
+    return _prefix_popcount(bm_phi.bits[:n] & bm_sigma.bits[:n], x)
 
 
 @dataclass(frozen=True)

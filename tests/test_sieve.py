@@ -170,6 +170,46 @@ def test_segment_scan_omega_against_trial_division():
         assert got[n - 2] == sum(e for _, e in factor_pairs_naive(n)), n
 
 
+SCAN_MODES = {
+    "phi": {"want_phi": True},
+    "sigma": {"want_sigma": True},
+    "omega": {"want_omega": True},
+    "smooth": {"smooth_bound": 7},
+}
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 4, 6, 12, 30])
+@pytest.mark.parametrize("lo", [2, 3, 4, 12, 30, 60, 97, 360, 837421, 10**6])
+@pytest.mark.parametrize("mode", sorted(SCAN_MODES))
+def test_segment_scan_progression_matches_full_window(mode, lo, step):
+    # lo runs through values sharing every factor of the steps (2, 3, 5)
+    for hi in (lo + 1, lo + step, lo + 2 * step + 1, lo + 997):
+        base = primes_up_to(math.isqrt(hi - 1))
+        full = segment_scan(lo, hi, base, **SCAN_MODES[mode])
+        prog = segment_scan(lo, hi, base, step=step, **SCAN_MODES[mode])
+        assert full.keys() == prog.keys()
+        for key, want in full.items():
+            assert prog[key].dtype == want.dtype
+            assert np.array_equal(prog[key], want[::step]), (key, hi)
+
+
+@pytest.mark.parametrize("step", [2, 4, 9, 30])
+def test_segment_scan_progression_vs_trial_division(step):
+    lo = 837421 - 837421 % step + step  # a multiple of step
+    got = segment_scan(lo, lo + 500 * step, primes_up_to(1000), want_phi=True,
+                       want_sigma=True, want_omega=True, step=step)
+    for k in range(0, 500, 3):
+        n = lo + k * step
+        assert got["phi"][k] == phi_trial(n)
+        assert got["sigma"][k] == sigma_trial(n)
+        assert got["omega"][k] == sum(e for _, e in factor_pairs_naive(n))
+
+
+def test_segment_scan_rejects_bad_step():
+    with pytest.raises(DomainError):
+        segment_scan(2, 10, primes_up_to(3), want_phi=True, step=0)
+
+
 def test_input_cap_enforced():
     from phisigma import ResourceError
 

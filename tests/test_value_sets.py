@@ -11,6 +11,7 @@ from phisigma import (
     values_table,
     values_table_csv,
 )
+from phisigma.value_sets import scan_progressions
 
 from conftest import phi_trial, sigma_trial
 
@@ -128,6 +129,59 @@ def test_streaming_mode_identical():
     a = build_value_bitmap("sigma", 10**4)
     b = build_value_bitmap("sigma", 10**4, streaming=True)
     assert (a.bits == b.bits).all()
+
+
+def _in_progressions(n: np.ndarray, progressions) -> np.ndarray:
+    hit = np.zeros(n.shape, dtype=bool)
+    for start, step, top in progressions:
+        hit |= (n >= start) & (n <= top) & ((n - start) % step == 0)
+    return hit
+
+
+def _check_cutoffs(x: int) -> None:
+    """Every preimage of a value <= x is scanned, or (phi) is 2 mod 4."""
+    window = 1 << 20
+    for f, top in (("phi", phi_preimage_bound(x)), ("sigma", x)):
+        progressions = scan_progressions(f, x)
+        for lo in range(2, top + 1, window):
+            vals = segment_map(lo, min(lo + window, top + 1), f)
+            n = np.flatnonzero(vals <= x) + lo
+            ok = _in_progressions(n, progressions)
+            if f == "phi":
+                ok |= n % 4 == 2
+            assert ok.all(), (f, x, n[~ok][:5])
+
+
+@pytest.mark.parametrize("x", [10**3, 10**5, 10**6])
+def test_scan_cutoffs_sound(x):
+    _check_cutoffs(x)
+
+
+@pytest.mark.slow
+def test_scan_cutoffs_sound_1e7():
+    _check_cutoffs(10**7)
+
+
+def test_scan_progressions_at_1e7():
+    x = 10**7
+    assert scan_progressions("phi", x) == [(3, 2, 29235658), (4, 4, 58471317)]
+    assert scan_progressions("sigma", x) == [(3, 2, x), (2, 2, 6666666)]
+    scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("phi", x))
+    assert scanned == 29235657
+    assert scanned / (phi_preimage_bound(x) - 1) < 0.48
+
+
+@pytest.mark.parametrize("x", [10**4, 10**5, 10**6])
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_bitmap_bytes_match_full_range_scan(f, x):
+    top = phi_preimage_bound(x) if f == "phi" else x
+    vals = segment_map(2, top + 1, f)
+    seen = np.zeros(x + 1, dtype=bool)
+    seen[1] = True
+    seen[vals[vals <= x]] = True
+    want = np.packbits(seen, bitorder="little")
+    assert np.array_equal(build_value_bitmap(f, x).bits, want)
+    assert np.array_equal(build_value_bitmap(f, x, streaming=True).bits, want)
 
 
 def test_values_table_row_10():
