@@ -16,19 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import q_function
+from .constants import E_TO_E, q_function
 from .errors import DomainError, ResourceError
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     FactorSieve,
     Factorization,
-    factorize,
-    factorize_small,
+    composite_mask,
+    factor,
     primes_up_to,
     segment_scan,
 )
-
-E_TO_E = math.exp(math.e)  # loglog S >= 1 from here on
 
 SIEVE_CENSUS_CAP = 10**8
 
@@ -39,12 +37,6 @@ def _loglog(t: float) -> float:
     if t <= 1.0:
         raise DomainError(f"loglog undefined for t={t}")
     return math.log(math.log(t))
-
-
-def _factor(n: int, sieve: FactorSieve | None) -> Factorization:
-    if sieve is not None and sieve.covers(n):
-        return factorize(n, sieve)
-    return factorize_small(n)
 
 
 def big_omega_range(fact: Factorization, U: float, T: float) -> int:
@@ -164,7 +156,7 @@ def is_s_normal(p: int, S: float, sieve: FactorSieve | None = None) -> Normality
         if value == 1:  # p = 2 leaves phi(p) = 1 with no factors
             results[tag] = (True, True)
             continue
-        fact = _factor(value, sieve)
+        fact = factor(value, sieve)
         small_mass = big_omega_range(fact, 1, S)
         ok_1s = small_mass <= 2.0 * lls
         ok_win, w = _window_scan(fact, value, S)
@@ -202,7 +194,7 @@ def check_pplus_lower(
     llx = _loglog(x)
     slack = (math.log(llx) + math.log(4.0)) / llx
     for value in (p - 1, p + 1):
-        pplus = largest_prime_factor(_factor(value, sieve))
+        pplus = largest_prime_factor(factor(value, sieve))
         if _loglog(pplus) / llx < _loglog(p) / llx - slack:
             return False
     return True
@@ -328,12 +320,7 @@ def sieve_bound_census(
     if E == 0:
         raise DomainError(f"degenerate forms (E = 0): {forms}")
 
-    top = max(a * x + b for a, b in forms)
-    comp = np.zeros(top + 1, dtype=bool)
-    comp[:2] = True
-    for p in range(2, math.isqrt(top) + 1):
-        if not comp[p]:
-            comp[p * p :: p] = True
+    comp = composite_mask(max(a * x + b for a, b in forms))
     n = np.arange(1, x + 1, dtype=np.int64)
     ok = np.ones(x, dtype=bool)
     for a, b in forms:

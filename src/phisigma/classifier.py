@@ -25,7 +25,11 @@ x above ~28, and at any reachable x it exceeds x astronomically, which
 would make condition (2) degenerate.  The classifier therefore carries
 an effective S (default min(S_formula, x^(1/10)), floored at e^e so
 the normality test stays in its domain) alongside the formula value;
-both are always reported.
+both are always reported.  Condition (7) needs p_1 < x^(1/(100 loglog x)),
+and that bound is below 2 for every x <= CAPTURE_CENSUS_CAP (1.06 at
+10^7; it grows with x), so no n is a member there and capture_census
+reports fraction 1.0 at every reachable x.  Nothing special-cases this:
+the conditions are evaluated as stated.
 """
 
 from __future__ import annotations
@@ -34,22 +38,24 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from . import anatomy
-from .constants import iterated_log, series_coefficient
-from .errors import BudgetExceededError, DomainError, ResourceError
+from .constants import E_TO_E, iterated_log, series_coefficient
+from .errors import BudgetExceededError, DomainError, ResourceError, check_allocation
 from .sieve import (
+    DEFAULT_SEGMENT_SIZE,
     FactorSieve,
     Factorization,
     build_factor_sieve,
-    factorize,
-    factorize_small,
+    factor,
     phi_of,
+    primes_up_to,
+    segment_scan,
     sigma_of,
 )
 from .structure import SimplexSpec, _renormalize_fact, default_xi, simplex_contains
 from .value_sets import phi_preimage_bound
-
-E_TO_E = math.exp(math.e)
 
 UNITARY_DIVISOR_CAP = 1 << 20
 
@@ -163,12 +169,6 @@ def _normality_cached(p: int, s_eff: float) -> bool:
     return anatomy.is_s_normal(p, s_eff).is_normal
 
 
-def _factor(n: int, sieve: FactorSieve | None) -> Factorization:
-    if sieve is not None and sieve.covers(n):
-        return factorize(n, sieve)
-    return factorize_small(n)
-
-
 def _max_squarefull_divisor(fact: Factorization) -> int:
     out = 1
     for p, e in fact.pairs:
@@ -191,7 +191,7 @@ def _unitary_divisor_condition(
     for p, e in fact.pairs:
         pf = Factorization(((p, e),))
         val = phi_of(pf) if f_tag == "phi" else sigma_of(pf)
-        omega_val = _factor(val, sieve).big_omega()
+        omega_val = factor(val, sieve).big_omega()
         parts.append((math.log(p) * e, omega_val, math.log(val) if val > 1 else 0.0))
     if 2 ** len(parts) > UNITARY_DIVISOR_CAP:
         raise BudgetExceededError(
@@ -231,7 +231,7 @@ def classify(
     x = params.x
     detail: dict = {}
 
-    fact_n = _factor(n, sieve)
+    fact_n = factor(n, sieve)
     fn = phi_of(fact_n) if f_tag == "phi" else sigma_of(fact_n)
     if fn > x:
         return AfConditionsReport(
@@ -250,7 +250,7 @@ def classify(
     if not c0:
         detail["0"] = f"n = {n} < x/log x = {x / logx:.6g}"
 
-    fact_fn = _factor(fn, sieve)
+    fact_fn = factor(fn, sieve)
     sq_n = _max_squarefull_divisor(fact_n)
     sq_fn = _max_squarefull_divisor(fact_fn)
     sq_cap = logx**2
@@ -295,7 +295,7 @@ def classify(
         p0, p1 = primes_desc[0], primes_desc[1]
         shifted = p0 - 1 if f_tag == "phi" else p0 + 1
         pplus = (
-            anatomy.largest_prime_factor(_factor(shifted, sieve))
+            anatomy.largest_prime_factor(factor(shifted, sieve))
             if shifted > 1
             else 1
         )
@@ -338,6 +338,36 @@ class CaptureCensus:
     fraction: float
 
 
+def _scan_conditions(
+    n: np.ndarray, fn: np.ndarray, omega_n: np.ndarray, omega_by_value: np.ndarray,
+    params: AfParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditions (0), (3) and (6) of classify as boolean columns.
+
+    n holds integers with values fn = f(n) <= x, omega_n their Omega,
+    and omega_by_value[v] is Omega(v) over [0, x].  Element k of each
+    column equals classify(n[k], ...).cond[0], [3] and [6].
+    """
+    x = params.x
+    llx = math.log(math.log(x))
+    c0 = n >= x / math.log(x)
+    c3 = (omega_by_value[fn] <= 10.0 * llx) & (omega_n <= 10.0 * llx)
+    two_adic = np.bitwise_count((n & -n) - 1)  # v_2(n): trailing zero bits
+    c6 = omega_n - two_adic >= params.L + 1
+    return c0, c3, c6
+
+
+def _omega_table(x: int) -> np.ndarray:
+    """Omega(v) for v in [0, x] as int8 (Omega(0) and Omega(1) read 0)."""
+    check_allocation(x + 1, f"Omega table over [0, {x}]")
+    table = np.zeros(x + 1, dtype=np.int8)
+    base = primes_up_to(math.isqrt(x))
+    for lo in range(2, x + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, x + 1)
+        table[lo:hi] = segment_scan(lo, hi, base, want_omega=True)["omega"]
+    return table
+
+
 def capture_census(
     f_tag: str,
     x: int,
@@ -349,7 +379,24 @@ def capture_census(
     having at least one preimage outside the membership set.
 
     Exact by construction: the preimage range is [1, x] for sigma and
-    [1, phi_preimage_bound(x)] for phi.
+    [1, phi_preimage_bound(x)] for phi, scanned in windows of
+    DEFAULT_SEGMENT_SIZE integers by segment_scan (f and Omega).  In each
+    window the n with f(n) <= x mark their values attained, and the
+    conditions (0), (3), (6) are evaluated over arrays
+    (_scan_conditions); a failure marks the value outside.  Only the
+    survivors whose value is not yet outside go through the scalar
+    classify, one at a time, against a factor sieve built on first use.
+
+    Soundness: membership is the AND of the nine conditions, so a
+    failed (0), (3) or (6) makes n a non-member whatever classify would
+    say of the rest, and outside[v] is the OR over the preimages of v,
+    so neither the order in which preimages are visited nor skipping
+    the classification of preimages of a value already outside can
+    change the result.  Nor can a skipped classify call hide an error
+    the scalar loop would raise: classify raises BudgetExceededError
+    only when n has more than 20 distinct prime factors, i.e. n is at
+    least the product of the first 21 primes, ~4.07e28, far beyond any
+    preimage bound here.
     """
     if f_tag not in ("phi", "sigma"):
         raise DomainError(f"f_tag must be 'phi' or 'sigma', got {f_tag!r}")
@@ -357,24 +404,35 @@ def capture_census(
         raise ResourceError(f"x={x} beyond the {CAPTURE_CENSUS_CAP} preimage budget")
     params = af_params(x, epsilon, s_override=s_override)
     bound = phi_preimage_bound(x) if f_tag == "phi" else x
-    sieve = build_factor_sieve(2, max(bound, x) + 2)
-
-    attained = bytearray(x + 1)
-    outside = bytearray(x + 1)
-    attained[1] = 1
-    outside[1] = 1  # n = 1 fails (0); the value 1 always has an outside preimage
-    for n in range(2, bound + 1):
-        fact = factorize(n, sieve)
-        v = phi_of(fact) if f_tag == "phi" else sigma_of(fact)
-        if v > x:
-            continue
-        attained[v] = 1
-        if not outside[v]:
-            report = classify(n, f_tag, params, sieve)
-            if not report.member:
-                outside[v] = 1
-    total = sum(attained) - attained[0]
-    out = sum(1 for a, o in zip(attained, outside) if a and o)
+    omegas = _omega_table(x)
+    check_allocation(2 * (x + 1), f"value marks over [0, {x}]")
+    attained = np.zeros(x + 1, dtype=bool)
+    outside = np.zeros(x + 1, dtype=bool)
+    attained[1] = outside[1] = True  # n = 1 fails (0); the value 1 has an outside preimage
+    base = primes_up_to(math.isqrt(bound))
+    sieve = None
+    for lo in range(2, bound + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, bound + 1)
+        got = segment_scan(lo, hi, base, want_omega=True,
+                           want_phi=f_tag == "phi", want_sigma=f_tag == "sigma")
+        keep = np.flatnonzero(got[f_tag] <= x)
+        v = got[f_tag][keep]
+        n = keep + lo
+        attained[v] = True
+        c0, c3, c6 = _scan_conditions(n, v, got["omega"][keep], omegas, params)
+        del got
+        passed = c0 & c3 & c6
+        outside[v[~passed]] = True
+        survivors = np.flatnonzero(passed & ~outside[v])
+        for ni, vi in zip(n[survivors].tolist(), v[survivors].tolist()):
+            if outside[vi]:
+                continue
+            if sieve is None:  # covers n, f(n) <= x <= bound and p_0 + 1
+                sieve = build_factor_sieve(2, bound + 2)
+            if not classify(ni, f_tag, params, sieve).member:
+                outside[vi] = True
+    total = int(attained.sum())
+    out = int((attained & outside).sum())
     return CaptureCensus(
         f_tag=f_tag,
         x=x,

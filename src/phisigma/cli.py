@@ -191,12 +191,15 @@ def build_parser() -> _Parser:
             return argparse.SUPPRESS if suppress else v
 
         c = argparse.ArgumentParser(add_help=False)
-        c.add_argument("--format", choices=("csv", "json"), default=dflt(None))
+        c.add_argument("--format", choices=("csv", "json"), default=dflt(None),
+                       help="output format; values-table takes csv or json, "
+                       "every other subcommand only its default (else exit 64)")
         c.add_argument("--output", default=dflt(None),
                        help="write output atomically to a file")
         c.add_argument("--seed", type=_int_arg, default=dflt(20260809))
         c.add_argument("--threads", type=_int_arg, default=dflt(1),
-                       help="worker hint; outputs never depend on it")
+                       help="accepted and checked to be >= 1, otherwise unused: "
+                       "every subcommand runs in one thread")
         return c
 
     p = _Parser(prog="phisigma", description=__doc__, parents=[common_flags(False)])
@@ -210,33 +213,33 @@ def build_parser() -> _Parser:
     sp = add_parser("values-table", help="value counts and their intersection")
     sp.add_argument("--limits", type=_limits_arg, required=True)
     sp.add_argument("--streaming", action="store_true")
-    sp.set_defaults(func=_cmd_values_table, default_format="csv")
+    sp.set_defaults(func=_cmd_values_table, formats=("csv", "json"))
 
     sp = add_parser("constants", help="rho, F'(rho), C, D")
     sp.add_argument("--tol", type=float, default=1e-13)
-    sp.set_defaults(func=_cmd_constants, default_format="json")
+    sp.set_defaults(func=_cmd_constants, formats=("json",))
 
     sp = add_parser("simplex-volume", help="Monte Carlo simplex volume")
     sp.add_argument("--L", type=_int_arg, required=True)
     sp.add_argument("--xi", default="1", help='"1", "default", or comma list')
     sp.add_argument("--samples", type=_int_arg, default=10**6)
-    sp.set_defaults(func=_cmd_simplex_volume, default_format="json")
+    sp.set_defaults(func=_cmd_simplex_volume, formats=("json",))
 
     sp = add_parser("normal-primes", help="S-normality census over primes <= x")
     sp.add_argument("--x", type=_int_arg, required=True)
     sp.add_argument("--S", type=float, required=True)
     sp.add_argument("--sample", type=_int_arg, default=100)
-    sp.set_defaults(func=_cmd_normal_primes_real, default_format="csv")
+    sp.set_defaults(func=_cmd_normal_primes_real, formats=("csv",))
 
     sp = add_parser("smooth-count", help="exact Psi(x, y) with comparator")
     sp.add_argument("--x", type=_int_arg, required=True)
     sp.add_argument("--y", type=_int_arg, required=True)
-    sp.set_defaults(func=_cmd_smooth_count, default_format="json")
+    sp.set_defaults(func=_cmd_smooth_count, formats=("json",))
 
     sp = add_parser("omega-census", help="tail census of Omega(n) >= alpha loglog x")
     sp.add_argument("--x", type=_int_arg, required=True)
     sp.add_argument("--alpha", type=float, required=True)
-    sp.set_defaults(func=_cmd_omega_census, default_format="json")
+    sp.set_defaults(func=_cmd_omega_census, formats=("json",))
 
     sp = add_parser("classify", help="membership conditions for one n")
     sp.add_argument("--n", type=_int_arg, required=True)
@@ -244,14 +247,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--epsilon", type=float, default=classifier.DEFAULT_EPSILON)
     sp.add_argument("--S-override", dest="S_override", type=float, default=None)
-    sp.set_defaults(func=_cmd_classify, default_format="json")
+    sp.set_defaults(func=_cmd_classify, formats=("json",))
 
     sp = add_parser("capture-census", help="values with preimages outside A_f")
     sp.add_argument("--f", choices=("phi", "sigma"), required=True)
     sp.add_argument("--x", type=_int_arg, required=True)
     sp.add_argument("--epsilon", type=float, default=classifier.DEFAULT_EPSILON)
     sp.add_argument("--S-override", dest="S_override", type=float, default=None)
-    sp.set_defaults(func=_cmd_capture_census, default_format="json")
+    sp.set_defaults(func=_cmd_capture_census, formats=("json",))
 
     sp = add_parser("rl-sum", help="reciprocal sum over simplex-bound integers")
     sp.add_argument("--f", choices=("phi", "sigma"), required=True)
@@ -259,7 +262,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--L", type=_int_arg, required=True)
     sp.add_argument("--xi", default="1")
     sp.add_argument("--offset", choices=structure.OFFSETS, default="from_p0")
-    sp.set_defaults(func=_cmd_rl_sum, default_format="json")
+    sp.set_defaults(func=_cmd_rl_sum, formats=("json",))
 
     return p
 
@@ -301,7 +304,11 @@ def main(argv: list[str] | None = None) -> int:
         print("usage error: --threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if args.format is None:
-        args.format = args.default_format
+        args.format = args.formats[0]
+    elif args.format not in args.formats:
+        print(f"usage error: {args.command} has no --format {args.format} "
+              f"(supported: {', '.join(args.formats)})", file=sys.stderr)
+        return EXIT_USAGE
     try:
         text = args.func(args)
     except DomainError as exc:

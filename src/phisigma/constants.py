@@ -25,6 +25,8 @@ ROOT_BRACKET = (0.5, 0.6)
 
 TOL_FLOOR = 1e-15
 
+E_TO_E = math.exp(math.e)  # loglog t >= 1 from here on
+
 _MAX_TERMS = 200_000
 
 

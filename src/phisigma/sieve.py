@@ -42,13 +42,23 @@ def primes_up_to(limit: int) -> np.ndarray:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(~composite_mask(limit)).astype(np.int64)
+
+
+def composite_mask(limit: int) -> np.ndarray:
+    """Boolean mask over [0, limit], True at 0, 1 and every composite.
+
+    The limit+1 bytes are charged against the memory budget.
+    """
+    if limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
     check_allocation(limit + 1, f"prime sieve to {limit}")
     composite = np.zeros(limit + 1, dtype=bool)
     composite[:2] = True
     for p in range(2, math.isqrt(limit) + 1):
         if not composite[p]:
             composite[p * p :: p] = True
-    return np.flatnonzero(~composite).astype(np.int64)
+    return composite
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,13 @@ def _smallest_base_factor(m: int, base_primes: np.ndarray) -> int:
         if m % p == 0:
             return p
     return m
+
+
+def factor(n: int, sieve: FactorSieve | None = None) -> Factorization:
+    """Factor n >= 1 by the sieve when it covers n, else by trial division."""
+    if sieve is not None and sieve.covers(n):
+        return factorize(n, sieve)
+    return factorize_small(n)
 
 
 def factorize_small(n: int) -> Factorization:

@@ -19,20 +19,30 @@ with the a_i from constants.series_coefficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import iterated_log, l0_of, series_coefficient, structure_constants
-from .errors import DomainError, ResourceError
-from .sieve import FactorSieve, Factorization, build_factor_sieve, factorize, factorize_small
+from .constants import E_TO_E, iterated_log, l0_of, series_coefficient, structure_constants
+from .errors import DomainError, ResourceError, check_allocation
+from .sieve import (
+    FactorSieve,
+    Factorization,
+    build_factor_sieve,
+    factor,
+    primes_up_to,
+    segment_scan,
+)
 
 MC_BATCH = 1 << 19  # fixed batch size keeps the Philox stream worker-independent
 
 MIN_MC_SAMPLES = 1000
 
 RL_SCAN_CAP = 10**8
+
+RL_SEGMENT_SIZE = 1 << 17  # ~50 bytes of window arrays per integer: ~7 MB
 
 XI_PRODUCT_CAP = 1.1
 
@@ -105,14 +115,13 @@ def renormalize(
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if x < math.exp(math.e):
+    if x < E_TO_E:
         raise DomainError(f"need x >= e^e, got {x}")
     if L < 1:
         raise DomainError(f"need L >= 1, got {L}")
     if offset not in OFFSETS:
         raise DomainError(f"offset must be one of {OFFSETS}, got {offset!r}")
-    fact = factorize(n, sieve) if sieve is not None and sieve.covers(n) else factorize_small(n)
-    return _renormalize_fact(fact, n, x, L, offset)
+    return _renormalize_fact(factor(n, sieve), n, x, L, offset)
 
 
 def _renormalize_fact(
@@ -155,25 +164,42 @@ def _coeffs(L: int) -> np.ndarray:
     return np.array([series_coefficient(i) for i in range(1, L + 1)])
 
 
-def simplex_contains(v, spec: SimplexSpec) -> bool:
-    """Membership of a vector in S_L(xi): ordering plus (I_0)..(I_{L-2})."""
-    vec = v.entries if isinstance(v, RenormalizedVector) else tuple(v)
+def simplex_mask(cols, spec: SimplexSpec) -> np.ndarray:
+    """Row-wise membership in S_L(xi) of the points with coordinates
+    x_1, ..., x_L given as L equal-length float64 columns.
+
+    Tests, in order, x_1 <= 1, the ordering x_1 >= ... >= x_L,
+    x_L >= 0 and (I_0)..(I_{L-2}).  Each (I_k) left side is built left
+    to right by separate elementwise * and +, the order of a scalar
+    loop, so every row gets the bits a scalar evaluation gives (no @ or
+    dot: BLAS reorders and fuses).  A row is rejected only by a
+    comparison that holds, so a NaN coordinate rejects nothing.
+    """
     L = spec.L
-    if len(vec) != L:
-        raise DomainError(f"vector length {len(vec)} != L = {L}")
-    if vec[-1] < 0.0 or vec[0] > 1.0:
-        return False
-    for a, b in zip(vec, vec[1:]):
-        if b > a:
-            return False
+    if len(cols) != L:
+        raise DomainError(f"{len(cols)} columns != L = {L}")
     a = [series_coefficient(i) for i in range(1, L + 1)]
+    ok = ~(cols[0] > 1.0)
+    for upper, lower in zip(cols, cols[1:]):
+        ok &= ~(lower > upper)
+    ok &= ~(cols[-1] < 0.0)
     for k in range(L - 1):
         # (I_k) sums a_1..a_{L-k} against x_{k+1}..x_L
-        lhs = sum(a[j - 1] * vec[k + j - 1] for j in range(1, L - k + 1))
-        rhs = spec.xi[k] * (vec[k - 1] if k >= 1 else 1.0)
-        if lhs > rhs:
-            return False
-    return True
+        lhs = a[0] * cols[k]
+        for j in range(1, L - k):
+            lhs += a[j] * cols[k + j]
+        rhs = spec.xi[k] * cols[k - 1] if k >= 1 else spec.xi[0]
+        ok &= ~(lhs > rhs)
+    return ok
+
+
+def simplex_contains(v, spec: SimplexSpec) -> bool:
+    """Membership of a vector in S_L(xi): simplex_mask on one row."""
+    vec = v.entries if isinstance(v, RenormalizedVector) else tuple(v)
+    if len(vec) != spec.L:
+        raise DomainError(f"vector length {len(vec)} != L = {spec.L}")
+    cols = np.array(vec, dtype=np.float64).reshape(spec.L, 1)
+    return bool(simplex_mask(cols, spec)[0])
 
 
 def _accept_mask(X: np.ndarray, spec: SimplexSpec, a: np.ndarray) -> np.ndarray:
@@ -314,13 +340,21 @@ def r_l_sum(
     spec: SimplexSpec,
     x: int,
     offset: str = "from_p0",
-    sieve: FactorSieve | None = None,
 ) -> float:
     """Sum of 1/f(n) over n <= x with Omega(n) <= L and renormalized
     vector (starting at the given offset) inside S_L(xi).
 
-    The scan is exhaustive over [1, x]; terms are accumulated with
-    exact summation, so the relative error is a few ulp.
+    The scan is exhaustive over [1, x], in windows of RL_SEGMENT_SIZE
+    integers.  Each window is one segment_scan for Omega and f; the
+    integers with Omega(n) <= L have their prime factors peeled off,
+    smallest first, in L rounds through a smallest-prime-factor table
+    over [2, x] that also holds the index of each prime, and each
+    factor is mapped to loglog(p)/loglog(x) through a table over the
+    primes <= x, computed once with math.log (p = 2 and a missing
+    factor give 0).  simplex_mask selects the members and their 1/f(n)
+    are kept as float64 arrays; no Python float is made per integer.
+    math.fsum is correctly rounded, so the result does not depend on
+    the window size or on the order of the terms.
     """
     if f not in ("phi", "sigma"):
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
@@ -330,79 +364,47 @@ def r_l_sum(
         raise ResourceError(f"x={x} beyond the {RL_SCAN_CAP} scan budget")
     if offset not in OFFSETS:
         raise DomainError(f"offset must be one of {OFFSETS}, got {offset!r}")
-    if x < math.exp(math.e):
+    if x < E_TO_E:
         raise DomainError(f"need x >= e^e for the renormalization, got {x}")
 
     L = spec.L
-    a = [series_coefficient(i) for i in range(1, L + 1)]
-    xi = spec.xi
-    llx = math.log(math.log(x))
     start = 0 if offset == "from_p0" else 1
+    llx = math.log(math.log(x))
+    primes = primes_up_to(x)
+    base = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
+    # scaled[i] = loglog(p)/loglog(x) for p = primes[i], by math.log as in
+    # renormalize; slot 0 (p = 2) holds the convention's 0.0
+    scaled = np.zeros(len(primes))
+    scaled[1:] = np.fromiter(map(math.log, map(math.log, primes[1:].astype(np.float64))),
+                             dtype=np.float64, count=len(primes) - 1)
+    scaled[1:] /= llx
+    # tab[n - 2] is the smallest prime factor of a composite n and minus
+    # the index in primes of a prime n (spf values fit int32)
+    tab = build_factor_sieve(2, x + 1).spf.view(np.int32)
+    tab[primes - 2] = -np.arange(len(primes), dtype=np.int32)
 
-    if sieve is None or not (sieve.window_lo <= 2 and sieve.window_hi > x):
-        sieve = build_factor_sieve(2, x + 1)
-    spf = sieve.spf
-    lo = sieve.window_lo
-
-    lll_cache: dict[int, float] = {}
-
-    def loglog_scaled(p: int) -> float:
-        v = lll_cache.get(p)
-        if v is None:
-            v = math.log(math.log(p)) / llx
-            lll_cache[p] = v
-        return v
-
-    terms = [1.0]  # n = 1: zero vector, always a member
-    for n in range(2, x + 1):
-        # factor n, bailing out as soon as Omega exceeds L
-        primes: list[int] = []
-        expos: list[int] = []
-        m = n
-        total = 0
-        while m > 1:
-            v = int(spf[m - lo])
-            p = m if v == 0 else v
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            total += e
-            if total > L:
-                break
-            primes.append(p)
-            expos.append(e)
-        if total > L:
-            continue
-
-        desc: list[int] = []
-        for p, e in zip(reversed(primes), reversed(expos)):
-            desc.extend([p] * e)
-        vec = [
-            0.0 if (i >= total or desc[i] == 2) else loglog_scaled(desc[i])
-            for i in range(start, start + L)
-        ]
-        if vec[0] > 1.0:
-            continue
-        member = True
-        for k in range(L - 1):
-            lhs = 0.0
-            for j in range(1, L - k + 1):
-                lhs += a[j - 1] * vec[k + j - 1]
-            rhs = xi[k] * (vec[k - 1] if k >= 1 else 1.0)
-            if lhs > rhs:
-                member = False
-                break
-        if not member:
-            continue
-
-        if f == "phi":
-            fn = 1
-            for p, e in zip(primes, expos):
-                fn *= p ** (e - 1) * (p - 1)
-        else:
-            fn = 1
-            for p, e in zip(primes, expos):
-                fn *= (p ** (e + 1) - 1) // (p - 1)
-        terms.append(1.0 / fn)
-    return math.fsum(terms)
+    terms = [np.ones(1)]  # n = 1: zero vector, always a member
+    for lo in range(2, x + 1, RL_SEGMENT_SIZE):
+        hi = min(lo + RL_SEGMENT_SIZE, x + 1)
+        got = segment_scan(lo, hi, base, want_omega=True,
+                           want_phi=f == "phi", want_sigma=f == "sigma")
+        keep = np.flatnonzero(got["omega"] <= L)
+        omega = got["omega"][keep]
+        fn = got[f][keep]
+        m = keep + lo
+        del got
+        check_allocation(8 * (L + 1) * len(keep), f"simplex columns [{lo}, {hi})")
+        # row i holds x_i, from the i-th largest prime factor p_i; rows
+        # past Omega(n) stay 0
+        X = np.zeros((L + 1, len(keep)))
+        for r in range(L):
+            live = np.flatnonzero(omega > r)
+            q = m[live]
+            t = tab[q - 2]
+            p = np.where(t > 0, t, q)
+            m[live] = q // p
+            # the r-th smallest of Omega factors is p_(Omega-1-r)
+            X[omega[live] - 1 - r, live] = scaled[-tab[p - 2]]
+        member = simplex_mask(X[start : start + L], spec)
+        terms.append(1.0 / fn[member])
+    return math.fsum(itertools.chain.from_iterable(terms))

@@ -1,0 +1,129 @@
+"""Per-integer reference loops for the array pipelines.
+
+These are the scalar implementations that r_l_sum, simplex_contains and
+capture_census had before they became array pipelines.  They are kept
+here, unchanged in arithmetic, as oracles: the pipelines must agree
+with them exactly (==), not approximately.
+"""
+
+import math
+
+from phisigma import series_coefficient
+from phisigma.classifier import af_params, classify
+from phisigma.sieve import build_factor_sieve, factorize, phi_of, sigma_of
+from phisigma.value_sets import phi_preimage_bound
+
+
+def simplex_contains_loop(vec, spec) -> bool:
+    """Membership in S_L(xi) by the scalar loop: ordering plus (I_k)."""
+    L = spec.L
+    assert len(vec) == L
+    if vec[-1] < 0.0 or vec[0] > 1.0:
+        return False
+    for a, b in zip(vec, vec[1:]):
+        if b > a:
+            return False
+    a = [series_coefficient(i) for i in range(1, L + 1)]
+    for k in range(L - 1):
+        lhs = sum(a[j - 1] * vec[k + j - 1] for j in range(1, L - k + 1))
+        rhs = spec.xi[k] * (vec[k - 1] if k >= 1 else 1.0)
+        if lhs > rhs:
+            return False
+    return True
+
+
+def r_l_sum_loop(f: str, spec, x: int, offset: str = "from_p0") -> float:
+    """R_L by factoring every n <= x through one spf table."""
+    L = spec.L
+    a = [series_coefficient(i) for i in range(1, L + 1)]
+    xi = spec.xi
+    llx = math.log(math.log(x))
+    start = 0 if offset == "from_p0" else 1
+    sieve = build_factor_sieve(2, x + 1)
+    spf = sieve.spf
+    lo = sieve.window_lo
+
+    lll_cache: dict[int, float] = {}
+
+    def loglog_scaled(p: int) -> float:
+        v = lll_cache.get(p)
+        if v is None:
+            v = math.log(math.log(p)) / llx
+            lll_cache[p] = v
+        return v
+
+    terms = [1.0]  # n = 1: zero vector, always a member
+    for n in range(2, x + 1):
+        primes: list[int] = []
+        expos: list[int] = []
+        m = n
+        total = 0
+        while m > 1:
+            v = int(spf[m - lo])
+            p = m if v == 0 else v
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            total += e
+            if total > L:
+                break
+            primes.append(p)
+            expos.append(e)
+        if total > L:
+            continue
+
+        desc: list[int] = []
+        for p, e in zip(reversed(primes), reversed(expos)):
+            desc.extend([p] * e)
+        vec = [
+            0.0 if (i >= total or desc[i] == 2) else loglog_scaled(desc[i])
+            for i in range(start, start + L)
+        ]
+        if vec[0] > 1.0:
+            continue
+        member = True
+        for k in range(L - 1):
+            lhs = 0.0
+            for j in range(1, L - k + 1):
+                lhs += a[j - 1] * vec[k + j - 1]
+            rhs = xi[k] * (vec[k - 1] if k >= 1 else 1.0)
+            if lhs > rhs:
+                member = False
+                break
+        if not member:
+            continue
+
+        fn = 1
+        for p, e in zip(primes, expos):
+            if f == "phi":
+                fn *= p ** (e - 1) * (p - 1)
+            else:
+                fn *= (p ** (e + 1) - 1) // (p - 1)
+        terms.append(1.0 / fn)
+    return math.fsum(terms)
+
+
+def capture_census_loop(f_tag: str, x: int, epsilon: float = 0.1, *, s_override=None):
+    """(total_values, values_with_outside_preimage) by classifying every
+    preimage whose value is not yet known to have an outside preimage."""
+    params = af_params(x, epsilon, s_override=s_override)
+    bound = phi_preimage_bound(x) if f_tag == "phi" else x
+    sieve = build_factor_sieve(2, max(bound, x) + 2)
+
+    attained = bytearray(x + 1)
+    outside = bytearray(x + 1)
+    attained[1] = 1
+    outside[1] = 1
+    for n in range(2, bound + 1):
+        fact = factorize(n, sieve)
+        v = phi_of(fact) if f_tag == "phi" else sigma_of(fact)
+        if v > x:
+            continue
+        attained[v] = 1
+        if not outside[v]:
+            if not classify(n, f_tag, params, sieve).member:
+                outside[v] = 1
+    total = sum(attained) - attained[0]
+    out = sum(1 for a, o in zip(attained, outside) if a and o)
+    return total, out

@@ -265,6 +265,16 @@ def test_sieve_census_twin_primes():
     assert observed == 205
 
 
+def test_sieve_census_charges_its_prime_mask(monkeypatch):
+    from phisigma import ResourceError
+    from phisigma.errors import MEMORY_BUDGET_ENV
+
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "5000")
+    assert sieve_bound_census([(1, 0)], 4000)[0] == 550  # 4001-byte mask fits
+    with pytest.raises(ResourceError):
+        sieve_bound_census([(1, 0), (1, 2)], 4998)  # needs 5001 bytes
+
+
 def test_sieve_census_degenerate_forms():
     with pytest.raises(DomainError):
         sieve_bound_census([(1, 1), (2, 2)], 100)

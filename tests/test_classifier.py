@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from phisigma import (
@@ -13,9 +14,12 @@ from phisigma import (
     primes_up_to,
     structure_constants,
 )
-from phisigma.classifier import _unitary_divisor_condition
+from phisigma.classifier import _omega_table, _scan_conditions, _unitary_divisor_condition
+from phisigma.sieve import segment_map
+from phisigma.value_sets import phi_preimage_bound
 
-from conftest import classify_oracle
+from conftest import big_omega_trial, classify_oracle
+from reference_loops import capture_census_loop
 
 
 def test_af_params_delta_identity():
@@ -192,3 +196,60 @@ def test_capture_census_rejects_oversized():
 
     with pytest.raises(ResourceError):
         capture_census("phi", 10**8)
+
+
+_CENSUS_SETTINGS = [
+    {},
+    {"epsilon": 0.5},
+    {"s_override": 50.0},
+]
+
+
+@pytest.mark.parametrize("f_tag", ["phi", "sigma"])
+@pytest.mark.parametrize("x", [2000, 10**4])
+@pytest.mark.parametrize("kw", _CENSUS_SETTINGS, ids=["default", "eps0.5", "S50"])
+def test_capture_census_equals_reference_loop(f_tag, x, kw):
+    c = capture_census(f_tag, x, **kw)
+    assert (c.total_values, c.values_with_outside_preimage) == capture_census_loop(
+        f_tag, x, **kw
+    )
+
+
+def test_capture_census_independent_of_window(monkeypatch):
+    from phisigma import classifier
+
+    for f_tag in ("phi", "sigma"):
+        want = capture_census(f_tag, 3000)
+        for size in (97, 1000, 3001):
+            monkeypatch.setattr(classifier, "DEFAULT_SEGMENT_SIZE", size)
+            assert capture_census(f_tag, 3000) == want
+
+
+def test_omega_table_matches_trial_division(monkeypatch):
+    from phisigma import classifier
+
+    monkeypatch.setattr(classifier, "DEFAULT_SEGMENT_SIZE", 777)
+    table = _omega_table(5000)
+    assert table.dtype == np.int8
+    assert table[:2].tolist() == [0, 0]
+    assert table[2:].tolist() == [big_omega_trial(v) for v in range(2, 5001)]
+
+
+@pytest.mark.parametrize("f_tag", ["phi", "sigma"])
+@pytest.mark.parametrize("x,kw", [(10**4, {}), (3000, {"epsilon": 0.5}),
+                                  (3000, {"s_override": 50.0})])
+def test_scan_conditions_equal_classify(f_tag, x, kw):
+    # columns (0), (3), (6) against classify().cond for every n with f(n) <= x
+    params = af_params(x, **kw)
+    bound = phi_preimage_bound(x) if f_tag == "phi" else x
+    fn = segment_map(2, bound + 1, f_tag)
+    n = np.arange(2, bound + 1, dtype=np.int64)
+    keep = fn <= x
+    n, fn = n[keep], fn[keep]
+    omega_n = _omega_table(bound)[n]
+    cols = _scan_conditions(n, fn, omega_n, _omega_table(x), params)
+    got = np.stack(cols, axis=1).tolist()
+    want = [[classify(k, f_tag, params).cond[i] for i in (0, 3, 6)]
+            for k in n.tolist()]
+    assert got == want
+    assert not all(c[0] for c in want) and not all(c[2] for c in want)

@@ -109,6 +109,24 @@ def test_unknown_flag_exits_64_without_output(tmp_path):
     assert r.stdout == ""
 
 
+def test_format_outside_subcommand_support_exits_64():
+    for args in (("constants", "--format", "csv"),
+                 ("normal-primes", "--x", "100", "--S", "16", "--format", "json"),
+                 ("--format", "csv", "rl-sum", "--f", "phi", "--x", "100", "--L", "2")):
+        r = run_cli(*args)
+        assert r.returncode == 64, args
+        assert r.stdout == ""
+        assert "usage error" in r.stderr
+
+
+def test_format_naming_the_default_is_accepted():
+    assert run_cli("constants", "--format", "json").returncode == 0
+    r = run_cli("normal-primes", "--x", "100", "--S", "16", "--sample", "3",
+                "--format", "csv")
+    assert r.returncode == 0
+    assert r.stdout.startswith("p,passed_phi")
+
+
 def test_domain_error_exit_1():
     r = run_cli("omega-census", "--x", "1000", "--alpha", "0.5")
     assert r.returncode == 1

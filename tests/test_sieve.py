@@ -16,7 +16,7 @@ from phisigma import (
     segment_map,
     sigma_of,
 )
-from phisigma.sieve import segment_scan
+from phisigma.sieve import composite_mask, factor, segment_scan
 
 from conftest import factor_pairs_naive, phi_trial, sigma_trial
 
@@ -226,3 +226,23 @@ def test_memory_budget_env_var(monkeypatch):
         primes_up_to(10**6)
     monkeypatch.setenv(MEMORY_BUDGET_ENV, "1e9")
     assert len(primes_up_to(10**6)) == 78498
+
+
+def test_composite_mask_marks_exactly_the_nonprimes():
+    for limit in (0, 1, 2, 3, 100, 9973):
+        mask = composite_mask(limit)
+        assert len(mask) == limit + 1
+        want = [n < 2 or any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
+                for n in range(limit + 1)]
+        assert mask.tolist() == want
+    with pytest.raises(DomainError):
+        composite_mask(-1)
+
+
+def test_factor_agrees_with_and_without_sieve():
+    sieve = build_factor_sieve(100, 1000)
+    for n in (1, 2, 97, 100, 360, 997, 999, 1000, 1024, 123457):
+        got = factor(n, sieve)
+        assert got == factorize_small(n) == factor(n)
+        if sieve.covers(n):
+            assert got == factorize(n, sieve)

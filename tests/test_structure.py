@@ -19,7 +19,10 @@ from phisigma import (
     unit_spec,
 )
 
+from phisigma.structure import simplex_mask
+
 from conftest import factor_pairs_naive, phi_trial, sigma_trial
+from reference_loops import r_l_sum_loop, simplex_contains_loop
 
 A = [series_coefficient(i) for i in range(1, 9)]
 
@@ -121,6 +124,68 @@ def test_contains_geometric_profile_point():
 def test_contains_length_mismatch():
     with pytest.raises(DomainError):
         simplex_contains((0.1, 0.1, 0.1), unit_spec(2))
+
+
+def _kernel_rows(L: int) -> np.ndarray:
+    """Random ordered and unordered rows, edge rows, and the renormalized
+    vectors of n < 5000, for dimension L."""
+    rng = np.random.default_rng(20 + L)
+    ordered = np.sort(rng.random((400, L)), axis=1)[:, ::-1]
+    scaled = ordered * rng.choice([0.5, 1.0, 1.5], size=(400, 1))
+    loose = rng.random((200, L)) * 1.2 - 0.1
+    edge = [
+        [0.0] * L,
+        [-0.0] * L,
+        [1.0] * L,
+        [1.0] + [0.0] * (L - 1),
+        [1.0 + 2**-52] + [0.0] * (L - 1),
+        [0.5] * L,
+        [0.3] * (L - 1) + [-1e-300],
+        [math.nan] * L,
+        [0.4, math.nan] + [0.0] * (L - 2),
+        [math.inf] + [0.0] * (L - 1),
+        [0.2] + [-math.inf] * (L - 1),
+    ]
+    x = 1e6
+    vecs = [renormalize(n, x, L, offset).entries
+            for n in range(1, 5000) for offset in ("from_p0", "from_p1")]
+    return np.vstack([ordered, scaled, loose, np.array(edge), np.array(vecs),
+                      _boundary_rows(L, rng)])
+
+
+def _boundary_rows(L: int, rng) -> np.ndarray:
+    """Ordered rows within a few ulps of equality in (I_0) or (I_1) of the
+    unit simplex, where the order of summation decides membership."""
+    rows = []
+    while len(rows) < 600:
+        v = sorted(rng.random(L) * 0.8, reverse=True)
+        k = len(rows) % min(2, L - 1)
+        rhs = 1.0 if k == 0 else v[k - 1]
+        head = sum(A[j] * v[k + j] for j in range(L - k - 1))
+        last = (rhs - head) / A[L - k - 1]
+        if not 0.0 <= last <= v[-2]:
+            continue
+        for step in range(-3, 4):
+            rows.append(v[:-1] + [last + step * math.ulp(last)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 6])
+def test_simplex_kernel_equals_scalar_loop(L):
+    profile = tuple(1.0 + 1.0 / (10.0 * (L - i) ** 3) for i in range(L - 1))
+    for spec in (unit_spec(L), SimplexSpec(L=L, xi=profile),
+                 SimplexSpec(L=L, xi=tuple(1.0 + 0.05 * i for i in range(L - 1)))):
+        rows = _kernel_rows(L)
+        got = simplex_mask(list(rows.T), spec)
+        want = [simplex_contains_loop(tuple(row.tolist()), spec) for row in rows]
+        assert got.tolist() == want
+        assert [simplex_contains(row, spec) for row in rows[::7]] == want[::7]
+        assert 0 < sum(want) < len(want)
+
+
+def test_simplex_kernel_column_count_checked():
+    with pytest.raises(DomainError):
+        simplex_mask([np.zeros(3)] * 3, unit_spec(2))
 
 
 def test_contains_monotone_in_xi():
@@ -296,6 +361,38 @@ def test_r_l_sum_matches_independent_oracle(f, offset):
     got = r_l_sum(f, spec, 10**4, offset)
     want = _r_l_sum_oracle(f, 3, spec.xi, 10**4, offset)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+_RL_GRID = [(f, L, offset) for f in ("phi", "sigma") for L in (2, 3, 4)
+            for offset in ("from_p0", "from_p1")]
+
+
+@pytest.mark.parametrize("f,L,offset", _RL_GRID)
+def test_r_l_sum_equals_reference_loop(f, L, offset):
+    spec = unit_spec(L)
+    assert r_l_sum(f, spec, 10**5, offset) == r_l_sum_loop(f, spec, 10**5, offset)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("f,L,offset", _RL_GRID)
+def test_r_l_sum_equals_reference_loop_1e6(f, L, offset):
+    spec = unit_spec(L)
+    assert r_l_sum(f, spec, 10**6, offset) == r_l_sum_loop(f, spec, 10**6, offset)
+
+
+def test_r_l_sum_bits_independent_of_window(monkeypatch):
+    from phisigma import structure
+
+    spec = SimplexSpec(L=3, xi=(1.05, 1.1))
+    for f, offset in (("phi", "from_p0"), ("sigma", "from_p1")):
+        want = r_l_sum_loop(f, spec, 30000, offset)
+        for size in (97, 4096, 30000, 1 << 22):
+            monkeypatch.setattr(structure, "RL_SEGMENT_SIZE", size)
+            assert r_l_sum(f, spec, 30000, offset) == want
+
+
+def test_r_l_sum_pinned_1e6():
+    assert r_l_sum("phi", unit_spec(3), 10**6) == 16.489674913713863
 
 
 def test_r_l_bound_shape_census():
