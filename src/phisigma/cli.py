@@ -120,7 +120,8 @@ def _cmd_constants(args) -> str:
 
 def _cmd_simplex_volume(args) -> str:
     spec = _parse_xi(args.xi, args.L)
-    est = structure.simplex_volume_mc(spec, args.samples, args.seed)
+    est = structure.simplex_volume_mc(spec, args.samples, args.seed,
+                                      threads=args.threads)
     return _json(dataclasses.asdict(est))
 
 
@@ -198,8 +199,10 @@ def build_parser() -> _Parser:
                        help="write output atomically to a file")
         c.add_argument("--seed", type=_int_arg, default=dflt(20260809))
         c.add_argument("--threads", type=_int_arg, default=dflt(1),
-                       help="accepted and checked to be >= 1, otherwise unused: "
-                       "every subcommand runs in one thread")
+                       help="upper bound on worker threads (>= 1); only "
+                       "simplex-volume uses more than one, every other "
+                       "subcommand runs in one thread; output bytes never "
+                       "depend on it")
         return c
 
     p = _Parser(prog="phisigma", description=__doc__, parents=[common_flags(False)])

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,8 @@ from .sieve import (
 )
 
 MC_BATCH = 1 << 19  # fixed batch size keeps the Philox stream worker-independent
+
+MC_CHUNK = 1 << 14  # rows drawn at once: a chunk's L columns stay in cache
 
 MIN_MC_SAMPLES = 1000
 
@@ -155,13 +159,13 @@ def default_xi(x: float, *, min_l: int = 2) -> SimplexSpec:
     l0 = l0_of(x, consts)
     l_formula = math.floor(l0 - 2.0 * math.sqrt(l3))
     L = max(l_formula, min_l)
-    # i <= L-2 <= max(l_formula, min_l) - 2 < l0 always, so l0 - i >= 1
+    if L - 2 >= l0:
+        raise DomainError(
+            f"L={L} needs L_0(x) >= L - 1 for the weights, got L_0={l0} at x={x}"
+        )
+    # i <= L - 2 < l0, so every l0 - i >= 1
     xi = tuple(1.0 + 1.0 / (10.0 * (l0 - i) ** 3) for i in range(L - 1))
     return SimplexSpec(L=L, xi=xi, l0=l0, l_formula=l_formula)
-
-
-def _coeffs(L: int) -> np.ndarray:
-    return np.array([series_coefficient(i) for i in range(1, L + 1)])
 
 
 def simplex_mask(cols, spec: SimplexSpec) -> np.ndarray:
@@ -202,42 +206,121 @@ def simplex_contains(v, spec: SimplexSpec) -> bool:
     return bool(simplex_mask(cols, spec)[0])
 
 
-def _accept_mask(X: np.ndarray, spec: SimplexSpec, a: np.ndarray) -> np.ndarray:
-    ok = X @ a <= spec.xi[0]
-    for k in range(1, spec.L - 1):
-        ok &= X[:, k:] @ a[: spec.L - k] <= spec.xi[k] * X[:, k - 1]
-    return ok
+def _sorting_network(L: int) -> list[tuple[int, int]]:
+    """Compare-exchange pairs (i, j), i < j, that sort any L values.
+
+    Batcher's merge exchange (Knuth, TAOCP 3, 5.2.2, Algorithm M): 3
+    pairs at L=3 and 12 at L=6, the fewest possible at both.
+    """
+    pairs = []
+    t = (L - 1).bit_length()
+    p = 1 << (t - 1)
+    while p > 0:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(L - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
 
 
-def _ordered_batch(seed: int, index: int, m: int, L: int) -> np.ndarray:
+def _chunk_buffers(L: int, workers: int) -> list[tuple[np.ndarray, ...]]:
+    """Per worker: the drawn rows, their L columns and the sorting
+    network's spare column.
+
+    Charges the whole in-flight working set: these buffers plus about
+    three simplex_mask temporaries per worker.
+    """
+    check_allocation(workers * 8 * MC_CHUNK * (2 * L + 4),
+                     f"{workers} Monte Carlo chunk working sets")
+    return [(np.empty((MC_CHUNK, L)), np.empty((L, MC_CHUNK)), np.empty(MC_CHUNK))
+            for _ in range(workers)]
+
+
+def _ordered_chunks(seed: int, index: int, m: int, buffers):
+    """The m rows of Philox batch `index`, MC_CHUNK rows at a time, each
+    chunk yielded as L columns x_1 >= ... >= x_L held in `buffers`
+    (from _chunk_buffers), which the next chunk overwrites.
+
+    Consecutive rng.random calls continue the stream, so the chunks hold
+    the rows of one rng.random((m, L)) call; the network's np.minimum and
+    np.maximum are exact, so the columns are that call's rows sorted in
+    descending order, bit for bit.
+    """
+    rows, by_column, spare_column = buffers
+    L = rows.shape[1]
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-    u = rng.random((m, L))
-    u.sort(axis=1)
-    return u[:, ::-1]
+    network = _sorting_network(L)
+    for lo in range(0, m, MC_CHUNK):
+        c = min(MC_CHUNK, m - lo)
+        rng.random(out=rows[:c])
+        np.copyto(by_column[:, :c], rows[:c].T)
+        cols = list(by_column[:, :c])
+        spare = spare_column[:c]
+        for i, j in network:
+            np.minimum(cols[i], cols[j], out=spare)
+            np.maximum(cols[i], cols[j], out=cols[i])
+            cols[j], spare = spare, cols[j]
+        yield cols
 
 
-def simplex_volume_mc(spec: SimplexSpec, samples: int, seed: int) -> VolumeEstimate:
+def _mc_workers(threads: int, batches: int, cpus: int | None) -> int:
+    """Worker threads for `batches` Monte Carlo batches: min(threads,
+    batches, cpus), at least 1; cpus is os.cpu_count(), None if unknown."""
+    return max(1, min(threads, batches, cpus or 1))
+
+
+def simplex_volume_mc(
+    spec: SimplexSpec, samples: int, seed: int, *, threads: int = 1
+) -> VolumeEstimate:
     """Volume of S_L(xi) by rejection from the ordered cell.
 
     Sorted uniforms are exactly uniform on the ordered cell of volume
     1/L!, so the estimate is (acceptance rate)/L!.  Batches of fixed
     size MC_BATCH each use the counter-based Philox stream jumped to
-    the batch index, making the result bit-reproducible and independent
-    of any worker partitioning.
+    the batch index; each is drawn in chunks of MC_CHUNK rows, ordered
+    by a sorting network and counted by simplex_mask.  Up to `threads`
+    worker threads (_mc_workers) take every workers-th batch; hit counts
+    are integers, so the result is bit-reproducible and the same for
+    every thread count.
     """
     if samples < MIN_MC_SAMPLES:
         raise DomainError(f"need samples >= {MIN_MC_SAMPLES}, got {samples}")
-    a = _coeffs(spec.L)
-    hits = 0
-    done = 0
-    index = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        X = _ordered_batch(seed, index, m, spec.L)
-        hits += int(_accept_mask(X, spec, a).sum())
-        done += m
-        index += 1
-    rate = hits / samples
+    if threads < 1:
+        raise DomainError(f"need threads >= 1, got {threads}")
+    batches = -(-samples // MC_BATCH)
+    workers = _mc_workers(threads, batches, os.cpu_count())
+    # allocated by the calling thread: worker threads allocate only the
+    # kernel's temporaries, so their malloc arenas keep little memory
+    buffers = _chunk_buffers(spec.L, workers)
+
+    counts = [0] * workers
+    errors = []
+
+    def run(w: int) -> None:
+        try:
+            for index in range(w, batches, workers):
+                if errors:  # another worker failed: the estimate is void
+                    return
+                m = min(MC_BATCH, samples - index * MC_BATCH)
+                for cols in _ordered_chunks(seed, index, m, buffers[w]):
+                    counts[w] += int(np.count_nonzero(simplex_mask(cols, spec)))
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    # the calling thread runs worker 0 and plain threads the others: the
+    # concurrent.futures import alone costs ~20 ms and ~1 MB
+    others = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in others:
+        t.start()
+    run(0)
+    for t in others:
+        t.join()
+    if errors:
+        raise errors[0]
+    rate = sum(counts) / samples
     scale = 1.0 / math.factorial(spec.L)
     return VolumeEstimate(
         mean=rate * scale,
@@ -291,7 +374,7 @@ def sample_simplex(
         raise DomainError(f"need count >= 1, got {count}")
     if max_draws is None:
         max_draws = max(4000 * count, 1 << 22)
-    a = _coeffs(spec.L)
+    [buffers] = _chunk_buffers(spec.L, 1)
     kept = []
     have = 0
     drawn = 0
@@ -301,12 +384,12 @@ def sample_simplex(
             raise ResourceError(
                 f"acceptance too low: {have}/{count} points after {drawn} draws"
             )
-        X = _ordered_batch(seed, index, MC_BATCH, spec.L)
+        for cols in _ordered_chunks(seed, index, MC_BATCH, buffers):
+            member = simplex_mask(cols, spec)
+            kept.append(np.column_stack([c[member] for c in cols]))
+            have += len(kept[-1])
         drawn += MC_BATCH
         index += 1
-        acc = X[_accept_mask(X, spec, a)]
-        kept.append(acc)
-        have += len(acc)
     return np.concatenate(kept)[:count]
 
 

@@ -1,16 +1,21 @@
 """Per-integer reference loops for the array pipelines.
 
 These are the scalar implementations that r_l_sum, simplex_contains and
-capture_census had before they became array pipelines.  They are kept
-here, unchanged in arithmetic, as oracles: the pipelines must agree
-with them exactly (==), not approximately.
+capture_census had before they became array pipelines, and the whole-batch
+Monte Carlo path (u.sort and an @-based acceptance test) that
+simplex_volume_mc and sample_simplex had before they were chunked.  They
+are kept here, unchanged in arithmetic, as oracles: the pipelines must
+agree with them exactly (==), not approximately.
 """
 
 import math
 
-from phisigma import series_coefficient
+import numpy as np
+
+from phisigma import ResourceError, VolumeEstimate, series_coefficient
 from phisigma.classifier import af_params, classify
 from phisigma.sieve import build_factor_sieve, factorize, phi_of, sigma_of
+from phisigma.structure import MC_BATCH
 from phisigma.value_sets import phi_preimage_bound
 
 
@@ -127,3 +132,61 @@ def capture_census_loop(f_tag: str, x: int, epsilon: float = 0.1, *, s_override=
     total = sum(attained) - attained[0]
     out = sum(1 for a, o in zip(attained, outside) if a and o)
     return total, out
+
+
+def ordered_batch_sort(seed: int, index: int, m: int, L: int) -> np.ndarray:
+    """Monte Carlo batch `index`: m Philox rows sorted descending by u.sort."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    u = rng.random((m, L))
+    u.sort(axis=1)
+    return u[:, ::-1]
+
+
+def accept_mask_matmul(X: np.ndarray, spec) -> np.ndarray:
+    """(I_0)..(I_{L-2}) on ordered rows, each left side by one @."""
+    a = np.array([series_coefficient(i) for i in range(1, spec.L + 1)])
+    ok = X @ a <= spec.xi[0]
+    for k in range(1, spec.L - 1):
+        ok &= X[:, k:] @ a[: spec.L - k] <= spec.xi[k] * X[:, k - 1]
+    return ok
+
+
+def simplex_volume_mc_loop(spec, samples: int, seed: int) -> VolumeEstimate:
+    """The volume estimate from whole sorted batches and @-based acceptance."""
+    hits = 0
+    done = 0
+    index = 0
+    while done < samples:
+        m = min(MC_BATCH, samples - done)
+        X = ordered_batch_sort(seed, index, m, spec.L)
+        hits += int(accept_mask_matmul(X, spec).sum())
+        done += m
+        index += 1
+    rate = hits / samples
+    scale = 1.0 / math.factorial(spec.L)
+    return VolumeEstimate(
+        mean=rate * scale,
+        std_error=math.sqrt(rate * (1.0 - rate) / samples) * scale,
+        samples=samples,
+        seed=seed,
+    )
+
+
+def sample_simplex_loop(spec, count: int, seed: int, *, max_draws=None) -> np.ndarray:
+    """`count` accepted rows of whole sorted batches, in stream order."""
+    if max_draws is None:
+        max_draws = max(4000 * count, 1 << 22)
+    kept = []
+    have = 0
+    drawn = 0
+    index = 0
+    while have < count:
+        if drawn >= max_draws:
+            raise ResourceError(f"acceptance too low: {have}/{count} points")
+        X = ordered_batch_sort(seed, index, MC_BATCH, spec.L)
+        drawn += MC_BATCH
+        index += 1
+        acc = X[accept_mask_matmul(X, spec)]
+        kept.append(acc)
+        have += len(acc)
+    return np.concatenate(kept)[:count]

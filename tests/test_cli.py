@@ -152,6 +152,28 @@ def test_thread_count_never_changes_bytes():
         assert one.stdout == eight.stdout, args
 
 
+def test_simplex_volume_threads_split_batches_same_bytes():
+    args = ("simplex-volume", "--L", "4", "--samples", "2e6", "--seed", "3")
+    outs = [run_cli(*args, "--threads", t).stdout for t in ("1", "2", "3")]
+    assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
+def test_simplex_volume_passes_threads(monkeypatch, capsys):
+    from phisigma import cli, structure
+
+    seen = {}
+    real = structure.simplex_volume_mc
+
+    def spy(spec, samples, seed, *, threads=1):
+        seen["threads"] = threads
+        return real(spec, samples, seed, threads=threads)
+
+    monkeypatch.setattr(structure, "simplex_volume_mc", spy)
+    assert cli.main(["simplex-volume", "--L", "2", "--samples", "1e3", "--threads", "5"]) == 0
+    assert seen == {"threads": 5}
+    assert json.loads(capsys.readouterr().out)["samples"] == 1000
+
+
 def test_output_file_written_atomically(tmp_path):
     out = tmp_path / "table.csv"
     r = run_cli("values-table", "--limits", "100", "--output", str(out))

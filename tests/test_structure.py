@@ -91,6 +91,18 @@ def test_default_xi_level_uses_l0(monkeypatch):
     assert spec.xi == want
 
 
+def test_default_xi_refuses_levels_beyond_l0():
+    spec = default_xi(1e6)
+    assert spec.l0 == 1 and spec.L == 2
+    with pytest.raises(DomainError):
+        default_xi(1e6, min_l=3)
+    l0 = default_xi(1e300).l0
+    edge = default_xi(1e300, min_l=l0 + 1)  # i runs to L - 2 = l0 - 1
+    assert edge.L == l0 + 1 and all(1.0 < w <= 1.1 for w in edge.xi)
+    with pytest.raises(DomainError):
+        default_xi(1e300, min_l=l0 + 2)
+
+
 def test_contains_zero_vector():
     for L in (2, 3, 5):
         assert simplex_contains((0.0,) * L, unit_spec(L))
