@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_TO_E, q_function
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_allocation
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     FactorSieve,
     Factorization,
     composite_mask,
     factor,
-    primes_up_to,
-    segment_scan,
+    scan_windows,
 )
 
 SIEVE_CENSUS_CAP = 10**8
@@ -63,8 +62,10 @@ class NormalityReport:
     window condition |Omega(f(p),U,T) - (loglog T - loglog U)| <
     sqrt(loglog S * loglog T) over S <= U < T <= f(p).  worst_window
     records (U, T, observed, expected) at the maximal violation margin
-    seen across both shifted values, or None when every window test was
-    vacuous.
+    seen across both shifted values, and worst_margin that margin,
+    |observed - expected| - sqrt(loglog S * loglog T), positive exactly
+    when the window condition fails; both are None when every window
+    test was vacuous.
     """
 
     p: int
@@ -74,6 +75,7 @@ class NormalityReport:
     passed_window_phi: bool
     passed_window_sigma: bool
     worst_window: tuple[float, float, int, float] | None
+    worst_margin: float | None
 
     @property
     def is_normal(self) -> bool:
@@ -171,6 +173,7 @@ def is_s_normal(p: int, S: float, sieve: FactorSieve | None = None) -> Normality
         passed_window_phi=results["phi"][1],
         passed_window_sigma=results["sigma"][1],
         worst_window=None if worst is None else worst[:4],
+        worst_margin=None if worst is None else worst[4],
     )
 
 
@@ -211,14 +214,12 @@ class SmoothCount:
     cep_estimate: float
 
 
-def psi_smooth_count(
-    x: int, y: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> SmoothCount:
+def psi_smooth_count(x: int, y: int) -> SmoothCount:
     """Count the y-smooth integers up to x exactly.
 
-    Each window of [2, x] is divided by all primes <= min(y, sqrt(x));
-    n is y-smooth exactly when the remainder is <= y.  n = 1 always
-    counts.
+    Each window of DEFAULT_SEGMENT_SIZE integers of [2, x] is divided by
+    all primes <= min(y, sqrt(x)); n is y-smooth exactly when the
+    remainder is <= y.  n = 1 always counts.
     """
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
@@ -227,22 +228,18 @@ def psi_smooth_count(
     if x > SIEVE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
     count = 1  # n = 1
-    if x >= 2:
-        bound = min(y, math.isqrt(x))
-        base = primes_up_to(bound)
-        for lo in range(2, x + 1, segment_size):
-            hi = min(lo + segment_size, x + 1)
-            rem = segment_scan(lo, hi, base, smooth_bound=bound)["rem"]
-            count += int((rem <= y).sum())
+    bound = min(y, math.isqrt(x))
+    for _, got in scan_windows(2, x, DEFAULT_SEGMENT_SIZE, smooth_bound=bound):
+        count += int((got["rem"] <= y).sum())
     u = math.log(x) / math.log(y)
     cep = float(x) if u == 0.0 else x * u**-u
     return SmoothCount(x=x, y=y, psi_exact=count, u=u, cep_estimate=cep)
 
 
-def omega_tail_census(
-    x: int, alpha: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> tuple[int, float]:
+def omega_tail_census(x: int, alpha: float) -> tuple[int, float]:
     """Count n <= x with Omega(n) >= alpha*loglog x; report the bound shape.
+
+    [2, x] is scanned in windows of DEFAULT_SEGMENT_SIZE integers.
 
     The comparator is x (log x)^(-Q(alpha)) for alpha < 2 and
     x (log x)^(1 - alpha log 2) loglog x for alpha >= 2 (constant
@@ -255,12 +252,9 @@ def omega_tail_census(
     if x > SIEVE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
     threshold = alpha * _loglog(x)
-    base = primes_up_to(math.isqrt(x))
     observed = 0
-    for lo in range(2, x + 1, segment_size):
-        hi = min(lo + segment_size, x + 1)
-        om = segment_scan(lo, hi, base, want_omega=True)["omega"]
-        observed += int((om >= threshold).sum())
+    for _, got in scan_windows(2, x, DEFAULT_SEGMENT_SIZE, want_omega=True):
+        observed += int((got["omega"] >= threshold).sum())
     if alpha < 2.0:
         shape = x * math.log(x) ** -q_function(alpha)
     else:
@@ -320,14 +314,17 @@ def sieve_bound_census(
     if E == 0:
         raise DomainError(f"degenerate forms (E = 0): {forms}")
 
-    comp = composite_mask(max(a * x + b for a, b in forms))
-    n = np.arange(1, x + 1, dtype=np.int64)
+    comp = composite_mask(max(0, *(a * x + b for a, b in forms)))
+    check_allocation(x, f"linear-form survivors over [1, {x}]")
+    # ok[n - 1] is True while every form seen so far is prime at n
     ok = np.ones(x, dtype=bool)
     for a, b in forms:
-        v = a * n + b
-        valid = v >= 2
-        ok &= valid
-        ok[valid] &= ~comp[v[valid]]
-    observed = int(ok.sum())
+        # n0 is the least n >= 1 with a n + b >= 0; comp is True at 0 and 1
+        n0 = max(1, -(b // a))
+        ok[: n0 - 1] = False
+        tail = ok[n0 - 1 :]
+        view = comp[a * n0 + b :: a][: len(tail)]
+        np.greater(tail, view, out=tail)  # ok and not composite
+    observed = int(np.count_nonzero(ok))
     shape = x * _loglog(abs(E) + 2) ** h / math.log(x) ** h
     return observed, shape

@@ -50,8 +50,7 @@ from .sieve import (
     build_factor_sieve,
     factor,
     phi_of,
-    primes_up_to,
-    segment_scan,
+    scan_windows,
     sigma_of,
 )
 from .structure import SimplexSpec, _renormalize_fact, default_xi, simplex_contains
@@ -361,10 +360,8 @@ def _omega_table(x: int) -> np.ndarray:
     """Omega(v) for v in [0, x] as int8 (Omega(0) and Omega(1) read 0)."""
     check_allocation(x + 1, f"Omega table over [0, {x}]")
     table = np.zeros(x + 1, dtype=np.int8)
-    base = primes_up_to(math.isqrt(x))
-    for lo in range(2, x + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, x + 1)
-        table[lo:hi] = segment_scan(lo, hi, base, want_omega=True)["omega"]
+    for lo, got in scan_windows(2, x, DEFAULT_SEGMENT_SIZE, want_omega=True):
+        table[lo : lo + len(got["omega"])] = got["omega"]
     return table
 
 
@@ -380,7 +377,7 @@ def capture_census(
 
     Exact by construction: the preimage range is [1, x] for sigma and
     [1, phi_preimage_bound(x)] for phi, scanned in windows of
-    DEFAULT_SEGMENT_SIZE integers by segment_scan (f and Omega).  In each
+    DEFAULT_SEGMENT_SIZE integers by scan_windows (f and Omega).  In each
     window the n with f(n) <= x mark their values attained, and the
     conditions (0), (3), (6) are evaluated over arrays
     (_scan_conditions); a failure marks the value outside.  Only the
@@ -409,12 +406,9 @@ def capture_census(
     attained = np.zeros(x + 1, dtype=bool)
     outside = np.zeros(x + 1, dtype=bool)
     attained[1] = outside[1] = True  # n = 1 fails (0); the value 1 has an outside preimage
-    base = primes_up_to(math.isqrt(bound))
     sieve = None
-    for lo in range(2, bound + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, bound + 1)
-        got = segment_scan(lo, hi, base, want_omega=True,
-                           want_phi=f_tag == "phi", want_sigma=f_tag == "sigma")
+    for lo, got in scan_windows(2, bound, DEFAULT_SEGMENT_SIZE, want_omega=True,
+                                want_phi=f_tag == "phi", want_sigma=f_tag == "sigma"):
         keep = np.flatnonzero(got[f_tag] <= x)
         v = got[f_tag][keep]
         n = keep + lo

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from . import anatomy, classifier, constants, structure, value_sets
+from . import anatomy, classifier, constants, sieve, structure, value_sets
 from .errors import DomainError, PhiSigmaError, ResourceError
 
 EXIT_OK = 0
@@ -89,8 +89,7 @@ def _parse_xi(raw: str, L: int) -> structure.SimplexSpec:
         return structure.unit_spec(L)
     if raw == "default":
         # the level-L_0 weight profile with no shrink (L_0 := L)
-        xi = tuple(1.0 + 1.0 / (10.0 * (L - i) ** 3) for i in range(L - 1))
-        return structure.SimplexSpec(L=L, xi=xi)
+        return structure.SimplexSpec(L=L, xi=structure.xi_weights(L, L))
     try:
         xi = tuple(float(t) for t in raw.split(","))
     except ValueError as exc:
@@ -99,7 +98,7 @@ def _parse_xi(raw: str, L: int) -> structure.SimplexSpec:
 
 
 def _cmd_values_table(args) -> str:
-    rows = value_sets.values_table(args.limits, streaming=args.streaming)
+    rows = value_sets.values_table(args.limits)
     if args.format == "json":
         return _json([dataclasses.asdict(r) for r in rows])
     return value_sets.values_table_csv(rows)
@@ -123,6 +122,25 @@ def _cmd_simplex_volume(args) -> str:
     est = structure.simplex_volume_mc(spec, args.samples, args.seed,
                                       threads=args.threads)
     return _json(dataclasses.asdict(est))
+
+
+def _cmd_normal_primes(args) -> str:
+    if args.x < 3:
+        raise DomainError(f"need x >= 3, got {args.x}")
+    primes = sieve.primes_up_to(args.x)
+    rng = np.random.Generator(np.random.Philox(key=args.seed))
+    if args.sample < len(primes):
+        idx = np.sort(rng.choice(len(primes), size=args.sample, replace=False))
+        primes = primes[idx]
+    factors = sieve.build_factor_sieve(2, args.x + 2)
+    lines = ["p,passed_phi,passed_sigma,worst_margin"]
+    for p in primes:
+        rep = anatomy.is_s_normal(int(p), args.S, factors)
+        ok_phi = rep.passed_1S_phi and rep.passed_window_phi
+        ok_sigma = rep.passed_1S_sigma and rep.passed_window_sigma
+        margin = "" if rep.worst_margin is None else f"{rep.worst_margin:.6f}"
+        lines.append(f"{p},{int(ok_phi)},{int(ok_sigma)},{margin}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_smooth_count(args) -> str:
@@ -215,7 +233,6 @@ def build_parser() -> _Parser:
 
     sp = add_parser("values-table", help="value counts and their intersection")
     sp.add_argument("--limits", type=_limits_arg, required=True)
-    sp.add_argument("--streaming", action="store_true")
     sp.set_defaults(func=_cmd_values_table, formats=("csv", "json"))
 
     sp = add_parser("constants", help="rho, F'(rho), C, D")
@@ -232,7 +249,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--x", type=_int_arg, required=True)
     sp.add_argument("--S", type=float, required=True)
     sp.add_argument("--sample", type=_int_arg, default=100)
-    sp.set_defaults(func=_cmd_normal_primes_real, formats=("csv",))
+    sp.set_defaults(func=_cmd_normal_primes, formats=("csv",))
 
     sp = add_parser("smooth-count", help="exact Psi(x, y) with comparator")
     sp.add_argument("--x", type=_int_arg, required=True)
@@ -268,32 +285,6 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_rl_sum, formats=("json",))
 
     return p
-
-
-def _cmd_normal_primes_real(args) -> str:
-    from .sieve import build_factor_sieve, primes_up_to
-
-    if args.x < 3:
-        raise DomainError(f"need x >= 3, got {args.x}")
-    primes = primes_up_to(args.x)
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    if args.sample < len(primes):
-        idx = np.sort(rng.choice(len(primes), size=args.sample, replace=False))
-        primes = primes[idx]
-    sieve = build_factor_sieve(2, args.x + 2)
-    lls = math.log(math.log(args.S))
-    lines = ["p,passed_phi,passed_sigma,worst_margin"]
-    for p in primes:
-        rep = anatomy.is_s_normal(int(p), args.S, sieve)
-        ok_phi = rep.passed_1S_phi and rep.passed_window_phi
-        ok_sigma = rep.passed_1S_sigma and rep.passed_window_sigma
-        if rep.worst_window is None:
-            margin = ""
-        else:
-            _, t_pt, obs, exp = rep.worst_window
-            margin = f"{abs(obs - exp) - math.sqrt(lls * math.log(math.log(t_pt))):.6f}"
-        lines.append(f"{p},{int(ok_phi)},{int(ok_sigma)},{margin}")
-    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,7 +8,9 @@ The bulk scan (segment_scan) covers an arithmetic progression
 lo, lo+step, ... < hi and is sliced by prime powers: for each base
 prime p and each p^j, the scanned integers divisible by p^j form one
 strided slice, located by a modular inverse, so every array operation
-touches only integers it changes.
+touches only integers it changes.  scan_windows drives it window by
+window over a long progression; every census in the package scans
+through it.
 
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
@@ -355,6 +357,23 @@ def segment_scan(
     if smooth_bound is not None:
         out["rem"] = rem
     return out
+
+
+def scan_windows(start: int, top: int, size: int, *, step: int = 1, **wants):
+    """segment_scan over the progression start, start+step, ... <= top,
+    in windows of `size` elements.
+
+    Yields (first, scan) per window, where first is the window's first
+    integer and scan is segment_scan's dict for it, so element k of each
+    array belongs to first + k*step.  wants are segment_scan's want_* and
+    smooth_bound keywords.  The base primes are those <= sqrt(top), or
+    <= smooth_bound when it is set.
+    """
+    bound = wants.get("smooth_bound")
+    base = primes_up_to(math.isqrt(top) if bound is None else bound)
+    for lo in range(start, top + 1, step * size):
+        yield lo, segment_scan(lo, min(lo + step * size, top + 1), base,
+                               step=step, **wants)
 
 
 def segment_map(lo: int, hi: int, which: str = "both"):

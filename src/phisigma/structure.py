@@ -35,7 +35,7 @@ from .sieve import (
     build_factor_sieve,
     factor,
     primes_up_to,
-    segment_scan,
+    scan_windows,
 )
 
 MC_BATCH = 1 << 19  # fixed batch size keeps the Philox stream worker-independent
@@ -164,8 +164,12 @@ def default_xi(x: float, *, min_l: int = 2) -> SimplexSpec:
             f"L={L} needs L_0(x) >= L - 1 for the weights, got L_0={l0} at x={x}"
         )
     # i <= L - 2 < l0, so every l0 - i >= 1
-    xi = tuple(1.0 + 1.0 / (10.0 * (l0 - i) ** 3) for i in range(L - 1))
-    return SimplexSpec(L=L, xi=xi, l0=l0, l_formula=l_formula)
+    return SimplexSpec(L=L, xi=xi_weights(L, l0), l0=l0, l_formula=l_formula)
+
+
+def xi_weights(L: int, l0: int) -> tuple[float, ...]:
+    """The L - 1 weights xi_i = 1 + 1/(10 (l0 - i)^3), i = 0..L-2."""
+    return tuple(1.0 + 1.0 / (10.0 * (l0 - i) ** 3) for i in range(L - 1))
 
 
 def simplex_mask(cols, spec: SimplexSpec) -> np.ndarray:
@@ -454,7 +458,6 @@ def r_l_sum(
     start = 0 if offset == "from_p0" else 1
     llx = math.log(math.log(x))
     primes = primes_up_to(x)
-    base = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
     # scaled[i] = loglog(p)/loglog(x) for p = primes[i], by math.log as in
     # renormalize; slot 0 (p = 2) holds the convention's 0.0
     scaled = np.zeros(len(primes))
@@ -467,16 +470,14 @@ def r_l_sum(
     tab[primes - 2] = -np.arange(len(primes), dtype=np.int32)
 
     terms = [np.ones(1)]  # n = 1: zero vector, always a member
-    for lo in range(2, x + 1, RL_SEGMENT_SIZE):
-        hi = min(lo + RL_SEGMENT_SIZE, x + 1)
-        got = segment_scan(lo, hi, base, want_omega=True,
-                           want_phi=f == "phi", want_sigma=f == "sigma")
+    for lo, got in scan_windows(2, x, RL_SEGMENT_SIZE, want_omega=True,
+                                want_phi=f == "phi", want_sigma=f == "sigma"):
         keep = np.flatnonzero(got["omega"] <= L)
         omega = got["omega"][keep]
         fn = got[f][keep]
         m = keep + lo
         del got
-        check_allocation(8 * (L + 1) * len(keep), f"simplex columns [{lo}, {hi})")
+        check_allocation(8 * (L + 1) * len(keep), f"simplex columns from {lo}")
         # row i holds x_i, from the i-th largest prime factor p_i; rows
         # past Omega(n) stay 0
         X = np.zeros((L + 1, len(keep)))

@@ -32,6 +32,7 @@ from phisigma import (
 )
 from phisigma.anatomy import big_omega_range
 from phisigma.constants import structure_constants
+from phisigma import value_sets
 
 from conftest import classify_oracle, factor_pairs_naive, phi_trial, sigma_trial
 
@@ -152,7 +153,7 @@ def test_criterion_4_anatomy_oracles():
     _report("criterion 4 (psi brute force, additivity, poisson, twins)", t0, 60.0)
 
 
-def test_criterion_5_property_suite():
+def test_criterion_5_property_suite(monkeypatch):
     t0 = time.time()
 
     # comparison-lemma sampling census: zero violations at 1e5 points
@@ -197,8 +198,10 @@ def test_criterion_5_property_suite():
 
     # determinism: segmentation must not change a single byte
     for f_tag in ("phi", "sigma"):
-        a = build_value_bitmap(f_tag, 10**4, segment_size=1 << 14)
-        b = build_value_bitmap(f_tag, 10**4, segment_size=1 << 13)
+        monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 14)
+        a = build_value_bitmap(f_tag, 10**4)
+        monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 13)
+        b = build_value_bitmap(f_tag, 10**4)
         assert (a.bits == b.bits).all()
 
     # determinism: thread counts must not change a single output byte

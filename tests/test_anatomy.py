@@ -60,6 +60,20 @@ def test_s_normal_vacuous_small_prime():
     rep = is_s_normal(3, 100.0)
     assert rep.is_normal
     assert rep.worst_window is None  # both shifted values sit below S
+    assert rep.worst_margin is None
+
+
+def test_s_normal_worst_margin_decides_the_window_test(small_sieve):
+    S = 16.0
+    lls = math.log(math.log(S))
+    for p in primes_up_to(20000).tolist()[6:]:  # p >= 17: p - 1 >= S
+        rep = is_s_normal(p, S, small_sieve)
+        _, t, observed, expected = rep.worst_window
+        windows_pass = rep.passed_window_phi and rep.passed_window_sigma
+        assert windows_pass == (rep.worst_margin <= 0.0), p
+        # t may be the float just below a prime: same margin to 1e-9
+        again = abs(observed - expected) - math.sqrt(lls * math.log(math.log(t)))
+        assert rep.worst_margin == pytest.approx(again, abs=1e-9), p
 
 
 def test_s_normal_mersenne_shift_fails_small_prime_mass():
@@ -273,6 +287,47 @@ def test_sieve_census_charges_its_prime_mask(monkeypatch):
     assert sieve_bound_census([(1, 0)], 4000)[0] == 550  # 4001-byte mask fits
     with pytest.raises(ResourceError):
         sieve_bound_census([(1, 0), (1, 2)], 4998)  # needs 5001 bytes
+
+
+def _census_oracle(forms, x):
+    def prime(v):
+        return v >= 2 and all(v % d for d in range(2, math.isqrt(v) + 1))
+
+    return sum(all(prime(a * n + b) for a, b in forms) for n in range(1, x + 1))
+
+
+def test_sieve_census_negative_b_matches_oracle():
+    fixed = [
+        ([(1, -5)], 200),
+        ([(2, -7), (1, 0)], 300),
+        ([(1, -1), (2, -1)], 250),
+        ([(1, -150), (3, 1)], 100),  # the first form is negative at every n
+        ([(1, -500)], 100),  # every form is negative at every n
+        ([(6, -1), (6, 1)], 400),
+    ]
+    rng = random.Random(3000)
+    randomized = []
+    while len(randomized) < 60:
+        forms = [(rng.randint(1, 6), rng.randint(-60, 60))
+                 for _ in range(rng.randint(1, 3))]
+        if len(set(forms)) < len(forms) or any(
+            a1 * b2 == a2 * b1 for i, (a1, b1) in enumerate(forms)
+            for a2, b2 in forms[i + 1 :]
+        ):
+            continue
+        randomized.append((forms, rng.randint(100, 400)))
+    for forms, x in fixed + randomized:
+        assert sieve_bound_census(forms, x)[0] == _census_oracle(forms, x), forms
+
+
+def test_sieve_census_charges_its_survivor_array(monkeypatch):
+    from phisigma import ResourceError
+    from phisigma.errors import MEMORY_BUDGET_ENV
+
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "5000")
+    assert sieve_bound_census([(1, -10)], 5000)[0] == 667  # both arrays fit
+    with pytest.raises(ResourceError):  # a 4992-byte mask, 5001 survivor bytes
+        sieve_bound_census([(1, -10)], 5001)
 
 
 def test_sieve_census_degenerate_forms():

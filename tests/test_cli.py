@@ -54,6 +54,26 @@ def test_normal_primes_csv_schema():
     assert len(lines) == 11
 
 
+def test_normal_primes_margin_column_matches_windows():
+    import math
+
+    from phisigma import is_s_normal
+
+    r = run_cli("normal-primes", "--x", "3e4", "--S", "16", "--sample", "1000")
+    lls = math.log(math.log(16.0))
+    rows = [line.split(",") for line in r.stdout.strip().split("\n")[1:]]
+    assert len(rows) == 1000
+    for p, _, _, margin in rows:
+        rep = is_s_normal(int(p), 16.0)
+        if rep.worst_window is None:
+            assert margin == ""
+            continue
+        # the margin re-derived from the reported window, as printed
+        _, t, obs, exp = rep.worst_window
+        again = abs(obs - exp) - math.sqrt(lls * math.log(math.log(t)))
+        assert margin == f"{rep.worst_margin:.6f}" == f"{again:.6f}", p
+
+
 def test_omega_census_fields():
     r = run_cli("omega-census", "--x", "1000", "--alpha", "3")
     payload = json.loads(r.stdout)

@@ -59,9 +59,12 @@ def test_count_values_range_errors():
         count_values(bm, -1)
 
 
-def test_psi_spans_segment_boundaries():
+def test_psi_spans_segment_boundaries(monkeypatch):
+    from phisigma import anatomy
+
     whole = psi_smooth_count(5000, 13).psi_exact
-    chunked = psi_smooth_count(5000, 13, segment_size=97).psi_exact
+    monkeypatch.setattr(anatomy, "DEFAULT_SEGMENT_SIZE", 97)
+    chunked = psi_smooth_count(5000, 13).psi_exact
     assert whole == chunked
 
 
@@ -100,16 +103,14 @@ def test_cli_domain_error_leaves_no_output_file(tmp_path):
     assert not out.exists()
 
 
-def test_cli_values_table_streaming_identical():
-    base = subprocess.run(
-        CLI + ["values-table", "--limits", "2000"],
-        capture_output=True, text=True, timeout=120,
-    )
-    stream = subprocess.run(
+def test_cli_values_table_streaming_exits_64():
+    r = subprocess.run(
         CLI + ["values-table", "--limits", "2000", "--streaming"],
         capture_output=True, text=True, timeout=120,
     )
-    assert base.stdout == stream.stdout
+    assert r.returncode == 64
+    assert r.stdout == ""
+    assert "--streaming" in r.stderr
 
 
 def test_cli_capture_census_override_round_trip():

@@ -19,7 +19,7 @@ from phisigma import (
     unit_spec,
 )
 
-from phisigma.structure import simplex_mask
+from phisigma.structure import simplex_mask, xi_weights
 
 from conftest import factor_pairs_naive, phi_trial, sigma_trial
 from reference_loops import r_l_sum_loop, simplex_contains_loop
@@ -89,6 +89,14 @@ def test_default_xi_level_uses_l0(monkeypatch):
     spec = default_xi(1e12)
     want = tuple(1.0 + 1.0 / (10.0 * (spec.l0 - i) ** 3) for i in range(spec.L - 1))
     assert spec.xi == want
+
+
+def test_xi_weights_shared_by_default_xi_and_cli():
+    spec = default_xi(1e9)
+    assert spec.xi == xi_weights(spec.L, spec.l0)
+    for L in range(2, 9):  # the CLI's --xi default takes L_0 := L
+        assert xi_weights(L, L) == tuple(1.0 + 1.0 / (10.0 * (L - i) ** 3)
+                                         for i in range(L - 1))
 
 
 def test_default_xi_refuses_levels_beyond_l0():

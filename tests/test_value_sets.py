@@ -119,15 +119,13 @@ def test_every_set_phi_bit_has_witness():
         assert any(phi_trial(n) == v for n in range(1, B + 1)), v
 
 
-def test_segmentation_determinism():
-    a = build_value_bitmap("phi", 10**4, segment_size=1 << 14)
-    b = build_value_bitmap("phi", 10**4, segment_size=1 << 13)
-    assert (a.bits == b.bits).all()
+def test_segmentation_determinism(monkeypatch):
+    from phisigma import value_sets
 
-
-def test_streaming_mode_identical():
-    a = build_value_bitmap("sigma", 10**4)
-    b = build_value_bitmap("sigma", 10**4, streaming=True)
+    monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 14)
+    a = build_value_bitmap("phi", 10**4)
+    monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 13)
+    b = build_value_bitmap("phi", 10**4)
     assert (a.bits == b.bits).all()
 
 
@@ -181,7 +179,6 @@ def test_bitmap_bytes_match_full_range_scan(f, x):
     seen[vals[vals <= x]] = True
     want = np.packbits(seen, bitorder="little")
     assert np.array_equal(build_value_bitmap(f, x).bits, want)
-    assert np.array_equal(build_value_bitmap(f, x, streaming=True).bits, want)
 
 
 def test_values_table_row_10():
