@@ -19,7 +19,6 @@ import numpy as np
 from .constants import E_TO_E, q_function
 from .errors import DomainError, ResourceError, check_allocation
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     FactorSieve,
     Factorization,
     composite_mask,
@@ -229,8 +228,9 @@ def psi_smooth_count(x: int, y: int) -> SmoothCount:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
     count = 1  # n = 1
     bound = min(y, math.isqrt(x))
-    for _, got in scan_windows(2, x, DEFAULT_SEGMENT_SIZE, smooth_bound=bound):
-        count += int((got["rem"] <= y).sum())
+    for _, got in scan_windows(2, x, smooth_bound=bound):
+        count += int(np.count_nonzero(got["rem"] <= y))
+        del got  # free the window before the next one is scanned
     u = math.log(x) / math.log(y)
     cep = float(x) if u == 0.0 else x * u**-u
     return SmoothCount(x=x, y=y, psi_exact=count, u=u, cep_estimate=cep)
@@ -253,8 +253,9 @@ def omega_tail_census(x: int, alpha: float) -> tuple[int, float]:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
     threshold = alpha * _loglog(x)
     observed = 0
-    for _, got in scan_windows(2, x, DEFAULT_SEGMENT_SIZE, want_omega=True):
-        observed += int((got["omega"] >= threshold).sum())
+    for _, got in scan_windows(2, x, want_omega=True):
+        observed += int(np.count_nonzero(got["omega"] >= threshold))
+        del got  # free the window before the next one is scanned
     if alpha < 2.0:
         shape = x * math.log(x) ** -q_function(alpha)
     else:

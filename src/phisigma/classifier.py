@@ -44,7 +44,6 @@ from . import anatomy
 from .constants import E_TO_E, iterated_log, series_coefficient
 from .errors import BudgetExceededError, DomainError, ResourceError, check_allocation
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     FactorSieve,
     Factorization,
     build_factor_sieve,
@@ -360,8 +359,9 @@ def _omega_table(x: int) -> np.ndarray:
     """Omega(v) for v in [0, x] as int8 (Omega(0) and Omega(1) read 0)."""
     check_allocation(x + 1, f"Omega table over [0, {x}]")
     table = np.zeros(x + 1, dtype=np.int8)
-    for lo, got in scan_windows(2, x, DEFAULT_SEGMENT_SIZE, want_omega=True):
+    for lo, got in scan_windows(2, x, want_omega=True):
         table[lo : lo + len(got["omega"])] = got["omega"]
+        del got  # free the window before the next one is scanned
     return table
 
 
@@ -407,7 +407,7 @@ def capture_census(
     outside = np.zeros(x + 1, dtype=bool)
     attained[1] = outside[1] = True  # n = 1 fails (0); the value 1 has an outside preimage
     sieve = None
-    for lo, got in scan_windows(2, bound, DEFAULT_SEGMENT_SIZE, want_omega=True,
+    for lo, got in scan_windows(2, bound, want_omega=True,
                                 want_phi=f_tag == "phi", want_sigma=f_tag == "sigma"):
         keep = np.flatnonzero(got[f_tag] <= x)
         v = got[f_tag][keep]

@@ -5,12 +5,19 @@ factorization, and bulk evaluation of the multiplicative functions
 phi (Euler totient) and sigma (sum of divisors) over ranges.
 
 The bulk scan (segment_scan) covers an arithmetic progression
-lo, lo+step, ... < hi and is sliced by prime powers: for each base
-prime p and each p^j, the scanned integers divisible by p^j form one
-strided slice, located by a modular inverse, so every array operation
-touches only integers it changes.  scan_windows drives it window by
-window over a long progression; every census in the package scans
-through it.
+lo, lo+step, ... < hi.  A base prime p <= LARGE_PRIME_THRESHOLD is
+sliced by its powers: for each p^j, the scanned integers divisible by
+p^j form one strided slice, located by a modular inverse, so every
+array operation touches only integers it changes.  A larger p hits a
+window only size/p times, too few to pay for its own numpy calls, so
+those primes share one vectorized pass per window, as in the bucket
+sieve of T. Oliveira e Silva, S. Herzog and S. Pardi (Math. Comp. 83
+(2014) 2033-2060): their first hits come from one table of modular
+inverses, are expanded into (index, p) pairs and applied by ufunc.at.
+scan_windows drives it over a long progression in windows of
+DEFAULT_SEGMENT_SIZE elements, 2 MiB per int64 array; every census in
+the package scans through it, and that one constant sizes all of
+their windows.
 
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
@@ -27,7 +34,9 @@ from .errors import DomainError, OutOfWindowError, ResourceError, check_allocati
 
 INPUT_CAP = 10**12
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+DEFAULT_SEGMENT_SIZE = 1 << 18
+
+LARGE_PRIME_THRESHOLD = 512  # base primes above it go through _large_prime_pass
 
 SPF_PRIME_SENTINEL = 0  # spf entry meaning "no base prime divides; n is prime"
 
@@ -242,6 +251,73 @@ def _multiples(lo: int, step: int, q: int) -> tuple[int, int] | None:
     return (-(lo // g)) * pow(step // g, -1, m) % m, m
 
 
+def _step_inverses(primes: np.ndarray, step: int) -> np.ndarray:
+    """step^-1 mod p for each p in primes (no p may divide step).
+
+    Fermat, step^(p-2) mod p, by square-and-multiply over the whole
+    array; every product is below p^2, far inside int64 for any base
+    prime.  The table of the last (primes, step) is kept and reused only
+    when both match by value, so the windows of one scan_windows run
+    build it once and no caller can get a stale table.
+    """
+    global _inverse_table
+    known, known_step, inv = _inverse_table
+    if known_step == step and np.array_equal(known, primes):
+        return inv
+    inv = np.ones_like(primes)
+    b = step % primes
+    e = primes - 2
+    t = np.empty_like(primes)
+    while e.any():
+        np.multiply(inv, b, out=t)
+        t %= primes
+        np.copyto(inv, t, where=(e & 1).astype(bool))
+        b *= b
+        b %= primes
+        e >>= 1
+    _inverse_table = (primes.copy(), step, inv)
+    return inv
+
+
+_inverse_table = (np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64))
+
+
+PAIR_BYTES = 41  # index, prime, p^(j+1), sigma's factor, n mod p^(j+1) and its zero mask
+
+PRIME_BYTES = 128  # cached inverse, first hit, hit count and their batch copies
+
+SCAN_OVERHEAD = 1 << 16  # numpy's casting buffers (8192 elements) and the window's objects
+
+
+def scan_bytes(size: int, large_primes: int, *, want_phi: bool = False,
+               want_sigma: bool = False, want_omega: bool = False) -> int:
+    """Bytes a segment_scan window of `size` elements holds at its peak,
+    with `large_primes` base primes (an upper bound will do) in the
+    large-prime pass.
+
+    Per element: the remainder and each wanted array, sigma's Horner
+    factors on one strided slice and the fold's mask.  When any prime is
+    large, one batch of (index, p) pairs (_pair_batch) at PAIR_BYTES, and
+    per large prime its inverse table and first-hit arrays at
+    PRIME_BYTES.  And SCAN_OVERHEAD once.
+    """
+    per_entry = 8 + 8 * want_phi + 16 * want_sigma + 2 * want_omega + 1
+    pairs = _pair_batch(size) if large_primes else 0
+    return (per_entry * size + PAIR_BYTES * pairs + PRIME_BYTES * large_primes
+            + SCAN_OVERHEAD)
+
+
+def _pair_batch(size: int) -> int:
+    """Most (index, p) pairs expanded at once in a window of `size`.
+
+    A prime p > 4 hits the window at most ceil(size/p) <= size//4 + 1
+    times, so every batch holds at least one prime.  The large primes
+    make 0.2 to 0.5 pairs per element at x = 1e7..1e8, one or two
+    batches.
+    """
+    return size // 4 + 1
+
+
 def segment_scan(
     lo: int,
     hi: int,
@@ -261,24 +337,35 @@ def segment_scan(
     divided remainder matters, e.g. smoothness tests with smooth_bound
     set).
 
-    Each prime power p^j up to the last element is visited once, on the
+    A base prime p <= max(LARGE_PRIME_THRESHOLD, step) is sliced: each
+    prime power p^j up to the last element is visited once, on the
     strided slice of indices k with p^j | lo + k*step (found by one
-    modular inverse, see _multiples): the slice for p^j divides the
+    modular inverse, see _multiples).  The slice for p^j divides the
     remainder by p and adds 1 to Omega.  phi and sigma are built as
     products over the prime powers p^e || n, with no division: phi
     multiplies by p - 1 on the p-slice and by p on each p^j sub-slice
     (j >= 2), giving p^(e-1) (p - 1); the sigma factor 1 + p + ... + p^e
     is built over the p-slice by Horner's rule, s <- p*s + 1 on each
-    p^j sub-slice, and multiplied in once.  Whatever remains above 1
-    after the base primes is a single prime factor (for exact modes)
-    and is folded in last.
+    p^j sub-slice, and multiplied in once.
+
+    The base primes above the threshold hit a window a few times each,
+    so they share one vectorized pass (_large_prime_pass) in place of a
+    slice loop per prime: their first hits (-lo) * step^-1 mod p come
+    from one inverse table (_step_inverses), the hits are expanded into
+    (index, p) pairs, and the pairs are applied by ufunc.at, which is
+    exact when two primes hit one index; the pairs with p^2 | n get one
+    more round per power.
+
+    Whatever remains above 1 after the base primes is a single prime
+    factor (for exact modes) and is folded in last.
 
     Returns a dict with any of:
       'phi', 'sigma' : int64 arrays of exact values,
       'omega'        : int16 array of Omega(n) (with multiplicity),
       'rem'          : int64 array of remainders after dividing out the
                        base primes (only when smooth_bound is set).
-    Element k of each array belongs to lo + k*step.
+    Element k of each array belongs to lo + k*step.  The window's peak
+    memory, scan_bytes, is charged against the budget first.
     """
     if step < 1:
         raise DomainError(f"need step >= 1, got {step}")
@@ -288,16 +375,21 @@ def segment_scan(
     last = lo + (size - 1) * step
     if last > INPUT_CAP:
         raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
-    per_entry = 8 * (1 + want_phi + want_sigma) + 2 * want_omega
-    check_allocation(per_entry * size, f"segment scan [{lo}, {hi}) step {step}")
+    top = smooth_bound if smooth_bound is not None else math.isqrt(last)
+    n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step), "right"))
+    n_large = max(0, int(np.searchsorted(base_primes, top, "right")) - n_small)
+    check_allocation(
+        scan_bytes(size, len(base_primes) - n_small, want_phi=want_phi,
+                   want_sigma=want_sigma, want_omega=want_omega),
+        f"segment scan [{lo}, {hi}) step {step}",
+    )
 
     rem = np.arange(lo, hi, step, dtype=np.int64)
     phi = np.ones(size, dtype=np.int64) if want_phi else None
     sigma = np.ones(size, dtype=np.int64) if want_sigma else None
     omega = np.zeros(size, dtype=np.int16) if want_omega else None
 
-    top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    for p in base_primes.tolist():
+    for p in base_primes[:n_small].tolist():
         if p > top:
             break
         hit = _multiples(lo, step, p)
@@ -337,13 +429,25 @@ def segment_scan(
             q *= p
         if want_sigma:
             sigma[sl] *= s
+            del s
 
-    # no fancy-index temporaries here: they dominate the window's peak
-    big = rem > 1
+    if n_large:
+        # the inverses cover every large base prime, so one table serves all windows
+        inv = _step_inverses(base_primes[n_small:], step)[:n_large]
+        _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large], inv,
+                          rem, phi, sigma, omega)
+
+    # no fancy-index or rem -/+ 1 temporaries: they would set the window's peak
+    if want_phi or want_sigma or want_omega:
+        big = rem > 1
     if want_phi:
-        np.multiply(phi, rem - 1, out=phi, where=big)
+        rem -= 1
+        np.multiply(phi, rem, out=phi, where=big)
+        rem += 1
     if want_sigma:
-        np.multiply(sigma, rem + 1, out=sigma, where=big)
+        rem += 1
+        np.multiply(sigma, rem, out=sigma, where=big)
+        rem -= 1
     if want_omega:
         omega += big
 
@@ -359,9 +463,82 @@ def segment_scan(
     return out
 
 
-def scan_windows(start: int, top: int, size: int, *, step: int = 1, **wants):
+def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega) -> None:
+    """Divide the primes (each > step) out of the window lo, lo+step, ...
+    that rem covers, updating phi, sigma and omega (those not None).
+
+    The k with p | lo + k*step are k0, k0 + p, ... for
+    k0 = (-lo) * inv mod p, inv = step^-1 mod p.  The hit counts are cut
+    into batches of whole primes with at most _pair_batch pairs each; a
+    batch is expanded and applied by _apply_pairs.
+    """
+    size = len(rem)
+    batch = _pair_batch(size)
+    k0 = (-lo) % primes
+    k0 *= inv
+    k0 %= primes
+    count = size - 1 - k0  # hits: (size - 1 - k0) // p + 1, which is 0 for k0 >= size
+    count //= primes
+    count += 1
+    ends = np.cumsum(count)
+    a = 0
+    while a < len(primes):
+        done = int(ends[a - 1]) if a else 0
+        b = int(np.searchsorted(ends, done + batch, "right"))
+        _apply_pairs(lo, step, primes[a:b], k0[a:b], count[a:b], rem, phi, sigma, omega)
+        a = b
+
+
+def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega) -> None:
+    """Apply the hits k0 + i*p, i < count, of each prime p.
+
+    Round j covers the pairs (k, p) with p^j | n = lo + k*step: rem is
+    divided by p, Omega gains 1, phi gains p - 1 (j = 1) or p, and
+    sigma's factor s <- p*s + 1 (Horner, as in the slices).  ufunc.at
+    applies every pair even where two primes share an index, and each
+    round keeps only the pairs whose n/p^j is still divisible by p.
+    """
+    live = count > 0
+    primes, k0, count = primes[live], k0[live], count[live]
+    if not len(primes):
+        return
+    p = np.repeat(primes, count)
+    # idx by one cumsum: step p inside a group, the jump to k0 at its start
+    idx = p.copy()
+    first = np.cumsum(count) - count
+    idx[first[0]] = k0[0]
+    idx[first[1:]] = k0[1:] - (k0[:-1] + (count[:-1] - 1) * primes[:-1])
+    np.cumsum(idx, out=idx)
+    power = p * p  # p^(j+1) for the pairs of round j
+    k, s, pos = idx, None, None
+    while True:
+        if omega is not None:
+            np.add.at(omega, k, np.int16(1))
+        np.floor_divide.at(rem, k, p)
+        if phi is not None:
+            np.multiply.at(phi, k, p - 1 if pos is None else p)
+        if sigma is not None:
+            if pos is None:
+                s = p + 1
+            else:
+                s[pos] = s[pos] * p + 1
+        n = k * step
+        n += lo
+        n %= power
+        deeper = np.flatnonzero(n == 0)
+        del n
+        if not len(deeper):
+            break
+        k, p, power = k[deeper], p[deeper], power[deeper]
+        power *= p
+        pos = deeper if pos is None else pos[deeper]
+    if sigma is not None:
+        np.multiply.at(sigma, idx, s)
+
+
+def scan_windows(start: int, top: int, *, step: int = 1, **wants):
     """segment_scan over the progression start, start+step, ... <= top,
-    in windows of `size` elements.
+    in windows of DEFAULT_SEGMENT_SIZE elements (read at each call).
 
     Yields (first, scan) per window, where first is the window's first
     integer and scan is segment_scan's dict for it, so element k of each
@@ -371,6 +548,7 @@ def scan_windows(start: int, top: int, size: int, *, step: int = 1, **wants):
     """
     bound = wants.get("smooth_bound")
     base = primes_up_to(math.isqrt(top) if bound is None else bound)
+    size = DEFAULT_SEGMENT_SIZE
     for lo in range(start, top + 1, step * size):
         yield lo, segment_scan(lo, min(lo + step * size, top + 1), base,
                                step=step, **wants)

@@ -46,8 +46,6 @@ MIN_MC_SAMPLES = 1000
 
 RL_SCAN_CAP = 10**8
 
-RL_SEGMENT_SIZE = 1 << 17  # ~50 bytes of window arrays per integer: ~7 MB
-
 XI_PRODUCT_CAP = 1.1
 
 OFFSETS = ("from_p0", "from_p1")
@@ -431,7 +429,7 @@ def r_l_sum(
     """Sum of 1/f(n) over n <= x with Omega(n) <= L and renormalized
     vector (starting at the given offset) inside S_L(xi).
 
-    The scan is exhaustive over [1, x], in windows of RL_SEGMENT_SIZE
+    The scan is exhaustive over [1, x], in windows of DEFAULT_SEGMENT_SIZE
     integers.  Each window is one segment_scan for Omega and f; the
     integers with Omega(n) <= L have their prime factors peeled off,
     smallest first, in L rounds through a smallest-prime-factor table
@@ -470,7 +468,7 @@ def r_l_sum(
     tab[primes - 2] = -np.arange(len(primes), dtype=np.int32)
 
     terms = [np.ones(1)]  # n = 1: zero vector, always a member
-    for lo, got in scan_windows(2, x, RL_SEGMENT_SIZE, want_omega=True,
+    for lo, got in scan_windows(2, x, want_omega=True,
                                 want_phi=f == "phi", want_sigma=f == "sigma"):
         keep = np.flatnonzero(got["omega"] <= L)
         omega = got["omega"][keep]

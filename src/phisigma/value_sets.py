@@ -11,9 +11,11 @@ its value phi(n/2) is already found in the odd class.
 
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes, and the build
 additionally keeps an x+1 byte scratch array, one byte per value, that
-is packed into the bitmap at the end; both are charged against the
-memory budget before anything is allocated.  At x = 10^8 a phi build
-peaks at about 280 MB of resident memory.
+is packed into the bitmap at the end, and one scan window
+(sieve.scan_bytes, plus the window's vals <= x mask and filtered copy;
+10 to 13 MB at the default window size); all of it is charged against
+the memory budget before anything is allocated.  At x = 10^8 a phi
+build peaks at about 140 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_allocation
-from .sieve import DEFAULT_SEGMENT_SIZE, primes_up_to, scan_windows
+from . import sieve
+from .sieve import primes_up_to, scan_bytes, scan_windows
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -134,17 +137,20 @@ def build_value_bitmap(f: str, x: int) -> ValueBitmap:
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
-    check_allocation(
-        (x >> 3) + 1 + x + 1 + 8 * DEFAULT_SEGMENT_SIZE,
-        f"value bitmap build at x={x}",
-    )
+    progressions = scan_progressions(f, x)
+    size = sieve.DEFAULT_SEGMENT_SIZE
+    # a window, its vals <= x mask and the filtered copy, next to the
+    # scratch array and the bitmap; isqrt(top) bounds the large base primes
+    window = scan_bytes(size, math.isqrt(max(top for *_, top in progressions)),
+                        **{f"want_{f}": True}) + 9 * size
+    check_allocation((x >> 3) + 1 + x + 1 + window, f"value bitmap build at x={x}")
     scratch = np.zeros(x + 1, dtype=bool)
     scratch[1] = True  # f(1) = 1 for both functions
-    for start, step, top in scan_progressions(f, x):
-        for _, got in scan_windows(start, top, DEFAULT_SEGMENT_SIZE, step=step,
-                                   want_phi=f == "phi", want_sigma=f == "sigma"):
+    for start, step, top in progressions:
+        for _, got in scan_windows(start, top, step=step, **{f"want_{f}": True}):
             vals = got[f]
             scratch[vals[vals <= x]] = True
+            del got, vals  # free the window before the next one is scanned
 
     bits = np.packbits(scratch, bitorder="little")
     if bits[0] & 1:

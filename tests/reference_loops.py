@@ -1,11 +1,13 @@
 """Per-integer reference loops for the array pipelines.
 
 These are the scalar implementations that r_l_sum, simplex_contains and
-capture_census had before they became array pipelines, and the whole-batch
+capture_census had before they became array pipelines, the whole-batch
 Monte Carlo path (u.sort and an @-based acceptance test) that
-simplex_volume_mc and sample_simplex had before they were chunked.  They
-are kept here, unchanged in arithmetic, as oracles: the pipelines must
-agree with them exactly (==), not approximately.
+simplex_volume_mc and sample_simplex had before they were chunked, and
+the all-strided segment_scan that the large-prime pass replaced for the
+primes above LARGE_PRIME_THRESHOLD.  They are kept here, unchanged in
+arithmetic, as oracles: the pipelines must agree with them exactly (==),
+not approximately.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from phisigma import ResourceError, VolumeEstimate, series_coefficient
 from phisigma.classifier import af_params, classify
-from phisigma.sieve import build_factor_sieve, factorize, phi_of, sigma_of
+from phisigma.sieve import _multiples, build_factor_sieve, factorize, phi_of, sigma_of
 from phisigma.structure import MC_BATCH
 from phisigma.value_sets import phi_preimage_bound
 
@@ -190,3 +192,86 @@ def sample_simplex_loop(spec, count: int, seed: int, *, max_draws=None) -> np.nd
         kept.append(acc)
         have += len(acc)
     return np.concatenate(kept)[:count]
+
+
+def segment_scan_strided(
+    lo: int,
+    hi: int,
+    base_primes: np.ndarray,
+    *,
+    want_phi: bool = False,
+    want_sigma: bool = False,
+    want_omega: bool = False,
+    smooth_bound: int | None = None,
+    step: int = 1,
+):
+    """segment_scan as it was before the large-prime pass: every base
+    prime, however large, on its own strided slices."""
+    size = (hi - lo + step - 1) // step
+    last = lo + (size - 1) * step
+    rem = np.arange(lo, hi, step, dtype=np.int64)
+    phi = np.ones(size, dtype=np.int64) if want_phi else None
+    sigma = np.ones(size, dtype=np.int64) if want_sigma else None
+    omega = np.zeros(size, dtype=np.int16) if want_omega else None
+
+    top = smooth_bound if smooth_bound is not None else math.isqrt(last)
+    for p in base_primes.tolist():
+        if p > top:
+            break
+        hit = _multiples(lo, step, p)
+        if hit is None or hit[0] >= size:
+            continue
+        start, stride = hit
+        sl = slice(start, size, stride)
+        r = rem[sl]
+        r //= p
+        if want_omega:
+            o = omega[sl]
+            o += 1
+        if want_phi:
+            ph = phi[sl]
+            ph *= p - 1
+        if want_sigma:
+            s = np.full(r.shape, p + 1, dtype=np.int64)
+        q = p * p
+        while q <= last:
+            hit = _multiples(lo, step, q)
+            if hit is None or hit[0] >= size:
+                break
+            # multiples of p^j are a sub-progression of the p-slice
+            sub = slice((hit[0] - start) // stride, None, hit[1] // stride)
+            r_sub = r[sub]
+            r_sub //= p
+            if want_omega:
+                o_sub = o[sub]
+                o_sub += 1
+            if want_phi:
+                ph_sub = ph[sub]
+                ph_sub *= p
+            if want_sigma:
+                s_sub = s[sub]
+                s_sub *= p
+                s_sub += 1
+            q *= p
+        if want_sigma:
+            sigma[sl] *= s
+
+    # no fancy-index temporaries here: they dominate the window's peak
+    big = rem > 1
+    if want_phi:
+        np.multiply(phi, rem - 1, out=phi, where=big)
+    if want_sigma:
+        np.multiply(sigma, rem + 1, out=sigma, where=big)
+    if want_omega:
+        omega += big
+
+    out = {}
+    if want_phi:
+        out["phi"] = phi
+    if want_sigma:
+        out["sigma"] = sigma
+    if want_omega:
+        out["omega"] = omega
+    if smooth_bound is not None:
+        out["rem"] = rem
+    return out

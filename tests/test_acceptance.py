@@ -32,7 +32,7 @@ from phisigma import (
 )
 from phisigma.anatomy import big_omega_range
 from phisigma.constants import structure_constants
-from phisigma import value_sets
+from phisigma import sieve
 
 from conftest import classify_oracle, factor_pairs_naive, phi_trial, sigma_trial
 
@@ -198,9 +198,9 @@ def test_criterion_5_property_suite(monkeypatch):
 
     # determinism: segmentation must not change a single byte
     for f_tag in ("phi", "sigma"):
-        monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 14)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 14)
         a = build_value_bitmap(f_tag, 10**4)
-        monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 13)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 13)
         b = build_value_bitmap(f_tag, 10**4)
         assert (a.bits == b.bits).all()
 

@@ -216,19 +216,19 @@ def test_capture_census_equals_reference_loop(f_tag, x, kw):
 
 
 def test_capture_census_independent_of_window(monkeypatch):
-    from phisigma import classifier
+    from phisigma import sieve
 
     for f_tag in ("phi", "sigma"):
         want = capture_census(f_tag, 3000)
         for size in (97, 1000, 3001):
-            monkeypatch.setattr(classifier, "DEFAULT_SEGMENT_SIZE", size)
+            monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
             assert capture_census(f_tag, 3000) == want
 
 
 def test_omega_table_matches_trial_division(monkeypatch):
-    from phisigma import classifier
+    from phisigma import sieve
 
-    monkeypatch.setattr(classifier, "DEFAULT_SEGMENT_SIZE", 777)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 777)
     table = _omega_table(5000)
     assert table.dtype == np.int8
     assert table[:2].tolist() == [0, 0]

@@ -60,10 +60,10 @@ def test_count_values_range_errors():
 
 
 def test_psi_spans_segment_boundaries(monkeypatch):
-    from phisigma import anatomy
+    from phisigma import sieve
 
     whole = psi_smooth_count(5000, 13).psi_exact
-    monkeypatch.setattr(anatomy, "DEFAULT_SEGMENT_SIZE", 97)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
     chunked = psi_smooth_count(5000, 13).psi_exact
     assert whole == chunked
 

@@ -1,0 +1,201 @@
+"""segment_scan against the all-strided oracle, and its memory charge.
+
+The base primes above LARGE_PRIME_THRESHOLD go through one vectorized
+pass per window; segment_scan_strided (reference_loops.py) slices every
+prime on its own.  Both must agree exactly (==) in every mode.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from phisigma import anatomy, sieve, value_sets
+from phisigma.sieve import LARGE_PRIME_THRESHOLD, primes_up_to, scan_windows, segment_scan
+
+from conftest import big_omega_trial, phi_trial, sigma_trial
+from reference_loops import segment_scan_strided
+
+MODES = {
+    "phi": {"want_phi": True},
+    "sigma": {"want_sigma": True},
+    "omega": {"want_omega": True},
+    "phi+sigma+omega": {"want_phi": True, "want_sigma": True, "want_omega": True},
+}
+
+PRIMES = primes_up_to(10**6).tolist()
+P_AT = max(p for p in PRIMES if p <= LARGE_PRIME_THRESHOLD)  # last sliced prime
+P_NEXT = PRIMES[PRIMES.index(P_AT) + 1]  # first prime in the pass
+P_AFTER = PRIMES[PRIMES.index(P_AT) + 2]
+
+
+def assert_scan_equal(lo, hi, step, want, base=None):
+    size = (hi - lo + step - 1) // step
+    if base is None:
+        base = primes_up_to(math.isqrt(lo + (size - 1) * step))
+    got = segment_scan(lo, hi, base, step=step, **want)
+    ref = segment_scan_strided(lo, hi, base, step=step, **want)
+    assert got.keys() == ref.keys()
+    for key, arr in ref.items():
+        assert got[key].dtype == arr.dtype
+        assert np.array_equal(got[key], arr), (lo, hi, step, key)
+    return got
+
+
+def _windows_equal_oracle(monkeypatch, top, size, step, want):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
+    start = 2 if step < 4 else 4
+    whole = segment_scan_strided(start, top + 1, primes_up_to(math.isqrt(top)),
+                                 step=step, **want)
+    windows = list(scan_windows(start, top, step=step, **want))
+    assert len(windows) == -(-len(range(start, top + 1, step)) // size)
+    for key, arr in whole.items():
+        assert np.array_equal(np.concatenate([got[key] for _, got in windows]), arr), key
+
+
+@pytest.mark.parametrize("step", [1, 2, 4])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_pass_equals_strided_to_1e6(monkeypatch, mode, step):
+    _windows_equal_oracle(monkeypatch, 10**6, sieve.DEFAULT_SEGMENT_SIZE, step, MODES[mode])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("step", [1, 2, 4])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_pass_equals_strided_to_1e7(monkeypatch, mode, step):
+    _windows_equal_oracle(monkeypatch, 10**7, sieve.DEFAULT_SEGMENT_SIZE, step, MODES[mode])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("step", [1, 2, 4])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_pass_equals_strided_97_windows_to_1e6(monkeypatch, mode, step):
+    _windows_equal_oracle(monkeypatch, 10**6, 97, step, MODES[mode])
+
+
+@pytest.mark.parametrize("size", [1, 97])
+@pytest.mark.parametrize("step", [1, 2, 4])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_pass_equals_strided_small_windows(mode, step, size):
+    # windows of 1 and 97 elements at spread-out starts in [2, 1e6]: most
+    # large primes miss such a window, the others hit it once
+    rng = np.random.default_rng(size * 10 + step)
+    for lo in rng.integers(2, 10**6, 60).tolist():
+        assert_scan_equal(lo, lo + size * step, step, MODES[mode])
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_prime_square_above_threshold(mode):
+    # p^2, p^3 and p^2 * q with p, q in the pass; the values by trial division
+    p, q = P_NEXT, P_AFTER
+    for n in (p * p, 2 * p * p, p**3, p * p * q, 3 * p**3):
+        for step in (1, 2):
+            lo = n - 5 * step
+            got = assert_scan_equal(lo, lo + 11 * step, step, MODES[mode])
+            if "phi" in got:
+                assert got["phi"][5] == phi_trial(n)
+            if "sigma" in got:
+                assert got["sigma"][5] == sigma_trial(n)
+            if "omega" in got:
+                assert got["omega"][5] == big_omega_trial(n)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_two_large_primes_on_one_index(mode):
+    p, q = P_NEXT, P_AFTER
+    big = PRIMES[-1]  # the largest prime below 1e6
+    for n in (p * q, 4 * p * q, p * q * 1117, p * big, p * q * P_AT):
+        lo = n - 40
+        got = assert_scan_equal(lo, lo + 97, 1, MODES[mode])
+        if "phi" in got:
+            assert got["phi"][40] == phi_trial(n)
+        if "sigma" in got:
+            assert got["sigma"][40] == sigma_trial(n)
+        if "omega" in got:
+            assert got["omega"][40] == big_omega_trial(n)
+
+
+@pytest.mark.parametrize("step", [1, 2, 4])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_primes_at_and_above_threshold(mode, step):
+    # P_AT is the last prime sliced, P_NEXT the first in the pass; each
+    # must be divided out exactly once, including as squares
+    for p in (P_AT, P_NEXT):
+        for n in (p * p, 4 * p * p, p * 1031 * 4):
+            lo = n - 8 * step
+            assert_scan_equal(lo, lo + 17 * step, step, MODES[mode])
+    lo = 4 * P_AT * P_NEXT
+    assert_scan_equal(lo, lo + 1000 * step, step, MODES[mode])
+
+
+def test_window_ending_at_the_input_cap():
+    base = primes_up_to(10**6)
+    for mode, want in MODES.items():
+        assert_scan_equal(10**12 - 300, 10**12 + 1, 1, want, base)
+        got = assert_scan_equal(10**12 - 600, 10**12 + 1, 2, want, base)
+        if "phi" in got:  # 10^12 = 2^12 5^12
+            assert got["phi"][-1] == 4 * 10**11
+        if "omega" in got:
+            assert got["omega"][-1] == 24
+    assert_scan_equal(10**12 - 96, 10**12 + 1, 4, {"smooth_bound": 10**6}, base)
+
+
+def test_smooth_bound_above_threshold_matches_strided():
+    base = primes_up_to(5000)
+    for lo, step in ((2, 1), (3, 2), (10**6, 4)):
+        assert_scan_equal(lo, lo + 5000 * step, step, {"smooth_bound": 5000}, base)
+
+
+# --- memory: the traced peak stays within what was charged -----------------
+
+
+@pytest.fixture
+def charges(monkeypatch):
+    """The bytes of every check_allocation made by sieve, value_sets and anatomy."""
+    seen = []
+    original = sieve.check_allocation
+
+    def record(nbytes, what):
+        seen.append(nbytes)
+        original(nbytes, what)
+
+    for mod in (sieve, value_sets, anatomy):
+        monkeypatch.setattr(mod, "check_allocation", record)
+    return seen
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
+def test_segment_scan_peak_within_charge(monkeypatch, charges, mode):
+    want = MODES.get(mode, {"smooth_bound": 5000})
+    lo, size = 10**7 + 1, 1 << 18
+    hi = lo + 2 * size
+    base = primes_up_to(math.isqrt(hi))
+    monkeypatch.setattr(sieve, "_inverse_table", (base[:0], 0, base[:0]))  # built in the scan
+    peak = traced_peak(lambda: segment_scan(lo, hi, base, step=2, **want))
+    assert peak <= charges[-1]
+
+
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_value_bitmap_peak_within_charge(charges, f):
+    peak = traced_peak(lambda: value_sets.build_value_bitmap(f, 10**6))
+    assert peak <= max(charges)
+
+
+def test_smooth_count_peak_within_charge(charges):
+    peak = traced_peak(lambda: anatomy.psi_smooth_count(10**6, 100))
+    assert peak <= max(charges)
+
+
+def test_omega_census_peak_within_charge(charges):
+    peak = traced_peak(lambda: anatomy.omega_tail_census(10**6, 1.5))
+    assert peak <= max(charges)

@@ -16,6 +16,7 @@ from phisigma import (
     segment_map,
     sigma_of,
 )
+from phisigma import sieve
 from phisigma.sieve import composite_mask, factor, scan_windows, segment_scan
 
 from conftest import factor_pairs_naive, phi_trial, sigma_trial
@@ -213,12 +214,13 @@ def test_segment_scan_rejects_bad_step():
 @pytest.mark.parametrize("step", [1, 2, 4])
 @pytest.mark.parametrize("size", [1, 97, 1 << 14])
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
-def test_scan_windows_concatenate_to_one_scan(mode, size, step):
+def test_scan_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
     start, top = 3, 3000 if size == 1 else 150_000
     want = SCAN_MODES[mode]
     bound = want.get("smooth_bound", math.isqrt(top))
     whole = segment_scan(start, top + 1, primes_up_to(bound), step=step, **want)
-    windows = list(scan_windows(start, top, size, step=step, **want))
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
+    windows = list(scan_windows(start, top, step=step, **want))
     elements = len(range(start, top + 1, step))
     assert len(windows) == -(-elements // size)
     assert [lo for lo, _ in windows] == list(range(start, top + 1, step * size))
@@ -226,9 +228,10 @@ def test_scan_windows_concatenate_to_one_scan(mode, size, step):
         assert np.array_equal(np.concatenate([got[key] for _, got in windows]), arr)
 
 
-def test_scan_windows_edges():
-    assert list(scan_windows(10, 9, 4, want_phi=True)) == []
-    [(lo, got)] = scan_windows(7, 7, 4, want_phi=True)
+def test_scan_windows_edges(monkeypatch):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 4)
+    assert list(scan_windows(10, 9, want_phi=True)) == []
+    [(lo, got)] = scan_windows(7, 7, want_phi=True)
     assert lo == 7 and got["phi"].tolist() == [6]
 
 

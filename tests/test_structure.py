@@ -401,13 +401,13 @@ def test_r_l_sum_equals_reference_loop_1e6(f, L, offset):
 
 
 def test_r_l_sum_bits_independent_of_window(monkeypatch):
-    from phisigma import structure
+    from phisigma import sieve
 
     spec = SimplexSpec(L=3, xi=(1.05, 1.1))
     for f, offset in (("phi", "from_p0"), ("sigma", "from_p1")):
         want = r_l_sum_loop(f, spec, 30000, offset)
         for size in (97, 4096, 30000, 1 << 22):
-            monkeypatch.setattr(structure, "RL_SEGMENT_SIZE", size)
+            monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
             assert r_l_sum(f, spec, 30000, offset) == want
 
 

@@ -120,11 +120,11 @@ def test_every_set_phi_bit_has_witness():
 
 
 def test_segmentation_determinism(monkeypatch):
-    from phisigma import value_sets
+    from phisigma import sieve
 
-    monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 14)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 14)
     a = build_value_bitmap("phi", 10**4)
-    monkeypatch.setattr(value_sets, "DEFAULT_SEGMENT_SIZE", 1 << 13)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 13)
     b = build_value_bitmap("phi", 10**4)
     assert (a.bits == b.bits).all()
 
