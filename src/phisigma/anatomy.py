@@ -230,7 +230,6 @@ def psi_smooth_count(x: int, y: int) -> SmoothCount:
     bound = min(y, math.isqrt(x))
     for _, got in scan_windows(2, x, smooth_bound=bound):
         count += int(np.count_nonzero(got["rem"] <= y))
-        del got  # free the window before the next one is scanned
     u = math.log(x) / math.log(y)
     cep = float(x) if u == 0.0 else x * u**-u
     return SmoothCount(x=x, y=y, psi_exact=count, u=u, cep_estimate=cep)
@@ -255,7 +254,6 @@ def omega_tail_census(x: int, alpha: float) -> tuple[int, float]:
     observed = 0
     for _, got in scan_windows(2, x, want_omega=True):
         observed += int(np.count_nonzero(got["omega"] >= threshold))
-        del got  # free the window before the next one is scanned
     if alpha < 2.0:
         shape = x * math.log(x) ** -q_function(alpha)
     else:

@@ -361,7 +361,6 @@ def _omega_table(x: int) -> np.ndarray:
     table = np.zeros(x + 1, dtype=np.int8)
     for lo, got in scan_windows(2, x, want_omega=True):
         table[lo : lo + len(got["omega"])] = got["omega"]
-        del got  # free the window before the next one is scanned
     return table
 
 
@@ -409,12 +408,12 @@ def capture_census(
     sieve = None
     for lo, got in scan_windows(2, bound, want_omega=True,
                                 want_phi=f_tag == "phi", want_sigma=f_tag == "sigma"):
-        keep = np.flatnonzero(got[f_tag] <= x)
-        v = got[f_tag][keep]
-        n = keep + lo
+        n = np.flatnonzero(got[f_tag] <= x)
+        v = got[f_tag][n]
+        omega_n = got["omega"][n]
+        n += lo
         attained[v] = True
-        c0, c3, c6 = _scan_conditions(n, v, got["omega"][keep], omegas, params)
-        del got
+        c0, c3, c6 = _scan_conditions(n, v, omega_n, omegas, params)
         passed = c0 & c3 & c6
         outside[v[~passed]] = True
         survivors = np.flatnonzero(passed & ~outside[v])

@@ -17,7 +17,11 @@ inverses, are expanded into (index, p) pairs and applied by ufunc.at.
 scan_windows drives it over a long progression in windows of
 DEFAULT_SEGMENT_SIZE elements, 2 MiB per int64 array; every census in
 the package scans through it, and that one constant sizes all of
-their windows.
+their windows.  The window arrays and the inverse table live in one
+workspace per run (_Workspace), which every window fills in place, as
+the bucket sieve reuses its fixed window buffers: freed and allocated
+afresh, arrays of this size would fault their pages back in at every
+window.
 
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
@@ -256,14 +260,8 @@ def _step_inverses(primes: np.ndarray, step: int) -> np.ndarray:
 
     Fermat, step^(p-2) mod p, by square-and-multiply over the whole
     array; every product is below p^2, far inside int64 for any base
-    prime.  The table of the last (primes, step) is kept and reused only
-    when both match by value, so the windows of one scan_windows run
-    build it once and no caller can get a stale table.
+    prime.
     """
-    global _inverse_table
-    known, known_step, inv = _inverse_table
-    if known_step == step and np.array_equal(known, primes):
-        return inv
     inv = np.ones_like(primes)
     b = step % primes
     e = primes - 2
@@ -275,11 +273,7 @@ def _step_inverses(primes: np.ndarray, step: int) -> np.ndarray:
         b *= b
         b %= primes
         e >>= 1
-    _inverse_table = (primes.copy(), step, inv)
     return inv
-
-
-_inverse_table = (np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64))
 
 
 PAIR_BYTES = 41  # index, prime, p^(j+1), sigma's factor, n mod p^(j+1) and its zero mask
@@ -291,15 +285,16 @@ SCAN_OVERHEAD = 1 << 16  # numpy's casting buffers (8192 elements) and the windo
 
 def scan_bytes(size: int, large_primes: int, *, want_phi: bool = False,
                want_sigma: bool = False, want_omega: bool = False) -> int:
-    """Bytes a segment_scan window of `size` elements holds at its peak,
-    with `large_primes` base primes (an upper bound will do) in the
-    large-prime pass.
+    """Bytes a scan workspace of `size` elements and one segment_scan
+    window on it hold at their peak, with `large_primes` base primes (an
+    upper bound will do) in the large-prime pass.
 
-    Per element: the remainder and each wanted array, sigma's Horner
-    factors on one strided slice and the fold's mask.  When any prime is
-    large, one batch of (index, p) pairs (_pair_batch) at PAIR_BYTES, and
-    per large prime its inverse table and first-hit arrays at
-    PRIME_BYTES.  And SCAN_OVERHEAD once.
+    The workspace's buffers (_Workspace), per element: the remainder and
+    each wanted array, sigma's Horner factors on one strided slice and
+    the fold's mask.  When any prime is large, its batch of (index, p)
+    pairs (_pair_batch) at PAIR_BYTES, and per large prime its inverse
+    table and a window's first-hit arrays at PRIME_BYTES.  And
+    SCAN_OVERHEAD once.
     """
     per_entry = 8 + 8 * want_phi + 16 * want_sigma + 2 * want_omega + 1
     pairs = _pair_batch(size) if large_primes else 0
@@ -318,6 +313,48 @@ def _pair_batch(size: int) -> int:
     return size // 4 + 1
 
 
+class _Workspace:
+    """The buffers segment_scan fills for windows of up to `size`
+    elements of a progression with the given step: the remainder, the
+    wanted phi, sigma and omega, the fold's rem > 1 mask, sigma's Horner
+    factors for one slice, step^-1 mod p for every base prime above
+    max(LARGE_PRIME_THRESHOLD, step), and one batch of the large-prime
+    pass's (index, p) pairs.
+
+    scan_windows builds one per run, so its windows allocate no array
+    per element or per pair and fault no fresh pages; a standalone
+    segment_scan builds its own.  The scan_bytes of a window on it are
+    charged first.
+    """
+
+    def __init__(self, size: int, base_primes: np.ndarray, step: int, *,
+                 want_phi: bool, want_sigma: bool, want_omega: bool, what: str):
+        self.n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step),
+                                           "right"))
+        check_allocation(
+            scan_bytes(size, len(base_primes) - self.n_small, want_phi=want_phi,
+                       want_sigma=want_sigma, want_omega=want_omega),
+            what,
+        )
+        self.rem = np.empty(size, dtype=np.int64)
+        self.phi = np.empty(size, dtype=np.int64) if want_phi else None
+        self.sigma = np.empty(size, dtype=np.int64) if want_sigma else None
+        # the first slice builds its factor in sigma itself, so this holds
+        # those after it, of p >= 3: ceil(size/3) elements at most, unless
+        # an odd prime divides the step
+        odd = step >> (step & -step).bit_length() - 1
+        horner = size if odd > 1 else -(-size // 3)
+        self.horner = np.empty(horner, dtype=np.int64) if want_sigma else None
+        self.omega = np.empty(size, dtype=np.int16) if want_omega else None
+        self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
+        self.inv = _step_inverses(base_primes[self.n_small :], step)
+        # one batch of (index, p) pairs: index, p^(j+1), n mod p^(j+1) and
+        # sigma's factor, and n's zero mask
+        batch = _pair_batch(size) if len(self.inv) else 0
+        self.pairs = np.empty((4, batch), dtype=np.int64)
+        self.zero = np.empty(batch, dtype=bool)
+
+
 def segment_scan(
     lo: int,
     hi: int,
@@ -328,6 +365,7 @@ def segment_scan(
     want_omega: bool = False,
     smooth_bound: int | None = None,
     step: int = 1,
+    _workspace: _Workspace | None = None,
 ):
     """Vectorized factor scan of the progression lo, lo+step, ... < hi.
 
@@ -359,13 +397,18 @@ def segment_scan(
     Whatever remains above 1 after the base primes is a single prime
     factor (for exact modes) and is folded in last.
 
+    Every array is filled in place in a workspace (_Workspace) built
+    for this call, whose scan_bytes are charged against the budget
+    first, so the arrays returned belong to the caller alone.
+    scan_windows passes its own workspace through _workspace instead,
+    and its windows' arrays are overwritten by the next window.
+
     Returns a dict with any of:
       'phi', 'sigma' : int64 arrays of exact values,
       'omega'        : int16 array of Omega(n) (with multiplicity),
       'rem'          : int64 array of remainders after dividing out the
                        base primes (only when smooth_bound is set).
-    Element k of each array belongs to lo + k*step.  The window's peak
-    memory, scan_bytes, is charged against the budget first.
+    Element k of each array belongs to lo + k*step.
     """
     if step < 1:
         raise DomainError(f"need step >= 1, got {step}")
@@ -375,20 +418,29 @@ def segment_scan(
     last = lo + (size - 1) * step
     if last > INPUT_CAP:
         raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
+    ws = _workspace
+    if ws is None:
+        ws = _Workspace(size, base_primes, step, want_phi=want_phi, want_sigma=want_sigma,
+                        want_omega=want_omega, what=f"segment scan [{lo}, {hi}) step {step}")
     top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step), "right"))
+    n_small = ws.n_small
     n_large = max(0, int(np.searchsorted(base_primes, top, "right")) - n_small)
-    check_allocation(
-        scan_bytes(size, len(base_primes) - n_small, want_phi=want_phi,
-                   want_sigma=want_sigma, want_omega=want_omega),
-        f"segment scan [{lo}, {hi}) step {step}",
-    )
 
-    rem = np.arange(lo, hi, step, dtype=np.int64)
-    phi = np.ones(size, dtype=np.int64) if want_phi else None
-    sigma = np.ones(size, dtype=np.int64) if want_sigma else None
-    omega = np.zeros(size, dtype=np.int16) if want_omega else None
+    rem, phi, sigma, omega = (None if a is None else a[:size]
+                              for a in (ws.rem, ws.phi, ws.sigma, ws.omega))
+    rem[0] = lo  # lo, lo + step, ... by doubling: no ramp array, no slow cumsum
+    k = 1
+    while k < size:
+        np.add(rem[: min(k, size - k)], k * step, out=rem[k : 2 * k])
+        k *= 2
+    if want_phi:
+        phi.fill(1)
+    if want_sigma:
+        sigma.fill(1)
+    if want_omega:
+        omega.fill(0)
 
+    fresh = want_sigma  # sigma is all ones until the first slice
     for p in base_primes[:n_small].tolist():
         if p > top:
             break
@@ -405,8 +457,9 @@ def segment_scan(
         if want_phi:
             ph = phi[sl]
             ph *= p - 1
-        if want_sigma:
-            s = np.full(r.shape, p + 1, dtype=np.int64)
+        if want_sigma:  # the first slice builds its factor in sigma itself
+            s = sigma[sl] if fresh else ws.horner[: len(r)]
+            s.fill(p + 1)
         q = p * p
         while q <= last:
             hit = _multiples(lo, step, q)
@@ -427,19 +480,17 @@ def segment_scan(
                 s_sub *= p
                 s_sub += 1
             q *= p
-        if want_sigma:
+        if want_sigma and not fresh:
             sigma[sl] *= s
-            del s
+        fresh = False
 
     if n_large:
-        # the inverses cover every large base prime, so one table serves all windows
-        inv = _step_inverses(base_primes[n_small:], step)[:n_large]
-        _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large], inv,
-                          rem, phi, sigma, omega)
+        _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large],
+                          rem, phi, sigma, omega, ws)
 
     # no fancy-index or rem -/+ 1 temporaries: they would set the window's peak
     if want_phi or want_sigma or want_omega:
-        big = rem > 1
+        big = np.greater(rem, 1, out=ws.big[:size])
     if want_phi:
         rem -= 1
         np.multiply(phi, rem, out=phi, where=big)
@@ -463,19 +514,20 @@ def segment_scan(
     return out
 
 
-def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega) -> None:
+def _large_prime_pass(lo, step, primes, rem, phi, sigma, omega, ws) -> None:
     """Divide the primes (each > step) out of the window lo, lo+step, ...
     that rem covers, updating phi, sigma and omega (those not None).
 
     The k with p | lo + k*step are k0, k0 + p, ... for
-    k0 = (-lo) * inv mod p, inv = step^-1 mod p.  The hit counts are cut
-    into batches of whole primes with at most _pair_batch pairs each; a
-    batch is expanded and applied by _apply_pairs.
+    k0 = (-lo) * inv mod p, inv = step^-1 mod p from the workspace ws,
+    whose table starts at primes[0].  The hit counts are cut into
+    batches of whole primes with at most _pair_batch pairs each; a batch
+    is expanded into ws and applied by _apply_pairs.
     """
     size = len(rem)
     batch = _pair_batch(size)
     k0 = (-lo) % primes
-    k0 *= inv
+    k0 *= ws.inv[: len(primes)]
     k0 %= primes
     count = size - 1 - k0  # hits: (size - 1 - k0) // p + 1, which is 0 for k0 >= size
     count //= primes
@@ -485,48 +537,49 @@ def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega) -> None:
     while a < len(primes):
         done = int(ends[a - 1]) if a else 0
         b = int(np.searchsorted(ends, done + batch, "right"))
-        _apply_pairs(lo, step, primes[a:b], k0[a:b], count[a:b], rem, phi, sigma, omega)
+        _apply_pairs(lo, step, primes[a:b], k0[a:b], count[a:b], rem, phi, sigma, omega, ws)
         a = b
 
 
-def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega) -> None:
+def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega, ws) -> None:
     """Apply the hits k0 + i*p, i < count, of each prime p.
 
     Round j covers the pairs (k, p) with p^j | n = lo + k*step: rem is
     divided by p, Omega gains 1, phi gains p - 1 (j = 1) or p, and
     sigma's factor s <- p*s + 1 (Horner, as in the slices).  ufunc.at
     applies every pair even where two primes share an index, and each
-    round keeps only the pairs whose n/p^j is still divisible by p.
+    round keeps only the pairs whose n/p^j is still divisible by p.  The
+    first round's pair arrays other than p are rows of ws.pairs.
     """
     live = count > 0
     primes, k0, count = primes[live], k0[live], count[live]
     if not len(primes):
         return
     p = np.repeat(primes, count)
+    idx, power, n, s = (row[: len(p)] for row in ws.pairs)
     # idx by one cumsum: step p inside a group, the jump to k0 at its start
-    idx = p.copy()
+    np.copyto(idx, p)
     first = np.cumsum(count) - count
     idx[first[0]] = k0[0]
     idx[first[1:]] = k0[1:] - (k0[:-1] + (count[:-1] - 1) * primes[:-1])
     np.cumsum(idx, out=idx)
-    power = p * p  # p^(j+1) for the pairs of round j
-    k, s, pos = idx, None, None
+    np.multiply(p, p, out=power)  # p^(j+1) for the pairs of round j
+    k, pos = idx, None
     while True:
         if omega is not None:
             np.add.at(omega, k, np.int16(1))
         np.floor_divide.at(rem, k, p)
         if phi is not None:
-            np.multiply.at(phi, k, p - 1 if pos is None else p)
+            np.multiply.at(phi, k, np.subtract(p, 1, out=n) if pos is None else p)
         if sigma is not None:
             if pos is None:
-                s = p + 1
+                np.add(p, 1, out=s)
             else:
                 s[pos] = s[pos] * p + 1
-        n = k * step
+        n = np.multiply(k, step, out=ws.pairs[2, : len(k)])
         n += lo
         n %= power
-        deeper = np.flatnonzero(n == 0)
-        del n
+        deeper = np.flatnonzero(np.equal(n, 0, out=ws.zero[: len(k)]))
         if not len(deeper):
             break
         k, p, power = k[deeper], p[deeper], power[deeper]
@@ -536,22 +589,34 @@ def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega) -> None:
         np.multiply.at(sigma, idx, s)
 
 
-def scan_windows(start: int, top: int, *, step: int = 1, **wants):
+def scan_windows(start: int, top: int, *, step: int = 1, want_phi: bool = False,
+                 want_sigma: bool = False, want_omega: bool = False,
+                 smooth_bound: int | None = None):
     """segment_scan over the progression start, start+step, ... <= top,
     in windows of DEFAULT_SEGMENT_SIZE elements (read at each call).
 
     Yields (first, scan) per window, where first is the window's first
     integer and scan is segment_scan's dict for it, so element k of each
-    array belongs to first + k*step.  wants are segment_scan's want_* and
-    smooth_bound keywords.  The base primes are those <= sqrt(top), or
-    <= smooth_bound when it is set.
+    array belongs to first + k*step.  The want_* and smooth_bound
+    keywords are segment_scan's.  The base primes are those <= sqrt(top),
+    or <= smooth_bound when it is set.
+
+    Every window is filled into one workspace (_Workspace) of
+    min(DEFAULT_SEGMENT_SIZE, elements) elements, built and charged once
+    per run, so the arrays yielded are valid only until the next window
+    is requested: consume or copy them first.
     """
-    bound = wants.get("smooth_bound")
-    base = primes_up_to(math.isqrt(top) if bound is None else bound)
+    base = primes_up_to(math.isqrt(top) if smooth_bound is None else smooth_bound)
     size = DEFAULT_SEGMENT_SIZE
+    elements = len(range(start, top + 1, step))
+    if not elements:
+        return
+    wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
+    workspace = _Workspace(min(size, elements), base, step, **wants,
+                           what=f"scan windows [{start}, {top}] step {step}")
     for lo in range(start, top + 1, step * size):
-        yield lo, segment_scan(lo, min(lo + step * size, top + 1), base,
-                               step=step, **wants)
+        yield lo, segment_scan(lo, min(lo + step * size, top + 1), base, step=step,
+                               smooth_bound=smooth_bound, _workspace=workspace, **wants)
 
 
 def segment_map(lo: int, hi: int, which: str = "both"):

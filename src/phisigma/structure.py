@@ -420,6 +420,38 @@ def check_comparison_lemma(spec: SimplexSpec, trials: int, seed: int) -> bool:
     return True
 
 
+def _member_reciprocals(lo, omega, fn, spec, start, tab, scaled) -> np.ndarray:
+    """1/f(n) for the members among the n = lo, lo + 1, ... of one
+    r_l_sum window, given Omega(n) and f(n) as the window's arrays.
+
+    The survivors Omega(n) <= L are compacted into omega and fn in place
+    (the next window overwrites them anyway), and their columns are freed
+    on return, before the next window is scanned: held through that scan,
+    they pinned the heap above them, which then stayed resident after
+    r_l_sum returned.
+    """
+    L = spec.L
+    m = np.flatnonzero(omega <= L)
+    n = len(m)
+    omega[:n] = omega[m]
+    fn[:n] = fn[m]
+    omega, fn = omega[:n], fn[:n]
+    m += lo
+    check_allocation(8 * (L + start) * n, f"simplex columns from {lo}")
+    # row i holds x_i, from the i-th largest prime factor p_i; rows past
+    # Omega(n) stay 0, and Omega(n) <= L fills rows 0..L-1 only
+    X = np.zeros((L + start, n))
+    for r in range(L):
+        live = np.flatnonzero(omega > r)
+        q = m[live]
+        t = tab[q - 2]
+        p = np.where(t > 0, t, q)
+        m[live] = q // p
+        # the r-th smallest of Omega factors is p_(Omega-1-r)
+        X[omega[live] - 1 - r, live] = scaled[-tab[p - 2]]
+    return 1.0 / fn[simplex_mask(X[start:], spec)]
+
+
 def r_l_sum(
     f: str,
     spec: SimplexSpec,
@@ -452,7 +484,6 @@ def r_l_sum(
     if x < E_TO_E:
         raise DomainError(f"need x >= e^e for the renormalization, got {x}")
 
-    L = spec.L
     start = 0 if offset == "from_p0" else 1
     llx = math.log(math.log(x))
     primes = primes_up_to(x)
@@ -470,23 +501,5 @@ def r_l_sum(
     terms = [np.ones(1)]  # n = 1: zero vector, always a member
     for lo, got in scan_windows(2, x, want_omega=True,
                                 want_phi=f == "phi", want_sigma=f == "sigma"):
-        keep = np.flatnonzero(got["omega"] <= L)
-        omega = got["omega"][keep]
-        fn = got[f][keep]
-        m = keep + lo
-        del got
-        check_allocation(8 * (L + 1) * len(keep), f"simplex columns from {lo}")
-        # row i holds x_i, from the i-th largest prime factor p_i; rows
-        # past Omega(n) stay 0
-        X = np.zeros((L + 1, len(keep)))
-        for r in range(L):
-            live = np.flatnonzero(omega > r)
-            q = m[live]
-            t = tab[q - 2]
-            p = np.where(t > 0, t, q)
-            m[live] = q // p
-            # the r-th smallest of Omega factors is p_(Omega-1-r)
-            X[omega[live] - 1 - r, live] = scaled[-tab[p - 2]]
-        member = simplex_mask(X[start : start + L], spec)
-        terms.append(1.0 / fn[member])
+        terms.append(_member_reciprocals(lo, got["omega"], got[f], spec, start, tab, scaled))
     return math.fsum(itertools.chain.from_iterable(terms))

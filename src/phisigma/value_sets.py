@@ -10,12 +10,13 @@ bound phi_preimage_bound.  n = 2 mod 4 is never scanned for phi, since
 its value phi(n/2) is already found in the odd class.
 
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes, and the build
-additionally keeps an x+1 byte scratch array, one byte per value, that
-is packed into the bitmap at the end, and one scan window
-(sieve.scan_bytes, plus the window's vals <= x mask and filtered copy;
-10 to 13 MB at the default window size); all of it is charged against
-the memory budget before anything is allocated.  At x = 10^8 a phi
-build peaks at about 140 MB of resident memory.
+additionally keeps an x+2 byte scratch array, one byte per value, that
+is packed into the bitmap at the end, and one scan workspace
+(sieve.scan_bytes, 7 to 10 MB at the default window size).  Each window's
+values are clipped to x + 1 in place and marked by one fancy-index
+store, so no mask or filtered copy is made.  All of it is charged
+against the memory budget before anything is allocated.  At x = 10^8 a
+phi build peaks at about 140 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -139,20 +140,21 @@ def build_value_bitmap(f: str, x: int) -> ValueBitmap:
         raise DomainError(f"need x >= 1, got {x}")
     progressions = scan_progressions(f, x)
     size = sieve.DEFAULT_SEGMENT_SIZE
-    # a window, its vals <= x mask and the filtered copy, next to the
-    # scratch array and the bitmap; isqrt(top) bounds the large base primes
+    # a scan workspace next to the scratch array and the bitmap;
+    # isqrt(top) bounds the large base primes
     window = scan_bytes(size, math.isqrt(max(top for *_, top in progressions)),
-                        **{f"want_{f}": True}) + 9 * size
-    check_allocation((x >> 3) + 1 + x + 1 + window, f"value bitmap build at x={x}")
-    scratch = np.zeros(x + 1, dtype=bool)
+                        **{f"want_{f}": True})
+    check_allocation((x >> 3) + 1 + x + 2 + window, f"value bitmap build at x={x}")
+    scratch = np.zeros(x + 2, dtype=bool)  # values above x all land on x + 1
     scratch[1] = True  # f(1) = 1 for both functions
     for start, step, top in progressions:
         for _, got in scan_windows(start, top, step=step, **{f"want_{f}": True}):
-            vals = got[f]
-            scratch[vals[vals <= x]] = True
-            del got, vals  # free the window before the next one is scanned
+            vals = got[f]  # the window's own array, clipped in place
+            np.minimum(vals, x + 1, out=vals)
+            scratch[vals] = True
+            del got, vals  # so the workspace dies with its run, before packbits
 
-    bits = np.packbits(scratch, bitorder="little")
+    bits = np.packbits(scratch[: x + 1], bitorder="little")
     if bits[0] & 1:
         raise AssertionError("value 0 can never be attained")
     return ValueBitmap(limit_x=x, f_tag=f, bits=bits)

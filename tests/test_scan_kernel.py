@@ -48,7 +48,9 @@ def _windows_equal_oracle(monkeypatch, top, size, step, want):
     start = 2 if step < 4 else 4
     whole = segment_scan_strided(start, top + 1, primes_up_to(math.isqrt(top)),
                                  step=step, **want)
-    windows = list(scan_windows(start, top, step=step, **want))
+    # a window's arrays are valid until the next one: copy each
+    windows = [(lo, {k: a.copy() for k, a in got.items()})
+               for lo, got in scan_windows(start, top, step=step, **want)]
     assert len(windows) == -(-len(range(start, top + 1, step)) // size)
     for key, arr in whole.items():
         assert np.array_equal(np.concatenate([got[key] for _, got in windows]), arr), key
@@ -180,8 +182,20 @@ def test_segment_scan_peak_within_charge(monkeypatch, charges, mode):
     lo, size = 10**7 + 1, 1 << 18
     hi = lo + 2 * size
     base = primes_up_to(math.isqrt(hi))
-    monkeypatch.setattr(sieve, "_inverse_table", (base[:0], 0, base[:0]))  # built in the scan
     peak = traced_peak(lambda: segment_scan(lo, hi, base, step=2, **want))
+    assert peak <= charges[-1]
+
+
+@pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
+def test_scan_windows_charged_once_per_run(monkeypatch, charges, mode):
+    # one charge, the workspace's, covers every window of the run
+    want = MODES.get(mode, {"smooth_bound": 5000})
+    size = 1 << 16
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
+    lo = 10**7 + 1
+    top = lo + 2 * (4 * size - 1)
+    peak = traced_peak(lambda: sum(1 for _ in scan_windows(lo, top, step=2, **want)))
+    assert len(charges) == 2  # the base primes' sieve, then the workspace
     assert peak <= charges[-1]
 
 

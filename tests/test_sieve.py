@@ -220,12 +220,60 @@ def test_scan_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
     bound = want.get("smooth_bound", math.isqrt(top))
     whole = segment_scan(start, top + 1, primes_up_to(bound), step=step, **want)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
-    windows = list(scan_windows(start, top, step=step, **want))
+    # a window's arrays are valid until the next one: copy each
+    windows = [(lo, {k: a.copy() for k, a in got.items()})
+               for lo, got in scan_windows(start, top, step=step, **want)]
     elements = len(range(start, top + 1, step))
     assert len(windows) == -(-elements // size)
     assert [lo for lo, _ in windows] == list(range(start, top + 1, step * size))
     for key, arr in whole.items():
         assert np.array_equal(np.concatenate([got[key] for _, got in windows]), arr)
+
+
+@pytest.mark.parametrize("mode", sorted(SCAN_MODES))
+def test_scan_windows_fill_one_workspace(monkeypatch, mode):
+    # a return to per-window allocation would give the next window fresh memory
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
+    windows = scan_windows(3, 1000, **SCAN_MODES[mode])
+    first = dict(next(windows)[1])
+    second = next(windows)[1]
+    assert second.keys() == first.keys()
+    for key, arr in second.items():
+        assert np.shares_memory(arr, first[key]), key
+
+
+@pytest.mark.parametrize("start, top, step",
+                         [(3, 1000, 1), (7, 7, 1), (4, 4000, 4), (10**6 + 1, 10**6 + 4001, 2)])
+@pytest.mark.parametrize("mode", sorted(SCAN_MODES))
+def test_scan_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
+    # a ragged last window, a one-element progression, step 4 and base
+    # primes in the large-prime pass, each window against a standalone
+    # scan of its range
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
+    want = SCAN_MODES[mode]
+    base = primes_up_to(want.get("smooth_bound", math.isqrt(top)))
+    for lo, got in scan_windows(start, top, step=step, **want):
+        fresh = segment_scan(lo, min(lo + 97 * step, top + 1), base, step=step, **want)
+        assert got.keys() == fresh.keys()
+        for key, arr in fresh.items():
+            assert got[key].dtype == arr.dtype
+            assert np.array_equal(got[key], arr), (lo, key)
+
+
+def test_standalone_scans_keep_their_arrays():
+    base = primes_up_to(100)
+    want = {"want_phi": True, "want_sigma": True, "want_omega": True}
+    got = segment_scan(1000, 2000, base, **want)
+    kept = {key: arr.copy() for key, arr in got.items()}
+    later = segment_scan(5000, 6000, base, **want)
+    for key, arr in got.items():
+        assert not np.shares_memory(arr, later[key])
+        assert np.array_equal(arr, kept[key]), key
+    phi, sigma = segment_map(1000, 2000, "both")
+    kept = phi.copy(), sigma.copy()
+    segment_map(3000, 4000, "both")
+    segment_map(3000, 4000, "phi")
+    assert np.array_equal(phi, kept[0]) and np.array_equal(sigma, kept[1])
 
 
 def test_scan_windows_edges(monkeypatch):
