@@ -41,7 +41,6 @@ from .constants import (
 from .errors import (
     BudgetExceededError,
     DomainError,
-    OutOfWindowError,
     PhiSigmaError,
     ResourceError,
 )
@@ -50,7 +49,6 @@ from .sieve import (
     Factorization,
     build_factor_sieve,
     factorize,
-    factorize_small,
     phi_of,
     primes_up_to,
     segment_map,

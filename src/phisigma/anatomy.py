@@ -22,7 +22,7 @@ from .sieve import (
     FactorSieve,
     Factorization,
     composite_mask,
-    factor,
+    factorize,
     scan_windows,
 )
 
@@ -146,7 +146,7 @@ def is_s_normal(p: int, S: float, sieve: FactorSieve | None = None) -> Normality
     Requires S >= e^e so that loglog S >= 1.  A FactorSieve covering
     p+1 speeds up the factorizations; otherwise trial division is used.
     """
-    if S < E_TO_E:
+    if not S >= E_TO_E:
         raise DomainError(f"need S >= e^e = {E_TO_E:.4f}, got {S}")
     if p < 2:
         raise DomainError(f"p must be a prime >= 2, got {p}")
@@ -157,7 +157,7 @@ def is_s_normal(p: int, S: float, sieve: FactorSieve | None = None) -> Normality
         if value == 1:  # p = 2 leaves phi(p) = 1 with no factors
             results[tag] = (True, True)
             continue
-        fact = factor(value, sieve)
+        fact = factorize(value, sieve)
         small_mass = big_omega_range(fact, 1, S)
         ok_1s = small_mass <= 2.0 * lls
         ok_win, w = _window_scan(fact, value, S)
@@ -196,7 +196,7 @@ def check_pplus_lower(
     llx = _loglog(x)
     slack = (math.log(llx) + math.log(4.0)) / llx
     for value in (p - 1, p + 1):
-        pplus = largest_prime_factor(factor(value, sieve))
+        pplus = largest_prime_factor(factorize(value, sieve))
         if _loglog(pplus) / llx < _loglog(p) / llx - slack:
             return False
     return True
@@ -244,8 +244,8 @@ def omega_tail_census(x: int, alpha: float) -> tuple[int, float]:
     x (log x)^(1 - alpha log 2) loglog x for alpha >= 2 (constant
     factors unknown; callers compare ratios).
     """
-    if alpha <= 1.0:
-        raise DomainError(f"need alpha > 1, got {alpha}")
+    if not 1.0 < alpha < math.inf:
+        raise DomainError(f"need finite alpha > 1, got {alpha}")
     if x < E_TO_E:
         raise DomainError(f"need x >= e^e, got {x}")
     if x > SIEVE_CENSUS_CAP:

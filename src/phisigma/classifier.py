@@ -47,7 +47,7 @@ from .sieve import (
     FactorSieve,
     Factorization,
     build_factor_sieve,
-    factor,
+    factorize,
     phi_of,
     scan_windows,
     sigma_of,
@@ -107,8 +107,8 @@ def af_params(
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"need epsilon in (0,1), got {epsilon}")
     llx = iterated_log(x, 2) if x > 1.0 else 0.0
-    if x <= E_TO_E or llx <= 1.0:
-        raise DomainError(f"need x > e^e = {E_TO_E:.4f}, got x={x}")
+    if not E_TO_E < x < math.inf or llx <= 1.0:
+        raise DomainError(f"need finite x > e^e = {E_TO_E:.4f}, got x={x}")
     l3 = math.log(llx)
 
     s_log = llx**36
@@ -116,7 +116,7 @@ def af_params(
         s_formula = math.exp(s_log)
     except OverflowError:
         s_formula = math.inf
-    if s_override is not None and s_override < E_TO_E:
+    if s_override is not None and not s_override >= E_TO_E:
         raise DomainError(f"s_override must be >= e^e, got {s_override}")
     if s_override is None:
         s_eff = min(s_formula, x ** (1.0 / 10.0))
@@ -189,7 +189,7 @@ def _unitary_divisor_condition(
     for p, e in fact.pairs:
         pf = Factorization(((p, e),))
         val = phi_of(pf) if f_tag == "phi" else sigma_of(pf)
-        omega_val = factor(val, sieve).big_omega()
+        omega_val = factorize(val, sieve).big_omega()
         parts.append((math.log(p) * e, omega_val, math.log(val) if val > 1 else 0.0))
     if 2 ** len(parts) > UNITARY_DIVISOR_CAP:
         raise BudgetExceededError(
@@ -229,7 +229,7 @@ def classify(
     x = params.x
     detail: dict = {}
 
-    fact_n = factor(n, sieve)
+    fact_n = factorize(n, sieve)
     fn = phi_of(fact_n) if f_tag == "phi" else sigma_of(fact_n)
     if fn > x:
         return AfConditionsReport(
@@ -248,7 +248,7 @@ def classify(
     if not c0:
         detail["0"] = f"n = {n} < x/log x = {x / logx:.6g}"
 
-    fact_fn = factor(fn, sieve)
+    fact_fn = factorize(fn, sieve)
     sq_n = _max_squarefull_divisor(fact_n)
     sq_fn = _max_squarefull_divisor(fact_fn)
     sq_cap = logx**2
@@ -293,7 +293,7 @@ def classify(
         p0, p1 = primes_desc[0], primes_desc[1]
         shifted = p0 - 1 if f_tag == "phi" else p0 + 1
         pplus = (
-            anatomy.largest_prime_factor(factor(shifted, sieve))
+            anatomy.largest_prime_factor(factorize(shifted, sieve))
             if shifted > 1
             else 1
         )

@@ -26,6 +26,8 @@ EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 
+DEFAULT_SEED = 20260809
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -46,6 +48,8 @@ def _int_arg(s: str) -> int:
         v = float(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {s!r}") from exc
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {s!r}")
     if v != int(v):
         raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
     return int(v)
@@ -127,6 +131,10 @@ def _cmd_simplex_volume(args) -> str:
 def _cmd_normal_primes(args) -> str:
     if args.x < 3:
         raise DomainError(f"need x >= 3, got {args.x}")
+    if args.sample < 0:
+        raise DomainError(f"need sample >= 0, got {args.sample}")
+    if not 0 <= args.seed < 1 << 128:
+        raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {args.seed}")
     primes = sieve.primes_up_to(args.x)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     if args.sample < len(primes):
@@ -215,7 +223,10 @@ def build_parser() -> _Parser:
                        "every other subcommand only its default (else exit 64)")
         c.add_argument("--output", default=dflt(None),
                        help="write output atomically to a file")
-        c.add_argument("--seed", type=_int_arg, default=dflt(20260809))
+        c.add_argument("--seed", type=_int_arg, default=dflt(None),
+                       help=f"Philox key (default {DEFAULT_SEED}); only "
+                       "simplex-volume and normal-primes draw, every other "
+                       "subcommand takes no --seed (else exit 64)")
         c.add_argument("--threads", type=_int_arg, default=dflt(1),
                        help="upper bound on worker threads (>= 1); only "
                        "simplex-volume uses more than one, every other "
@@ -227,9 +238,10 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     subcommon = common_flags(True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[subcommon],
-                              conflict_handler="resolve", **kw)
+    def add_parser(name, draws=False, **kw):
+        sp = sub.add_parser(name, parents=[subcommon], conflict_handler="resolve", **kw)
+        sp.set_defaults(draws=draws)
+        return sp
 
     sp = add_parser("values-table", help="value counts and their intersection")
     sp.add_argument("--limits", type=_limits_arg, required=True)
@@ -239,13 +251,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-13)
     sp.set_defaults(func=_cmd_constants, formats=("json",))
 
-    sp = add_parser("simplex-volume", help="Monte Carlo simplex volume")
+    sp = add_parser("simplex-volume", draws=True, help="Monte Carlo simplex volume")
     sp.add_argument("--L", type=_int_arg, required=True)
     sp.add_argument("--xi", default="1", help='"1", "default", or comma list')
     sp.add_argument("--samples", type=_int_arg, default=10**6)
     sp.set_defaults(func=_cmd_simplex_volume, formats=("json",))
 
-    sp = add_parser("normal-primes", help="S-normality census over primes <= x")
+    sp = add_parser("normal-primes", draws=True, help="S-normality census over primes <= x")
     sp.add_argument("--x", type=_int_arg, required=True)
     sp.add_argument("--S", type=float, required=True)
     sp.add_argument("--sample", type=_int_arg, default=100)
@@ -302,6 +314,12 @@ def main(argv: list[str] | None = None) -> int:
     elif args.format not in args.formats:
         print(f"usage error: {args.command} has no --format {args.format} "
               f"(supported: {', '.join(args.formats)})", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
+    elif not args.draws:
+        print(f"usage error: {args.command} draws nothing and takes no --seed",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         text = args.func(args)

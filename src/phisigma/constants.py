@@ -193,7 +193,7 @@ def l0_of(x: float, k: StructureConstants | None = None) -> int:
     if k is None:
         k = structure_constants()
     l3 = iterated_log(x, 3)
-    if l3 <= 0.0:
-        raise DomainError(f"l0_of needs log3 x > 0 (x > e^e); got x={x}")
+    if not 0.0 < l3 < math.inf:
+        raise DomainError(f"l0_of needs finite log3 x > 0 (finite x > e^e); got x={x}")
     l4 = math.log(l3)
     return math.floor(2.0 * k.c_const * (l3 - l4))

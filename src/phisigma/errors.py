@@ -25,10 +25,6 @@ class ResourceError(PhiSigmaError, MemoryError):
     """Computation would exceed the configured memory or scan budget."""
 
 
-class OutOfWindowError(DomainError):
-    """Integer not covered by the sieve window it was handed to."""
-
-
 class BudgetExceededError(ResourceError):
     """Enumeration cap hit; the result is undetermined, never guessed."""
 

@@ -4,6 +4,10 @@ Prime generation, smallest-prime-factor windows, per-integer
 factorization, and bulk evaluation of the multiplicative functions
 phi (Euler totient) and sigma (sum of divisors) over ranges.
 
+factorize is the one scalar factorizer: it reads each prime from a
+FactorSieve's spf table while the cofactor lies in the window, and
+finds it by trial division otherwise, or when no sieve is given.
+
 The bulk scan (segment_scan) covers an arithmetic progression
 lo, lo+step, ... < hi.  A base prime p <= LARGE_PRIME_THRESHOLD is
 sliced by its powers: for each p^j, the scanned integers divisible by
@@ -21,7 +25,9 @@ their windows.  The window arrays and the inverse table live in one
 workspace per run (_Workspace), which every window fills in place, as
 the bucket sieve reuses its fixed window buffers: freed and allocated
 afresh, arrays of this size would fault their pages back in at every
-window.
+window.  phi and sigma are updated in place, by the factor each prime
+power adds (sigma trades 1 + ... + p^(j-1) for 1 + ... + p^j by exact
+division), so neither needs a buffer beside its own array.
 
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, OutOfWindowError, ResourceError, check_allocation
+from .errors import DomainError, ResourceError, check_allocation
 
 INPUT_CAP = 10**12
 
@@ -121,19 +127,9 @@ class FactorSieve:
     window_lo: int
     window_hi: int
     spf: np.ndarray = field(repr=False)
-    base_primes: np.ndarray = field(repr=False)
 
     def covers(self, n: int) -> bool:
         return self.window_lo <= n < self.window_hi
-
-    def spf_of(self, n: int) -> int:
-        """Smallest prime factor of n (n itself when n is prime)."""
-        if not self.covers(n):
-            raise OutOfWindowError(
-                f"{n} outside window [{self.window_lo}, {self.window_hi})"
-            )
-        v = int(self.spf[n - self.window_lo])
-        return n if v == SPF_PRIME_SENTINEL else v
 
 
 def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
@@ -150,79 +146,45 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
         raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
     size = hi - lo
     check_allocation(4 * size, f"spf window [{lo}, {hi})")
-    base = primes_up_to(math.isqrt(hi))
     spf = np.zeros(size, dtype=np.uint32)
-    for p in base:
-        p = int(p)
+    for p in primes_up_to(math.isqrt(hi)).tolist():
         start = (-lo) % p
         if start >= size:
             continue
         sub = spf[start::p]
         sub[sub == SPF_PRIME_SENTINEL] = p
-    return FactorSieve(window_lo=lo, window_hi=hi, spf=spf, base_primes=base)
+    return FactorSieve(window_lo=lo, window_hi=hi, spf=spf)
 
 
-def factorize(n: int, sieve: FactorSieve) -> Factorization:
-    """Factor n using the sieve's spf table and base primes.
+def factorize(n: int, sieve: FactorSieve | None = None) -> Factorization:
+    """Factor n >= 1, primes ascending.
 
-    n must lie in the sieve window.  Quotients that fall outside the
-    window are finished by trial division over base_primes; the final
-    remainder, if any, has no factor <= sqrt(window_hi) and is prime.
+    Each prime is read from the sieve's spf table while the cofactor
+    lies in its window; otherwise the next prime is found by trial
+    division, starting after the last prime found, since no smaller
+    prime divides the cofactor.  With no sieve this is plain trial
+    division.  Any n >= 1 is accepted, in the window or not.
     """
-    if n == 1:
-        return Factorization(())
-    if not sieve.covers(n):
-        raise OutOfWindowError(
-            f"{n} outside window [{sieve.window_lo}, {sieve.window_hi})"
-        )
-    powers: dict[int, int] = {}
-    m = n
-    while m > 1:
-        if sieve.covers(m):
-            p = sieve.spf_of(m)
-        else:
-            p = _smallest_base_factor(m, sieve.base_primes)
-        while m % p == 0:
-            m //= p
-            powers[p] = powers.get(p, 0) + 1
-    return Factorization(tuple(sorted(powers.items())))
-
-
-def _smallest_base_factor(m: int, base_primes: np.ndarray) -> int:
-    root = math.isqrt(m)
-    for p in base_primes:
-        p = int(p)
-        if p > root:
-            break
-        if m % p == 0:
-            return p
-    return m
-
-
-def factor(n: int, sieve: FactorSieve | None = None) -> Factorization:
-    """Factor n >= 1 by the sieve when it covers n, else by trial division."""
-    if sieve is not None and sieve.covers(n):
-        return factorize(n, sieve)
-    return factorize_small(n)
-
-
-def factorize_small(n: int) -> Factorization:
-    """Trial-division factorization; independent of any sieve table."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     pairs = []
     m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        pairs.append((m, 1))
+    d = 2  # no prime below d divides m; d is 2 or odd
+    while m > 1:
+        if sieve is not None and sieve.covers(m):
+            p = int(sieve.spf[m - sieve.window_lo])
+            if p == SPF_PRIME_SENTINEL:
+                p = m
+        else:
+            while d * d <= m and m % d:
+                d += 1 if d == 2 else 2
+            p = d if d * d <= m else m
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        pairs.append((p, e))
+        d = p + 1 if p == 2 else p + 2
     return Factorization(tuple(pairs))
 
 
@@ -276,7 +238,7 @@ def _step_inverses(primes: np.ndarray, step: int) -> np.ndarray:
     return inv
 
 
-PAIR_BYTES = 41  # index, prime, p^(j+1), sigma's factor, n mod p^(j+1) and its zero mask
+PAIR_BYTES = 33  # index, prime, p^(j+1), n mod p^(j+1) and its zero mask
 
 PRIME_BYTES = 128  # cached inverse, first hit, hit count and their batch copies
 
@@ -289,14 +251,13 @@ def scan_bytes(size: int, large_primes: int, *, want_phi: bool = False,
     window on it hold at their peak, with `large_primes` base primes (an
     upper bound will do) in the large-prime pass.
 
-    The workspace's buffers (_Workspace), per element: the remainder and
-    each wanted array, sigma's Horner factors on one strided slice and
-    the fold's mask.  When any prime is large, its batch of (index, p)
-    pairs (_pair_batch) at PAIR_BYTES, and per large prime its inverse
-    table and a window's first-hit arrays at PRIME_BYTES.  And
-    SCAN_OVERHEAD once.
+    The workspace's buffers (_Workspace), per element: the remainder,
+    each wanted array and the fold's mask.  When any prime is large, its
+    batch of (index, p) pairs (_pair_batch) at PAIR_BYTES, and per large
+    prime its inverse table and a window's first-hit arrays at
+    PRIME_BYTES.  And SCAN_OVERHEAD once.
     """
-    per_entry = 8 + 8 * want_phi + 16 * want_sigma + 2 * want_omega + 1
+    per_entry = 8 + 8 * want_phi + 8 * want_sigma + 2 * want_omega + 1
     pairs = _pair_batch(size) if large_primes else 0
     return (per_entry * size + PAIR_BYTES * pairs + PRIME_BYTES * large_primes
             + SCAN_OVERHEAD)
@@ -316,10 +277,10 @@ def _pair_batch(size: int) -> int:
 class _Workspace:
     """The buffers segment_scan fills for windows of up to `size`
     elements of a progression with the given step: the remainder, the
-    wanted phi, sigma and omega, the fold's rem > 1 mask, sigma's Horner
-    factors for one slice, step^-1 mod p for every base prime above
-    max(LARGE_PRIME_THRESHOLD, step), and one batch of the large-prime
-    pass's (index, p) pairs.
+    wanted phi, sigma and omega (each updated in place, with no buffer
+    beside it), the fold's rem > 1 mask, step^-1 mod p for every base
+    prime above max(LARGE_PRIME_THRESHOLD, step), and one batch of the
+    large-prime pass's (index, p) pairs.
 
     scan_windows builds one per run, so its windows allocate no array
     per element or per pair and fault no fresh pages; a standalone
@@ -339,19 +300,13 @@ class _Workspace:
         self.rem = np.empty(size, dtype=np.int64)
         self.phi = np.empty(size, dtype=np.int64) if want_phi else None
         self.sigma = np.empty(size, dtype=np.int64) if want_sigma else None
-        # the first slice builds its factor in sigma itself, so this holds
-        # those after it, of p >= 3: ceil(size/3) elements at most, unless
-        # an odd prime divides the step
-        odd = step >> (step & -step).bit_length() - 1
-        horner = size if odd > 1 else -(-size // 3)
-        self.horner = np.empty(horner, dtype=np.int64) if want_sigma else None
         self.omega = np.empty(size, dtype=np.int16) if want_omega else None
         self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
         self.inv = _step_inverses(base_primes[self.n_small :], step)
-        # one batch of (index, p) pairs: index, p^(j+1), n mod p^(j+1) and
-        # sigma's factor, and n's zero mask
+        # one batch of (index, p) pairs: index, p^(j+1) and n mod p^(j+1),
+        # and n's zero mask
         batch = _pair_batch(size) if len(self.inv) else 0
-        self.pairs = np.empty((4, batch), dtype=np.int64)
+        self.pairs = np.empty((3, batch), dtype=np.int64)
         self.zero = np.empty(batch, dtype=bool)
 
 
@@ -379,12 +334,12 @@ def segment_scan(
     prime power p^j up to the last element is visited once, on the
     strided slice of indices k with p^j | lo + k*step (found by one
     modular inverse, see _multiples).  The slice for p^j divides the
-    remainder by p and adds 1 to Omega.  phi and sigma are built as
-    products over the prime powers p^e || n, with no division: phi
-    multiplies by p - 1 on the p-slice and by p on each p^j sub-slice
-    (j >= 2), giving p^(e-1) (p - 1); the sigma factor 1 + p + ... + p^e
-    is built over the p-slice by Horner's rule, s <- p*s + 1 on each
-    p^j sub-slice, and multiplied in once.
+    remainder by p and adds 1 to Omega.  phi and sigma are built in
+    place as products over the prime powers p^e || n: phi multiplies by
+    p - 1 on the p-slice and by p on each p^j sub-slice (j >= 2), giving
+    p^(e-1) (p - 1); sigma multiplies by p + 1 on the p-slice, and on
+    each p^j sub-slice divides out 1 + p + ... + p^(j-1), exactly, and
+    multiplies in 1 + p + ... + p^j, giving 1 + p + ... + p^e.
 
     The base primes above the threshold hit a window a few times each,
     so they share one vectorized pass (_large_prime_pass) in place of a
@@ -440,7 +395,6 @@ def segment_scan(
     if want_omega:
         omega.fill(0)
 
-    fresh = want_sigma  # sigma is all ones until the first slice
     for p in base_primes[:n_small].tolist():
         if p > top:
             break
@@ -457,9 +411,10 @@ def segment_scan(
         if want_phi:
             ph = phi[sl]
             ph *= p - 1
-        if want_sigma:  # the first slice builds its factor in sigma itself
-            s = sigma[sl] if fresh else ws.horner[: len(r)]
-            s.fill(p + 1)
+        if want_sigma:
+            sg = sigma[sl]
+            sg *= p + 1
+            s_prev = p + 1  # 1 + p + ... + p^(j-1) on the p^j sub-slice
         q = p * p
         while q <= last:
             hit = _multiples(lo, step, q)
@@ -476,13 +431,11 @@ def segment_scan(
                 ph_sub = ph[sub]
                 ph_sub *= p
             if want_sigma:
-                s_sub = s[sub]
-                s_sub *= p
-                s_sub += 1
+                sg_sub = sg[sub]
+                sg_sub //= s_prev
+                s_prev = s_prev * p + 1
+                sg_sub *= s_prev
             q *= p
-        if want_sigma and not fresh:
-            sigma[sl] *= s
-        fresh = False
 
     if n_large:
         _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large],
@@ -545,8 +498,9 @@ def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega, ws) -> Non
     """Apply the hits k0 + i*p, i < count, of each prime p.
 
     Round j covers the pairs (k, p) with p^j | n = lo + k*step: rem is
-    divided by p, Omega gains 1, phi gains p - 1 (j = 1) or p, and
-    sigma's factor s <- p*s + 1 (Horner, as in the slices).  ufunc.at
+    divided by p, Omega gains 1, phi gains p - 1 (j = 1) or p, and sigma
+    gains p + 1 (j = 1) or trades 1 + p + ... + p^(j-1) for
+    1 + p + ... + p^j by exact division, as in the slices.  ufunc.at
     applies every pair even where two primes share an index, and each
     round keeps only the pairs whose n/p^j is still divisible by p.  The
     first round's pair arrays other than p are rows of ws.pairs.
@@ -556,7 +510,7 @@ def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega, ws) -> Non
     if not len(primes):
         return
     p = np.repeat(primes, count)
-    idx, power, n, s = (row[: len(p)] for row in ws.pairs)
+    idx, power, n = (row[: len(p)] for row in ws.pairs)
     # idx by one cumsum: step p inside a group, the jump to k0 at its start
     np.copyto(idx, p)
     first = np.cumsum(count) - count
@@ -564,18 +518,20 @@ def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega, ws) -> Non
     idx[first[1:]] = k0[1:] - (k0[:-1] + (count[:-1] - 1) * primes[:-1])
     np.cumsum(idx, out=idx)
     np.multiply(p, p, out=power)  # p^(j+1) for the pairs of round j
-    k, pos = idx, None
+    k, j = idx, 1
     while True:
         if omega is not None:
             np.add.at(omega, k, np.int16(1))
         np.floor_divide.at(rem, k, p)
         if phi is not None:
-            np.multiply.at(phi, k, np.subtract(p, 1, out=n) if pos is None else p)
+            np.multiply.at(phi, k, np.subtract(p, 1, out=n) if j == 1 else p)
         if sigma is not None:
-            if pos is None:
-                np.add(p, 1, out=s)
+            if j == 1:
+                np.multiply.at(sigma, k, np.add(p, 1, out=n))
             else:
-                s[pos] = s[pos] * p + 1
+                s = (power // p - 1) // (p - 1)  # 1 + p + ... + p^(j-1)
+                np.floor_divide.at(sigma, k, s)
+                np.multiply.at(sigma, k, s * p + 1)
         n = np.multiply(k, step, out=ws.pairs[2, : len(k)])
         n += lo
         n %= power
@@ -584,9 +540,7 @@ def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega, ws) -> Non
             break
         k, p, power = k[deeper], p[deeper], power[deeper]
         power *= p
-        pos = deeper if pos is None else pos[deeper]
-    if sigma is not None:
-        np.multiply.at(sigma, idx, s)
+        j += 1
 
 
 def scan_windows(start: int, top: int, *, step: int = 1, want_phi: bool = False,
@@ -636,6 +590,8 @@ def segment_map(lo: int, hi: int, which: str = "both"):
     """
     if which not in ("phi", "sigma", "both"):
         raise DomainError(f"which must be phi|sigma|both, got {which!r}")
+    if not 2 <= lo < hi:
+        raise DomainError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     base = primes_up_to(math.isqrt(hi - 1))
     got = segment_scan(
         lo,

@@ -33,7 +33,7 @@ from .sieve import (
     FactorSieve,
     Factorization,
     build_factor_sieve,
-    factor,
+    factorize,
     primes_up_to,
     scan_windows,
 )
@@ -80,8 +80,8 @@ class SimplexSpec:
             raise DomainError(
                 f"need {self.L - 1} weights for L={self.L}, got {len(self.xi)}"
             )
-        if any(w < 1.0 for w in self.xi):
-            raise DomainError(f"weights must be >= 1, got {self.xi}")
+        if not all(1.0 <= w < math.inf for w in self.xi):
+            raise DomainError(f"weights must be finite and >= 1, got {self.xi}")
 
     def xi_product(self) -> float:
         """xi_0^L * xi_1^(L-1) * ... * xi_{L-2}^2."""
@@ -123,7 +123,7 @@ def renormalize(
         raise DomainError(f"need L >= 1, got {L}")
     if offset not in OFFSETS:
         raise DomainError(f"offset must be one of {OFFSETS}, got {offset!r}")
-    return _renormalize_fact(factor(n, sieve), n, x, L, offset)
+    return _renormalize_fact(factorize(n, sieve), n, x, L, offset)
 
 
 def _renormalize_fact(
@@ -292,6 +292,8 @@ def simplex_volume_mc(
         raise DomainError(f"need samples >= {MIN_MC_SAMPLES}, got {samples}")
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {seed}")
     batches = -(-samples // MC_BATCH)
     workers = _mc_workers(threads, batches, os.cpu_count())
     # allocated by the calling thread: worker threads allocate only the

@@ -12,9 +12,9 @@ its value phi(n/2) is already found in the odd class.
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes, and the build
 additionally keeps an x+2 byte scratch array, one byte per value, that
 is packed into the bitmap at the end, and one scan workspace
-(sieve.scan_bytes, 7 to 10 MB at the default window size).  Each window's
-values are clipped to x + 1 in place and marked by one fancy-index
-store, so no mask or filtered copy is made.  All of it is charged
+(sieve.scan_bytes, 6.7 to 9.9 MB at the default window size for x up
+to 10^8).  Each window's values are clipped to x + 1 in place and
+marked by one fancy-index store, so no mask or filtered copy is made.  All of it is charged
 against the memory budget before anything is allocated.  At x = 10^8 a
 phi build peaks at about 140 MB of resident memory.
 """

@@ -20,7 +20,7 @@ from phisigma import (
     check_poisson_tail,
     classify,
     count_values,
-    factorize_small,
+    factorize,
     intersect_count,
     phi_preimage_bound,
     psi_smooth_count,
@@ -133,7 +133,7 @@ def test_criterion_4_anatomy_oracles():
     rng = random.Random(1)
     ns = [2**19, 3**10, 510510, 720720] + [rng.randrange(2, 10**6) for _ in range(60)]
     for n in ns:
-        fact = factorize_small(n)
+        fact = factorize(n)
         grid = [1.0 + (n - 1.0) * k / 6.0 for k in range(7)]
         for i in range(7):
             for j in range(i + 1, 7):

@@ -9,7 +9,7 @@ from phisigma import (
     big_omega_range,
     check_poisson_tail,
     check_pplus_lower,
-    factorize_small,
+    factorize,
     is_s_normal,
     largest_prime_factor,
     omega_tail_census,
@@ -25,7 +25,7 @@ E_TO_E = math.exp(math.e)
 
 
 def test_big_omega_range_hand_counts():
-    f12 = factorize_small(12)
+    f12 = factorize(12)
     assert big_omega_range(f12, 1, 12) == 3
     assert big_omega_range(f12, 2, 3) == 1  # lower end strict: the 2s drop out
     assert big_omega_range(f12, 5, 5) == 0
@@ -35,7 +35,7 @@ def test_big_omega_additivity():
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randrange(2, 10**6)
-        fact = factorize_small(n)
+        fact = factorize(n)
         U, T, W = sorted(rng.uniform(1, n) for _ in range(3))
         assert big_omega_range(fact, U, T) + big_omega_range(fact, T, W) == \
             big_omega_range(fact, U, W)
@@ -43,17 +43,17 @@ def test_big_omega_additivity():
 
 def test_big_omega_full_range_equals_total():
     for n in range(2, 10**5 + 1):
-        fact = factorize_small(n)
+        fact = factorize(n)
         assert big_omega_range(fact, 1, n) == fact.big_omega()
     # spot-check the library factorization against the naive oracle too
     for n in (2, 97, 1024, 99991, 2 * 3 * 5 * 7 * 11):
-        assert factorize_small(n).big_omega() == big_omega_trial(n)
+        assert factorize(n).big_omega() == big_omega_trial(n)
 
 
 def test_largest_prime_factor_examples():
-    assert largest_prime_factor(factorize_small(1)) == 1
-    assert largest_prime_factor(factorize_small(12)) == 3
-    assert largest_prime_factor(factorize_small(97)) == 97
+    assert largest_prime_factor(factorize(1)) == 1
+    assert largest_prime_factor(factorize(12)) == 3
+    assert largest_prime_factor(factorize(97)) == 97
 
 
 def test_s_normal_vacuous_small_prime():
@@ -82,7 +82,7 @@ def test_s_normal_mersenne_shift_fails_small_prime_mass():
     rep = is_s_normal(8191, 16.0)
     assert not rep.passed_1S_sigma
     assert not rep.is_normal
-    f = factorize_small(2**13)
+    f = factorize(2**13)
     assert big_omega_range(f, 1, 16) == 13
     assert 2 * math.log(math.log(16)) < 13
 
@@ -145,7 +145,7 @@ def test_normal_primes_satisfy_omega_growth_cap(small_sieve):
         if p - 1 < S or not is_s_normal(p, S, small_sieve).is_normal:
             continue
         for value in (p - 1, p + 1):
-            fact = factorize_small(value)
+            fact = factorize(value)
             assert fact.big_omega() <= 3 * math.log(math.log(value))
         sampled += 1
         if sampled >= 100:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "phisigma.cli"]
 
 
@@ -205,3 +207,61 @@ def test_output_file_written_atomically(tmp_path):
 def test_seed_flag_accepted_before_subcommand():
     r = run_cli("--seed", "11", "simplex-volume", "--L", "2", "--samples", "1e4")
     assert json.loads(r.stdout)["seed"] == 11
+
+
+def _main(capsys, *argv):
+    from phisigma import cli
+
+    code = cli.main(list(argv))
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("y", ["1e400", "inf", "nan"])
+def test_non_finite_integer_flag_exits_64(capsys, y):
+    code, out = _main(capsys, "smooth-count", "--x", "10", "--y", y)
+    assert code == 64
+    assert out.out == ""
+    assert "usage error" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("normal-primes", "--x", "100", "--S", "16", "--sample", "-1"),
+    ("normal-primes", "--x", "100", "--S", "16", "--seed", "-1"),
+    ("simplex-volume", "--L", "2", "--samples", "1e3", "--seed", "-1"),
+    ("simplex-volume", "--L", "2", "--samples", "1e3", "--seed", str(1 << 128)),
+    ("simplex-volume", "--L", "3", "--xi", "nan,1", "--samples", "1e3"),
+    ("rl-sum", "--f", "phi", "--x", "1000", "--L", "2", "--xi", "inf"),
+    ("omega-census", "--x", "1000", "--alpha", "nan"),
+    ("normal-primes", "--x", "100", "--S", "nan"),
+    ("classify", "--n", "10", "--f", "phi", "--x", "inf"),
+    ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "nan"),
+], ids=["sample", "np-seed", "mc-seed", "mc-seed-2^128", "xi-nan", "xi-inf",
+        "alpha-nan", "S-nan", "x-inf", "S-override-nan"])
+def test_bad_values_exit_1_without_output(capsys, argv):
+    code, out = _main(capsys, *argv)
+    assert code == 1
+    assert out.out == ""
+    assert "domain error" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("values-table", "--limits", "100", "--seed", "3"),
+    ("--seed", "3", "values-table", "--limits", "100"),
+    ("smooth-count", "--x", "10", "--y", "2", "--seed", "3"),
+    ("--seed", "3", "constants"),
+])
+def test_seed_on_a_subcommand_that_draws_nothing_exits_64(capsys, argv):
+    code, out = _main(capsys, *argv)
+    assert code == 64
+    assert out.out == ""
+    assert "--seed" in out.err
+
+
+def test_seed_accepted_where_something_is_drawn(capsys):
+    for argv in (("normal-primes", "--x", "100", "--S", "16", "--sample", "3", "--seed", "5"),
+                 ("--seed", "5", "normal-primes", "--x", "100", "--S", "16", "--sample", "3")):
+        code, out = _main(capsys, *argv)
+        assert code == 0
+        assert len(out.out.splitlines()) == 4
+    code, out = _main(capsys, "simplex-volume", "--L", "2", "--samples", "1e3")
+    assert json.loads(out.out)["seed"] == 20260809

@@ -10,14 +10,20 @@ import pytest
 
 from phisigma import (
     DomainError,
+    SimplexSpec,
+    af_params,
     build_factor_sieve,
     build_value_bitmap,
     count_values,
     intersect_count,
     is_s_normal,
+    l0_of,
+    omega_tail_census,
     primes_up_to,
     psi_smooth_count,
     segment_map,
+    simplex_volume_mc,
+    unit_spec,
 )
 
 from conftest import phi_trial
@@ -162,6 +168,27 @@ def test_iterated_log_domain():
         iterated_log(1.0, 2)
     with pytest.raises(DomainError):
         iterated_log(-5.0, 1)
+
+
+NOT_IN_DOMAIN = {
+    "xi-nan": lambda: SimplexSpec(L=2, xi=(math.nan,)),
+    "xi-inf": lambda: SimplexSpec(L=3, xi=(1.0, math.inf)),
+    "alpha-nan": lambda: omega_tail_census(10**4, math.nan),
+    "alpha-inf": lambda: omega_tail_census(10**4, math.inf),
+    "S-nan": lambda: is_s_normal(11, math.nan),
+    "x-inf": lambda: af_params(math.inf),
+    "S-override-nan": lambda: af_params(1e6, s_override=math.nan),
+    "l0-inf": lambda: l0_of(math.inf),
+    "l0-nan": lambda: l0_of(math.nan),
+    "map-hi-0": lambda: segment_map(2, 0),
+    "seed-negative": lambda: simplex_volume_mc(unit_spec(2), 1000, -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_IN_DOMAIN))
+def test_nan_inf_and_empty_ranges_raise_domain_error(case):
+    with pytest.raises(DomainError):
+        NOT_IN_DOMAIN[case]()
 
 
 def test_cli_normal_primes_sample_exceeding_prime_count():

@@ -118,6 +118,23 @@ def test_two_large_primes_on_one_index(mode):
             assert got["omega"][40] == big_omega_trial(n)
 
 
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_two_squared_large_primes_on_one_index(mode, step):
+    # two pairs reach round 2 on one index: sigma's exact divisions by
+    # 1 + p and 1 + q must both land on it
+    p, q, r = P_NEXT, P_AFTER, PRIMES[PRIMES.index(P_AFTER) + 1]
+    for n in (p * p * q * q, 2 * p * p * q * q, q * q * r * r):
+        lo = n - 5 * step
+        got = assert_scan_equal(lo, lo + 11 * step, step, MODES[mode])
+        if "phi" in got:
+            assert got["phi"][5] == phi_trial(n)
+        if "sigma" in got:
+            assert got["sigma"][5] == sigma_trial(n)
+        if "omega" in got:
+            assert got["omega"][5] == big_omega_trial(n)
+
+
 @pytest.mark.parametrize("step", [1, 2, 4])
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_primes_at_and_above_threshold(mode, step):

@@ -7,17 +7,15 @@ import pytest
 from phisigma import (
     DomainError,
     Factorization,
-    OutOfWindowError,
     build_factor_sieve,
     factorize,
-    factorize_small,
     phi_of,
     primes_up_to,
     segment_map,
     sigma_of,
 )
 from phisigma import sieve
-from phisigma.sieve import composite_mask, factor, scan_windows, segment_scan
+from phisigma.sieve import SPF_PRIME_SENTINEL, composite_mask, scan_windows, segment_scan
 
 from conftest import factor_pairs_naive, phi_trial, sigma_trial
 
@@ -35,21 +33,23 @@ def test_primes_up_to_rejects_negative():
 
 def test_factor_sieve_single_prime():
     sv = build_factor_sieve(2, 3)
-    assert sv.spf_of(2) == 2
+    assert sv.spf.tolist() == [SPF_PRIME_SENTINEL]
+    assert factorize(2, sv).pairs == ((2, 1),)
 
 
 def test_factor_sieve_window_10_20():
     sv = build_factor_sieve(10, 20)
-    assert sv.spf_of(15) == 3
-    assert sv.spf_of(17) == 17
-    assert sv.spf_of(16) == 2
+    assert sv.spf[15 - 10] == 3
+    assert sv.spf[17 - 10] == SPF_PRIME_SENTINEL
+    assert sv.spf[16 - 10] == 2
 
 
 def test_factor_sieve_high_window_matches_trial_division():
     lo = 10**6
     sv = build_factor_sieve(lo, lo + 10)
     for n in range(lo, lo + 10):
-        assert sv.spf_of(n) == factor_pairs_naive(n)[0][0]
+        smallest = factor_pairs_naive(n)[0][0]
+        assert sv.spf[n - lo] == (SPF_PRIME_SENTINEL if smallest == n else smallest)
 
 
 def test_factor_sieve_rejects_bad_window():
@@ -57,11 +57,6 @@ def test_factor_sieve_rejects_bad_window():
         build_factor_sieve(5, 5)
     with pytest.raises(DomainError):
         build_factor_sieve(1, 10)
-
-
-def test_factor_sieve_base_primes_exact():
-    sv = build_factor_sieve(10, 50)
-    assert sv.base_primes.tolist() == [2, 3, 5, 7]  # primes <= floor(sqrt(50))
 
 
 def test_segment_map_random_high_window_vs_oracle():
@@ -78,14 +73,32 @@ def test_factorize_examples(small_sieve):
     assert factorize(97, small_sieve).pairs == ((97, 1),)
 
 
-def test_factorize_out_of_window():
-    sv = build_factor_sieve(10, 20)
-    with pytest.raises(OutOfWindowError):
-        factorize(25, sv)
+FACTORIZE_CASES = (
+    [1, 2, 3, 97, 101, 997, 1009, 123457]  # 1 and primes
+    + [25, 512, 1024, 729, 343, 1009**2, 2**40, 997**3]  # prime powers
+    + [360, 999, 4 * 103, 2 * 3 * 5 * 7 * 11, 8 * 991]  # cofactors leave [100, 1000)
+    + [1000, 10**6 + 3, 3 * 1009 * 1013, 2 * 999983, 999983 * 1000003]  # above both windows
+)
+
+
+@pytest.mark.parametrize("window", [(2, 1000), (100, 1000), None],
+                         ids=["from-2", "from-100", "no-sieve"])
+def test_factorize_equals_naive(window):
+    sv = None if window is None else build_factor_sieve(*window)
+    for n in FACTORIZE_CASES:
+        assert factorize(n, sv).pairs == tuple(factor_pairs_naive(n)), n
+
+
+def test_factorize_rejects_nonpositive():
+    for n in (0, -12):
+        with pytest.raises(DomainError):
+            factorize(n)
+        with pytest.raises(DomainError):
+            factorize(n, build_factor_sieve(2, 100))
 
 
 def test_factorize_in_high_window_without_full_table():
-    # quotients leave the window; trial division over base primes finishes
+    # quotients leave the window; trial division finishes
     sv = build_factor_sieve(10**6, 10**6 + 100)
     for n in (10**6, 10**6 + 3, 10**6 + 81):
         fact = factorize(n, sv)
@@ -103,9 +116,9 @@ def test_factorization_invariants_reject_garbage():
 def test_phi_sigma_of_examples():
     one = Factorization(())
     assert phi_of(one) == 1 and sigma_of(one) == 1
-    ten = factorize_small(10)
+    ten = factorize(10)
     assert phi_of(ten) == 4 and sigma_of(ten) == 18
-    p101 = factorize_small(101)
+    p101 = factorize(101)
     assert phi_of(p101) == 100 and sigma_of(p101) == 102
 
 
@@ -310,12 +323,3 @@ def test_composite_mask_marks_exactly_the_nonprimes():
         assert mask.tolist() == want
     with pytest.raises(DomainError):
         composite_mask(-1)
-
-
-def test_factor_agrees_with_and_without_sieve():
-    sieve = build_factor_sieve(100, 1000)
-    for n in (1, 2, 97, 100, 360, 997, 999, 1000, 1024, 123457):
-        got = factor(n, sieve)
-        assert got == factorize_small(n) == factor(n)
-        if sieve.covers(n):
-            assert got == factorize(n, sieve)
