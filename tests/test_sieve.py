@@ -89,6 +89,22 @@ def test_factorize_equals_naive(window):
         assert factorize(n, sv).pairs == tuple(factor_pairs_naive(n)), n
 
 
+def test_factorize_out_of_window():
+    # n below, inside and above the window [10, 20) all factor correctly
+    sv = build_factor_sieve(10, 20)
+    for n in (1, 3, 9, 12, 17, 20, 25, 10**6 + 3):
+        assert factorize(n, sv) == factorize(n), n
+        assert factorize(n, sv).pairs == tuple(factor_pairs_naive(n)), n
+
+
+def test_factor_agrees_with_and_without_sieve():
+    sv = build_factor_sieve(100, 1000)
+    for n in (1, 2, 97, 100, 360, 997, 999, 1000, 1024, 123457):
+        got = factorize(n, sv)
+        assert got == factorize(n), n
+        assert got.pairs == tuple(factor_pairs_naive(n)), n
+
+
 def test_factorize_rejects_nonpositive():
     for n in (0, -12):
         with pytest.raises(DomainError):
