@@ -143,11 +143,12 @@ def _window_scan(fact: Factorization, value: int, S: float):
 def is_s_normal(p: int, S: float, sieve: FactorSieve | None = None) -> NormalityReport:
     """Test the prime p for S-normality of both shifted values p-1, p+1.
 
-    Requires S >= e^e so that loglog S >= 1.  A FactorSieve covering
-    p+1 speeds up the factorizations; otherwise trial division is used.
+    Requires a finite S >= e^e, so that 1 <= loglog S < inf.  A
+    FactorSieve covering p+1 speeds up the factorizations; otherwise
+    trial division is used.
     """
-    if not S >= E_TO_E:
-        raise DomainError(f"need S >= e^e = {E_TO_E:.4f}, got {S}")
+    if not E_TO_E <= S < math.inf:
+        raise DomainError(f"need finite S >= e^e = {E_TO_E:.4f}, got {S}")
     if p < 2:
         raise DomainError(f"p must be a prime >= 2, got {p}")
     lls = _loglog(S)

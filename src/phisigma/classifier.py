@@ -99,10 +99,10 @@ def af_params(
 ) -> AfParams:
     """Compute the classifier parameters at level x.
 
-    Requires x > e^e and epsilon in (0, 1).  s_override replaces the
-    default effective S = min(S_formula, x^(1/10)); either way the
-    effective value is floored at e^e, the domain edge of the
-    normality test.
+    Requires x > e^e and epsilon in (0, 1).  s_override, finite and
+    >= e^e, replaces the default effective S = min(S_formula, x^(1/10));
+    either way the effective value is floored at e^e, the domain edge
+    of the normality test.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"need epsilon in (0,1), got {epsilon}")
@@ -116,8 +116,8 @@ def af_params(
         s_formula = math.exp(s_log)
     except OverflowError:
         s_formula = math.inf
-    if s_override is not None and not s_override >= E_TO_E:
-        raise DomainError(f"s_override must be >= e^e, got {s_override}")
+    if s_override is not None and not E_TO_E <= s_override < math.inf:
+        raise DomainError(f"s_override must be finite and >= e^e, got {s_override}")
     if s_override is None:
         s_eff = min(s_formula, x ** (1.0 / 10.0))
     else:

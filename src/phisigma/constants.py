@@ -60,8 +60,8 @@ def _tail_start(z: float, n: int, term: float, derivative: bool) -> float:
 def _eval_series(z: float, tol: float, derivative: bool) -> float:
     if not 0.0 < z < 1.0:
         raise DomainError(f"series defined on (0,1), got z={z}")
-    if tol <= 0.0:
-        raise DomainError(f"need tol > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"need finite tol > 0, got {tol}")
     terms = []
     n = 1
     while True:

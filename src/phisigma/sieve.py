@@ -441,19 +441,21 @@ def segment_scan(
         _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large],
                           rem, phi, sigma, omega, ws)
 
-    # no fancy-index or rem -/+ 1 temporaries: they would set the window's peak
+    # branch-free: rem + big and rem - big are p + 1 and p - 1 where a
+    # prime p is left and 1 where rem = 1, sigma's and phi's factors with
+    # no masked multiply; rem is restored after each use
     if want_phi or want_sigma or want_omega:
         big = np.greater(rem, 1, out=ws.big[:size])
-    if want_phi:
-        rem -= 1
-        np.multiply(phi, rem, out=phi, where=big)
-        rem += 1
-    if want_sigma:
-        rem += 1
-        np.multiply(sigma, rem, out=sigma, where=big)
-        rem -= 1
     if want_omega:
         omega += big
+    if want_sigma:
+        rem += big
+        sigma *= rem
+        rem -= big
+    if want_phi:
+        rem -= big
+        phi *= rem
+        rem += big
 
     out = {}
     if want_phi:

@@ -235,8 +235,13 @@ def test_non_finite_integer_flag_exits_64(capsys, y):
     ("normal-primes", "--x", "100", "--S", "nan"),
     ("classify", "--n", "10", "--f", "phi", "--x", "inf"),
     ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "nan"),
+    ("normal-primes", "--x", "100", "--S", "inf"),
+    ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "inf"),
+    ("constants", "--tol", "inf"),
+    ("constants", "--tol", "nan"),
 ], ids=["sample", "np-seed", "mc-seed", "mc-seed-2^128", "xi-nan", "xi-inf",
-        "alpha-nan", "S-nan", "x-inf", "S-override-nan"])
+        "alpha-nan", "S-nan", "x-inf", "S-override-nan", "S-inf", "S-override-inf",
+        "tol-inf", "tol-nan"])
 def test_bad_values_exit_1_without_output(capsys, argv):
     code, out = _main(capsys, *argv)
     assert code == 1

@@ -15,6 +15,7 @@ from phisigma import (
     build_factor_sieve,
     build_value_bitmap,
     count_values,
+    eval_F,
     intersect_count,
     is_s_normal,
     l0_of,
@@ -178,6 +179,9 @@ NOT_IN_DOMAIN = {
     "S-nan": lambda: is_s_normal(11, math.nan),
     "x-inf": lambda: af_params(math.inf),
     "S-override-nan": lambda: af_params(1e6, s_override=math.nan),
+    "S-inf": lambda: is_s_normal(11, math.inf),
+    "S-override-inf": lambda: af_params(1e6, s_override=math.inf),
+    "tol-inf": lambda: eval_F(0.5, math.inf),
     "l0-inf": lambda: l0_of(math.inf),
     "l0-nan": lambda: l0_of(math.nan),
     "map-hi-0": lambda: segment_map(2, 0),

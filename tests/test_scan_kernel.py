@@ -43,9 +43,10 @@ def assert_scan_equal(lo, hi, step, want, base=None):
     return got
 
 
-def _windows_equal_oracle(monkeypatch, top, size, step, want):
+def _windows_equal_oracle(monkeypatch, top, size, step, want, start=None):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
-    start = 2 if step < 4 else 4
+    if start is None:
+        start = 2 if step < 4 else 4
     whole = segment_scan_strided(start, top + 1, primes_up_to(math.isqrt(top)),
                                  step=step, **want)
     # a window's arrays are valid until the next one: copy each
@@ -60,6 +61,20 @@ def _windows_equal_oracle(monkeypatch, top, size, step, want):
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_pass_equals_strided_to_1e6(monkeypatch, mode, step):
     _windows_equal_oracle(monkeypatch, 10**6, sieve.DEFAULT_SEGMENT_SIZE, step, MODES[mode])
+
+
+# the phi scan's wheel steps: starts divisible by 3, by 5, by 15 and by neither
+WHEEL_STARTS = {30: {"3": 3, "5": 5, "15": 15, "coprime": 7},
+                60: {"3": 12, "5": 20, "15": 60, "coprime": 4}}
+
+
+@pytest.mark.parametrize("size", [4096, 1 << 18])
+@pytest.mark.parametrize("divisor", ["3", "5", "15", "coprime"])
+@pytest.mark.parametrize("step", [30, 60])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_pass_equals_strided_wheel_steps(monkeypatch, mode, step, divisor, size):
+    _windows_equal_oracle(monkeypatch, 10**6, size, step, MODES[mode],
+                          start=WHEEL_STARTS[step][divisor])
 
 
 @pytest.mark.slow
@@ -164,6 +179,17 @@ def test_smooth_bound_above_threshold_matches_strided():
     base = primes_up_to(5000)
     for lo, step in ((2, 1), (3, 2), (10**6, 4)):
         assert_scan_equal(lo, lo + 5000 * step, step, {"smooth_bound": 5000}, base)
+
+
+def test_fold_returns_smooth_remainder_intact():
+    # the fold reads rem for Omega, sigma and phi in turn and restores it
+    # each time; smooth mode returns it
+    base = primes_up_to(5000)
+    want = {"smooth_bound": 5000, **MODES["phi+sigma+omega"]}
+    for lo, step in ((2, 1), (3, 30), (60, 60)):
+        got = assert_scan_equal(lo, lo + 5000 * step, step, want, base)
+        assert (got["rem"] == segment_scan(lo, lo + 5000 * step, base, step=step,
+                                           smooth_bound=5000)["rem"]).all()
 
 
 # --- memory: the traced peak stays within what was charged -----------------

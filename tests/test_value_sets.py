@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -160,13 +162,59 @@ def test_scan_cutoffs_sound_1e7():
     _check_cutoffs(10**7)
 
 
+def _check_class_tops(x: int) -> None:
+    """Every n of a phi class with phi(n) <= x lies at or below its top."""
+    tops = {}  # (step, n mod step) -> top
+    for start, step, top in scan_progressions("phi", x):
+        tops[step, start % step] = top
+    odd_top = np.array([tops.get((30, r), 0) for r in range(30)])
+    even_top = np.array([tops.get((60, r), 0) for r in range(60)])
+    window = 1 << 20
+    bound = phi_preimage_bound(x)
+    for lo in range(2, bound + 1, window):
+        vals = segment_map(lo, min(lo + window, bound + 1), "phi")
+        n = np.flatnonzero(vals <= x) + lo
+        odd, even = n[n % 2 == 1], n[n % 4 == 0]
+        over = np.concatenate([odd[odd > odd_top[odd % 30]], even[even > even_top[even % 60]]])
+        assert not len(over), (x, over[:5])
+
+
+@pytest.mark.parametrize("x", [1, 10, 10**3, 10**5, 10**6])
+def test_phi_class_tops_sound(x):
+    _check_class_tops(x)
+
+
+@pytest.mark.slow
+def test_phi_class_tops_sound_1e7():
+    _check_class_tops(10**7)
+
+
+@pytest.mark.parametrize("x", [10**4, 10**5])
+def test_phi_progressions_partition_the_classes(x):
+    # each odd n > 1 and each n = 0 mod 4 lies in exactly one progression,
+    # and no n = 2 mod 4: a duplicate class would only cost time
+    progressions = scan_progressions("phi", x)
+    top = min(t for *_, t in progressions)
+    cover = np.zeros(top + 1, dtype=np.int64)
+    for start, step, _ in progressions:
+        cover[start::step] += 1
+    n = np.arange(top + 1)
+    want = ((n % 2 == 1) | (n % 4 == 0)) & (n >= 2)
+    assert np.array_equal(cover, want.astype(np.int64))
+
+
 def test_scan_progressions_at_1e7():
     x = 10**7
-    assert scan_progressions("phi", x) == [(3, 2, 29235658), (4, 4, 58471317)]
+    # tops by gcd(n, 15): the classes divisible by 15 keep the unsplit tops
+    odd = {1: 16301094, 3: 24451642, 5: 20376368, 15: 29235658}
+    even = {1: 32602189, 3: 46777054, 5: 38980878, 15: 58471317}
+    want = [(r if r > 1 else 31, 30, odd[math.gcd(r, 15)]) for r in range(1, 30, 2)]
+    want += [(r or 60, 60, even[math.gcd(r, 15)]) for r in range(0, 60, 4)]
+    assert scan_progressions("phi", x) == want
     assert scan_progressions("sigma", x) == [(3, 2, x), (2, 2, 6666666)]
     scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("phi", x))
-    assert scanned == 29235657
-    assert scanned / (phi_preimage_bound(x) - 1) < 0.48
+    assert scanned == 19679435
+    assert scanned / (phi_preimage_bound(x) - 1) < 0.33
 
 
 @pytest.mark.parametrize("x", [10**4, 10**5, 10**6])
