@@ -2,8 +2,9 @@
 """How many integers up to N are totient values?  Sigma values?  Both?
 
 Builds one bitmap per function by scanning every preimage (sigma
-preimages stop at N; totient preimages run up to an explicit
-minimal-order bound) and reads all counts off the same pair of bitmaps.
+preimages stop at N; totient preimages run up to N times an exact bound
+on n/phi(n), phi_preimage_bound) and reads all counts off the same pair
+of bitmaps.
 """
 
 import time

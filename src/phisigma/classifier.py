@@ -95,7 +95,6 @@ def af_params(
     epsilon: float = DEFAULT_EPSILON,
     *,
     s_override: float | None = None,
-    min_l: int = 2,
 ) -> AfParams:
     """Compute the classifier parameters at level x.
 
@@ -128,7 +127,7 @@ def af_params(
     delta = math.sqrt(36.0 * l3 / llx)
     omega = llx ** (-0.5 + epsilon / 2.0)
 
-    spec = default_xi(x, min_l=min_l)
+    spec = default_xi(x)
     return AfParams(
         x=float(x),
         epsilon=float(epsilon),
@@ -375,7 +374,8 @@ def capture_census(
     having at least one preimage outside the membership set.
 
     Exact by construction: the preimage range is [1, x] for sigma and
-    [1, phi_preimage_bound(x)] for phi, scanned in windows of
+    [1, phi_preimage_bound(x)] for phi (2x times the exact product bound
+    on n/phi(n) of the odd n, which covers every n), scanned in windows of
     DEFAULT_SEGMENT_SIZE integers by scan_windows (f and Omega).  In each
     window the n with f(n) <= x mark their values attained, and the
     conditions (0), (3), (6) are evaluated over arrays

@@ -234,12 +234,15 @@ def build_parser() -> _Parser:
                        "depend on it")
         return c
 
-    p = _Parser(prog="phisigma", description=__doc__, parents=[common_flags(False)])
+    # allow_abbrev=False: a flag prefix (--lim for --limits) exits 64
+    p = _Parser(prog="phisigma", description=__doc__, parents=[common_flags(False)],
+                allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
     subcommon = common_flags(True)
 
     def add_parser(name, draws=False, **kw):
-        sp = sub.add_parser(name, parents=[subcommon], conflict_handler="resolve", **kw)
+        sp = sub.add_parser(name, parents=[subcommon], conflict_handler="resolve",
+                            allow_abbrev=False, **kw)
         sp.set_defaults(draws=draws)
         return sp
 

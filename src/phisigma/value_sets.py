@@ -5,10 +5,11 @@ attained by the chosen function.  The preimage scan covers only the
 residue classes that can still produce a value <= x, each up to its own
 exact cutoff (scan_progressions): for sigma, odd n <= x and even
 n <= 2x/3; for phi, the odd n by residue mod 30 and the n = 0 mod 4 by
-residue mod 60, each class up to x times an explicit bound on n/phi(n)
-over the small primes the class allows (3 and 5 only where they divide
-the residue), capped by the minimal-order bound phi_preimage_bound.
-At x = 10^7 that is 19.7M n, 32% of [2, phi_preimage_bound(x)].
+residue mod 60, each class up to x times an exact bound on n/phi(n)
+over the first primes the class allows (3 and 5 only where they divide
+the residue), as many as phi(n) <= x leaves room for (_phi_class_top).
+The same product bound gives phi_preimage_bound, a cutoff for all n.
+At x = 10^7 that is 19.6M n, 34% of [2, phi_preimage_bound(x)].
 n = 2 mod 4 is never scanned for phi, since its value phi(n/2) is
 already found in the odd classes.
 
@@ -33,8 +34,6 @@ from .errors import DomainError, check_allocation
 from . import sieve
 from .sieve import primes_up_to, scan_bytes, scan_windows
 
-EULER_GAMMA = 0.5772156649015329
-
 
 @dataclass(frozen=True)
 class ValueBitmap:
@@ -50,71 +49,56 @@ class ValueBitmap:
         return bool(self.bits[v >> 3] & (1 << (v & 7)))
 
 
-def _minimal_order_envelope(n: float) -> float:
-    """Lower envelope of phi: phi(n) exceeds this for all n >= 27.
-
-    Uses the explicit minimal-order inequality
-    n/phi(n) < e^gamma * loglog n + 3/loglog n   (n >= 27),
-    so phi(n) > n / (e^gamma loglog n + 3/loglog n), which is
-    increasing in n on [27, inf).
-    """
-    ll = math.log(math.log(n))
-    return n / (math.exp(EULER_GAMMA) * ll + 3.0 / ll)
-
-
-def phi_preimage_bound(x: int) -> int:
-    """A bound B with phi(n) <= x implying n <= B; sound, not tight.
-
-    Binary search for the first integer where the minimal-order
-    envelope exceeds x, with a hard floor of 100.
-    """
-    if x < 1:
-        raise DomainError(f"need x >= 1, got {x}")
-    lo, hi = 27, 128
-    while _minimal_order_envelope(hi) <= x:
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _minimal_order_envelope(mid) > x:
-            hi = mid
-        else:
-            lo = mid
-    return max(hi, 100)
-
-
 _WHEEL = (3, 5)  # odd primes whose divisibility splits the phi classes
+_ODD_PRIMES = primes_up_to(127)[1:].tolist()  # prod (q - 1) > 1e46 exceeds any x
 
 
-def _phi_class_top(x: int, bound: int, *, even: bool, excluded: tuple[int, ...]) -> int:
+def _phi_class_top(x: int, *, even: bool, excluded: tuple[int, ...]) -> int:
     """Largest n of one class with phi(n) <= x possible.
 
     The class is the odd n, or the n = 0 mod 4 when even, and of those
     only the n divisible by none of the primes in excluded (a residue
     mod 30 or 60 fixes which of the wheel primes 3 and 5 divide n).  Call
-    the odd primes not in excluded the allowed primes.
+    the odd primes not in excluded the allowed primes, q_1 < q_2 < ...
 
     For n = 2^a m (a = 0, or a >= 2 when even), m odd with k distinct
-    primes, all allowed: the i-th prime of m is at least the i-th
-    allowed prime, so n >= 2^a * (product of the first k allowed
-    primes), and with n <= bound, k is at most the largest count K whose
-    product times 1 (odd) or 4 (even, 4 <= 2^a) stays <= bound.  And
-    n/phi(n) = (2 if a else 1) * prod_{p | m} p/(p-1) is at most the
-    same product over the first k <= K allowed primes, since p/(p-1)
-    falls as p grows; it is largest at k = K: call it R.  Hence
-    phi(n) <= x forces n <= x * R, computed here exactly.  Leaving 3
-    out drops the factor 3/2 from R and lets the next allowed prime in,
-    whose factor is smaller.
+    primes p_1 < ... < p_k, all allowed: p_i >= q_i, so
+    phi(n) = phi(2^a) * prod p_i^(e_i - 1) (p_i - 1) >= c * prod_{i<=k} (q_i - 1)
+    with c = phi(4) = 2 when even and c = 1 when odd.  Hence
+    phi(n) <= x forces k <= K, the largest count with
+    c * prod_{i<=K} (q_i - 1) <= x.  And n/phi(n) =
+    (2 if a else 1) * prod_{i<=k} p_i/(p_i - 1) is at most the same
+    product over the first k <= K allowed primes, since p/(p-1) falls as
+    p grows; it is largest at k = K: call it R.  So phi(n) <= x forces
+    n <= x * R, computed here exactly.  Leaving 3 out drops the factor
+    3/2 from R and lets the next allowed prime in, whose factor is
+    smaller.
     """
-    least, num, den = (4, 2, 1) if even else (1, 1, 1)
-    for q in primes_up_to(127)[1:].tolist():  # product ~1e47 exceeds any bound
+    c, num, den = (2, 2, 1) if even else (1, 1, 1)
+    for q in _ODD_PRIMES:
         if q in excluded:
             continue
-        if least * q > bound:
+        if c * den * (q - 1) > x:
             break
-        least *= q
         num *= q
         den *= q - 1
-    return min(bound, x * num // den)
+    return x * num // den
+
+
+def phi_preimage_bound(x: int) -> int:
+    """A bound B with phi(n) <= x implying n <= B; sound, not tight.
+
+    B = 2 * top_odd, top_odd the top of the class of all odd n
+    (_phi_class_top with no prime excluded).  Every n is covered: odd
+    n <= top_odd; n = 2m with m odd has phi(n) = phi(m), so
+    m <= top_odd; and for 4 | n, n <= x * R_even where K_even <= K_odd
+    (the even product carries the factor c = 2), so R_even <= 2 R_odd
+    and the integer n/2 is at most floor(x * R_odd) = top_odd.
+    x = 1 gives B = 2: phi(n) <= 1 only for n = 1, 2.
+    """
+    if x < 1:
+        raise DomainError(f"need x >= 1, got {x}")
+    return 2 * _phi_class_top(x, even=False, excluded=())
 
 
 def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
@@ -133,14 +117,13 @@ def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
     """
     if f == "sigma":
         return [(3, 2, x), (2, 2, 2 * x // 3)]
-    bound = phi_preimage_bound(x)
     wheel = math.prod(_WHEEL)
     progressions = []
     for first, base, even in ((1, 2, False), (0, 4, True)):
         step = base * wheel
         for r in range(first, step, base):
             excluded = tuple(q for q in _WHEEL if r % q)
-            top = _phi_class_top(x, bound, even=even, excluded=excluded)
+            top = _phi_class_top(x, even=even, excluded=excluded)
             progressions.append((r if r > 1 else r + step, step, top))
     return progressions
 

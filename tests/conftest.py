@@ -48,6 +48,18 @@ def phi_trial(n: int) -> int:
     return out
 
 
+def phi_oracle_top(x: int) -> int:
+    """7x: every n with phi(n) <= x is at most this, for x <= 8e7.
+
+    Independent of phi_preimage_bound.  An n below 43# ~ 1.31e16 (the
+    product of the primes to 43) has at most 13 distinct primes, so
+    n/phi(n) <= prod p/(p-1) over the first 13 primes, 6.89 < 7; and
+    every n >= 43# has phi(n) >= sqrt(n/2) >= 8.08e7.
+    """
+    assert 1 <= x <= 8 * 10**7, x
+    return 7 * x
+
+
 def sigma_trial(n: int) -> int:
     out = 1
     for p, e in factor_pairs_naive(n):

@@ -18,7 +18,8 @@ from phisigma import ResourceError, VolumeEstimate, series_coefficient
 from phisigma.classifier import af_params, classify
 from phisigma.sieve import _multiples, build_factor_sieve, factorize, phi_of, sigma_of
 from phisigma.structure import MC_BATCH
-from phisigma.value_sets import phi_preimage_bound
+
+from conftest import phi_oracle_top
 
 
 def simplex_contains_loop(vec, spec) -> bool:
@@ -115,8 +116,8 @@ def capture_census_loop(f_tag: str, x: int, epsilon: float = 0.1, *, s_override=
     """(total_values, values_with_outside_preimage) by classifying every
     preimage whose value is not yet known to have an outside preimage."""
     params = af_params(x, epsilon, s_override=s_override)
-    bound = phi_preimage_bound(x) if f_tag == "phi" else x
-    sieve = build_factor_sieve(2, max(bound, x) + 2)
+    bound = phi_oracle_top(x) if f_tag == "phi" else x
+    sieve = build_factor_sieve(2, bound + 2)
 
     attained = bytearray(x + 1)
     outside = bytearray(x + 1)

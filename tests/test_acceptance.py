@@ -22,7 +22,6 @@ from phisigma import (
     count_values,
     factorize,
     intersect_count,
-    phi_preimage_bound,
     psi_smooth_count,
     sieve_bound_census,
     simplex_volume_exact,
@@ -34,7 +33,7 @@ from phisigma.anatomy import big_omega_range
 from phisigma.constants import structure_constants
 from phisigma import sieve
 
-from conftest import classify_oracle, factor_pairs_naive, phi_trial, sigma_trial
+from conftest import classify_oracle, factor_pairs_naive, phi_oracle_top, phi_trial, sigma_trial
 
 TABLE1 = {
     10**4: (2374, 2503, 1368),
@@ -180,7 +179,7 @@ def test_criterion_5_property_suite(monkeypatch):
     # bitmaps equal the double-loop oracle at x = 1e4
     x = 10**4
     vp = {1}
-    for n in range(2, phi_preimage_bound(x) + 1):
+    for n in range(2, phi_oracle_top(x) + 1):
         v = phi_trial(n)
         if v <= x:
             vp.add(v)

@@ -270,3 +270,37 @@ def test_seed_accepted_where_something_is_drawn(capsys):
         assert len(out.out.splitlines()) == 4
     code, out = _main(capsys, "simplex-volume", "--L", "2", "--samples", "1e3")
     assert json.loads(out.out)["seed"] == 20260809
+
+
+@pytest.mark.parametrize("argv", [
+    ("capture-census", "--f", "phi", "--x", "1000", "--S", "20"),
+    ("values-table", "--lim", "100"),
+    ("constants", "--to", "1e-13"),
+    ("--se", "5", "simplex-volume", "--L", "2", "--samples", "1e3"),
+], ids=["S-for-S-override", "lim", "to", "se"])
+def test_flag_prefix_exits_64(capsys, argv):
+    code, out = _main(capsys, *argv)
+    assert code == 64
+    assert out.out == ""
+    assert "usage error" in out.err
+
+
+def _bench_argvs():
+    import runpy
+    from pathlib import Path
+
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+    return [step.argv for step in workloads["all_steps"]()]
+
+
+@pytest.mark.parametrize("argv", [
+    ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "20"),
+    ("values-table", "--limits", "100"),
+    ("constants", "--tol", "1e-13"),
+    ("--seed", "5", "simplex-volume", "--L", "2", "--samples", "1e3"),
+    *_bench_argvs(),
+], ids=lambda argv: " ".join(argv))
+def test_full_flag_spellings_exit_0(capsys, argv):
+    code, out = _main(capsys, *argv)
+    assert code == 0, out.err
+    assert out.out

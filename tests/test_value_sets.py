@@ -15,11 +15,7 @@ from phisigma import (
 )
 from phisigma.value_sets import scan_progressions
 
-from conftest import phi_trial, sigma_trial
-
-
-def test_phi_preimage_bound_floor():
-    assert phi_preimage_bound(1) >= 100
+from conftest import phi_oracle_top, phi_trial, sigma_trial
 
 
 def test_phi_preimage_bound_captures_smallest_values():
@@ -27,19 +23,36 @@ def test_phi_preimage_bound_captures_smallest_values():
     assert [v for v in range(2) if bm.test(v)] == [1]
 
 
+def test_phi_cutoffs_cover_every_x_to_1e4():
+    # for each x <= 1e4: the largest n <= 7x with phi(n) <= x, overall
+    # and per class, against phi_preimage_bound(x) and the class tops
+    top_x = 10**4
+    n = np.arange(1, phi_oracle_top(top_x) + 1)
+    phi = np.concatenate([[1], segment_map(2, len(n) + 1, "phi")])
+    need = np.maximum(phi, -(-n // 7))  # least x with phi(n) <= x and n <= phi_oracle_top(x)
+    keep = need <= top_x
+    n, need = n[keep], need[keep]
+
+    def largest(sel):  # largest n of sel per x, 0 where none
+        best = np.zeros(top_x + 1, dtype=np.int64)
+        np.maximum.at(best, need[sel], n[sel])
+        return np.maximum.accumulate(best)
+
+    xs = range(1, top_x + 1)
+    want = largest(np.ones(len(n), dtype=bool))
+    assert phi_preimage_bound(1) == 2
+    assert all(phi_preimage_bound(x) >= want[x] for x in xs)
+    by_x = [scan_progressions("phi", x) for x in xs]
+    for i, (start, step, _) in enumerate(by_x[0]):
+        want = largest(n % step == start % step)
+        assert all(p[i][2] >= want[x] for x, p in zip(xs, by_x)), (start, step)
+
+
 def test_phi_preimage_bound_sound_to_1e6():
     B = phi_preimage_bound(100)
     phi = segment_map(2, 10**6 + 1, "phi")
     beyond = np.flatnonzero(phi <= 100) + 2
     assert beyond.max() <= B
-
-
-def test_phi_preimage_bound_envelope_monotone():
-    from phisigma.value_sets import _minimal_order_envelope
-
-    grid = np.linspace(27, 10**7, 500)
-    vals = [_minimal_order_envelope(t) for t in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_bitmap_phi_10():
@@ -82,7 +95,7 @@ def test_intersect_disjoint_toy_bitmaps():
 def test_bitmap_against_double_loop_oracle_1e3():
     x = 1000
     vp = {1}
-    for n in range(2, phi_preimage_bound(x) + 1):
+    for n in range(2, phi_oracle_top(x) + 1):
         v = phi_trial(n)
         if v <= x:
             vp.add(v)
@@ -114,7 +127,7 @@ def test_count_monotone_and_intersection_bounded():
 def test_every_set_phi_bit_has_witness():
     x = 2000
     bm = build_value_bitmap("phi", x)
-    B = phi_preimage_bound(x)
+    B = phi_oracle_top(x)
     set_bits = [v for v in range(1, x + 1) if bm.test(v)]
     rng = np.random.default_rng(5)
     for v in rng.choice(set_bits, size=100, replace=False):
@@ -141,7 +154,7 @@ def _in_progressions(n: np.ndarray, progressions) -> np.ndarray:
 def _check_cutoffs(x: int) -> None:
     """Every preimage of a value <= x is scanned, or (phi) is 2 mod 4."""
     window = 1 << 20
-    for f, top in (("phi", phi_preimage_bound(x)), ("sigma", x)):
+    for f, top in (("phi", phi_oracle_top(x)), ("sigma", x)):
         progressions = scan_progressions(f, x)
         for lo in range(2, top + 1, window):
             vals = segment_map(lo, min(lo + window, top + 1), f)
@@ -170,7 +183,7 @@ def _check_class_tops(x: int) -> None:
     odd_top = np.array([tops.get((30, r), 0) for r in range(30)])
     even_top = np.array([tops.get((60, r), 0) for r in range(60)])
     window = 1 << 20
-    bound = phi_preimage_bound(x)
+    bound = phi_oracle_top(x)
     for lo in range(2, bound + 1, window):
         vals = segment_map(lo, min(lo + window, bound + 1), "phi")
         n = np.flatnonzero(vals <= x) + lo
@@ -206,21 +219,23 @@ def test_phi_progressions_partition_the_classes(x):
 def test_scan_progressions_at_1e7():
     x = 10**7
     # tops by gcd(n, 15): the classes divisible by 15 keep the unsplit tops
-    odd = {1: 16301094, 3: 24451642, 5: 20376368, 15: 29235658}
+    odd = {1: 16301094, 3: 24451642, 5: 19490439, 15: 29235658}
     even = {1: 32602189, 3: 46777054, 5: 38980878, 15: 58471317}
     want = [(r if r > 1 else 31, 30, odd[math.gcd(r, 15)]) for r in range(1, 30, 2)]
     want += [(r or 60, 60, even[math.gcd(r, 15)]) for r in range(0, 60, 4)]
     assert scan_progressions("phi", x) == want
     assert scan_progressions("sigma", x) == [(3, 2, x), (2, 2, 6666666)]
     scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("phi", x))
-    assert scanned == 19679435
-    assert scanned / (phi_preimage_bound(x) - 1) < 0.33
+    assert scanned == 19620373
+    # against the 61,811,115 n of the step-1 scan to the former minimal-order bound
+    assert scanned / 61811115 < 0.33
+    assert phi_preimage_bound(x) == 58471316
 
 
 @pytest.mark.parametrize("x", [10**4, 10**5, 10**6])
 @pytest.mark.parametrize("f", ["phi", "sigma"])
 def test_bitmap_bytes_match_full_range_scan(f, x):
-    top = phi_preimage_bound(x) if f == "phi" else x
+    top = phi_oracle_top(x) if f == "phi" else x
     vals = segment_map(2, top + 1, f)
     seen = np.zeros(x + 1, dtype=bool)
     seen[1] = True
