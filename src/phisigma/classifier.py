@@ -27,9 +27,10 @@ an effective S (default min(S_formula, x^(1/10)), floored at e^e so
 the normality test stays in its domain) alongside the formula value;
 both are always reported.  Condition (7) needs p_1 < x^(1/(100 loglog x)),
 and that bound is below 2 for every x <= CAPTURE_CENSUS_CAP (1.06 at
-10^7; it grows with x), so no n is a member there and capture_census
-reports fraction 1.0 at every reachable x.  Nothing special-cases this:
-the conditions are evaluated as stated.
+10^7; it grows with x), so no n is a member there.  classify still
+evaluates all nine conditions as stated; capture_census decides by this
+lemma (proved in its docstring) and counts the value set instead of
+classifying preimages, so it reports fraction 1.0 at every reachable x.
 """
 
 from __future__ import annotations
@@ -38,22 +39,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
-from . import anatomy
+from . import anatomy, value_sets
 from .constants import E_TO_E, iterated_log, series_coefficient
-from .errors import BudgetExceededError, DomainError, ResourceError, check_allocation
-from .sieve import (
-    FactorSieve,
-    Factorization,
-    build_factor_sieve,
-    factorize,
-    phi_of,
-    scan_windows,
-    sigma_of,
-)
+from .errors import BudgetExceededError, DomainError, ResourceError
+from .sieve import FactorSieve, Factorization, factorize, phi_of, sigma_of
 from .structure import SimplexSpec, _renormalize_fact, default_xi, simplex_contains
-from .value_sets import phi_preimage_bound
 
 UNITARY_DIVISOR_CAP = 1 << 20
 
@@ -335,34 +325,6 @@ class CaptureCensus:
     fraction: float
 
 
-def _scan_conditions(
-    n: np.ndarray, fn: np.ndarray, omega_n: np.ndarray, omega_by_value: np.ndarray,
-    params: AfParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditions (0), (3) and (6) of classify as boolean columns.
-
-    n holds integers with values fn = f(n) <= x, omega_n their Omega,
-    and omega_by_value[v] is Omega(v) over [0, x].  Element k of each
-    column equals classify(n[k], ...).cond[0], [3] and [6].
-    """
-    x = params.x
-    llx = math.log(math.log(x))
-    c0 = n >= x / math.log(x)
-    c3 = (omega_by_value[fn] <= 10.0 * llx) & (omega_n <= 10.0 * llx)
-    two_adic = np.bitwise_count((n & -n) - 1)  # v_2(n): trailing zero bits
-    c6 = omega_n - two_adic >= params.L + 1
-    return c0, c3, c6
-
-
-def _omega_table(x: int) -> np.ndarray:
-    """Omega(v) for v in [0, x] as int8 (Omega(0) and Omega(1) read 0)."""
-    check_allocation(x + 1, f"Omega table over [0, {x}]")
-    table = np.zeros(x + 1, dtype=np.int8)
-    for lo, got in scan_windows(2, x, want_omega=True):
-        table[lo : lo + len(got["omega"])] = got["omega"]
-    return table
-
-
 def capture_census(
     f_tag: str,
     x: int,
@@ -370,67 +332,32 @@ def capture_census(
     *,
     s_override: float | None = None,
 ) -> CaptureCensus:
-    """Scan every preimage n with f(n) <= x and count the values <= x
-    having at least one preimage outside the membership set.
+    """Count the values v <= x of f, and those of them having at least
+    one preimage outside the membership set.
 
-    Exact by construction: the preimage range is [1, x] for sigma and
-    [1, phi_preimage_bound(x)] for phi (2x times the exact product bound
-    on n/phi(n) of the odd n, which covers every n), scanned in windows of
-    DEFAULT_SEGMENT_SIZE integers by scan_windows (f and Omega).  In each
-    window the n with f(n) <= x mark their values attained, and the
-    conditions (0), (3), (6) are evaluated over arrays
-    (_scan_conditions); a failure marks the value outside.  Only the
-    survivors whose value is not yet outside go through the scalar
-    classify, one at a time, against a factor sieve built on first use.
-
-    Soundness: membership is the AND of the nine conditions, so a
-    failed (0), (3) or (6) makes n a non-member whatever classify would
-    say of the rest, and outside[v] is the OR over the preimages of v,
-    so neither the order in which preimages are visited nor skipping
-    the classification of preimages of a value already outside can
-    change the result.  Nor can a skipped classify call hide an error
-    the scalar loop would raise: classify raises BudgetExceededError
-    only when n has more than 20 distinct prime factors, i.e. n is at
-    least the product of the first 21 primes, ~4.07e28, far beyond any
-    preimage bound here.
+    Both counts are V_f(x), the number of values of f up to x, read from
+    the value bitmap (build_value_bitmap, count_values), because no n is
+    a member at any accepted x.  Membership needs condition (7), hence
+    p_1 < x^(1/(100 loglog x)).  Write t = loglog x; af_params requires
+    t > 1.  The exponent log x / (100 loglog x) = e^t / (100 t) increases
+    for t > 1, so the bound rises with x: 1.028 near e^e, 1.060 at
+    CAPTURE_CENSUS_CAP = 10^7, and it first reaches 2 near x = 10^181.7.
+    p_1, when defined, is a prime, so at least 2; when it is not
+    (Omega(n) < 2), (7) is False.  So (7) fails for every n, whatever
+    epsilon and S, and every attained value has an outside preimage.
+    epsilon and s_override are still validated by af_params.
     """
     if f_tag not in ("phi", "sigma"):
         raise DomainError(f"f_tag must be 'phi' or 'sigma', got {f_tag!r}")
     if x > CAPTURE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {CAPTURE_CENSUS_CAP} preimage budget")
-    params = af_params(x, epsilon, s_override=s_override)
-    bound = phi_preimage_bound(x) if f_tag == "phi" else x
-    omegas = _omega_table(x)
-    check_allocation(2 * (x + 1), f"value marks over [0, {x}]")
-    attained = np.zeros(x + 1, dtype=bool)
-    outside = np.zeros(x + 1, dtype=bool)
-    attained[1] = outside[1] = True  # n = 1 fails (0); the value 1 has an outside preimage
-    sieve = None
-    for lo, got in scan_windows(2, bound, want_omega=True,
-                                want_phi=f_tag == "phi", want_sigma=f_tag == "sigma"):
-        n = np.flatnonzero(got[f_tag] <= x)
-        v = got[f_tag][n]
-        omega_n = got["omega"][n]
-        n += lo
-        attained[v] = True
-        c0, c3, c6 = _scan_conditions(n, v, omega_n, omegas, params)
-        passed = c0 & c3 & c6
-        outside[v[~passed]] = True
-        survivors = np.flatnonzero(passed & ~outside[v])
-        for ni, vi in zip(n[survivors].tolist(), v[survivors].tolist()):
-            if outside[vi]:
-                continue
-            if sieve is None:  # covers n, f(n) <= x <= bound and p_0 + 1
-                sieve = build_factor_sieve(2, bound + 2)
-            if not classify(ni, f_tag, params, sieve).member:
-                outside[vi] = True
-    total = int(attained.sum())
-    out = int((attained & outside).sum())
+    af_params(x, epsilon, s_override=s_override)
+    total = out = value_sets.count_values(value_sets.build_value_bitmap(f_tag, x), x)
     return CaptureCensus(
         f_tag=f_tag,
         x=x,
         epsilon=epsilon,
         total_values=total,
         values_with_outside_preimage=out,
-        fraction=out / total if total else 0.0,
+        fraction=out / total,
     )

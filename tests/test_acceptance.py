@@ -16,6 +16,7 @@ import pytest
 from phisigma import (
     af_params,
     build_value_bitmap,
+    capture_census,
     check_comparison_lemma,
     check_poisson_tail,
     classify,
@@ -64,6 +65,13 @@ def test_criterion_1_table_reproduction():
         want = TABLE1[row.N]
         assert (row.v_phi, row.v_sigma, row.v_common) == want, row
     _report("criterion 1 (table counts exact to 1e7)", t0, 120.0)
+
+
+@pytest.mark.parametrize("f_tag", ["phi", "sigma"])
+def test_capture_census_at_cap(f_tag):
+    c = capture_census(f_tag, 10**7)
+    v = TABLE1[10**7][("phi", "sigma").index(f_tag)]
+    assert (c.total_values, c.values_with_outside_preimage, c.fraction) == (v, v, 1.0)
 
 
 @pytest.mark.slow

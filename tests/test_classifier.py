@@ -14,11 +14,10 @@ from phisigma import (
     primes_up_to,
     structure_constants,
 )
-from phisigma.classifier import _omega_table, _scan_conditions, _unitary_divisor_condition
-from phisigma.sieve import segment_map
-from phisigma.value_sets import phi_preimage_bound
+from phisigma.classifier import CAPTURE_CENSUS_CAP, _unitary_divisor_condition
+from phisigma.sieve import build_factor_sieve, segment_map
 
-from conftest import big_omega_trial, classify_oracle
+from conftest import classify_oracle, phi_oracle_top
 from reference_loops import capture_census_loop
 
 
@@ -225,31 +224,39 @@ def test_capture_census_independent_of_window(monkeypatch):
             assert capture_census(f_tag, 3000) == want
 
 
-def test_omega_table_matches_trial_division(monkeypatch):
-    from phisigma import sieve
+def test_census_cap_below_condition7_lemma():
+    # capture_census relies on x^(1/(100 loglog x)) < 2 up to its cap
+    llx = math.log(math.log(CAPTURE_CENSUS_CAP))
+    assert CAPTURE_CENSUS_CAP ** (1.0 / (100.0 * llx)) < 2.0
 
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 777)
-    table = _omega_table(5000)
-    assert table.dtype == np.int8
-    assert table[:2].tolist() == [0, 0]
-    assert table[2:].tolist() == [big_omega_trial(v) for v in range(2, 5001)]
+
+@pytest.mark.parametrize("f_tag", ["phi", "sigma"])
+@pytest.mark.parametrize("x", [16, 17, 100, 3000, 10**4])
+def test_condition7_fails_for_every_preimage(f_tag, x):
+    # the lemma behind capture_census, checked exhaustively: no n with
+    # f(n) <= x passes (7), so no n is a member
+    params = af_params(x)
+    top = phi_oracle_top(x) if f_tag == "phi" else x
+    sieve = build_factor_sieve(2, top + 2)
+    fn = segment_map(2, top + 1, f_tag)
+    for n in [1] + (np.flatnonzero(fn <= x) + 2).tolist():
+        report = classify(n, f_tag, params, sieve)
+        assert report.applicable and not report.cond[7], n
 
 
 @pytest.mark.parametrize("f_tag", ["phi", "sigma"])
 @pytest.mark.parametrize("x,kw", [(10**4, {}), (3000, {"epsilon": 0.5}),
                                   (3000, {"s_override": 50.0})])
 def test_scan_conditions_equal_classify(f_tag, x, kw):
-    # columns (0), (3), (6) against classify().cond for every n with f(n) <= x
+    # all nine conditions against the naive oracle for every n with
+    # f(n) <= x, the preimages the census decides by the lemma
     params = af_params(x, **kw)
-    bound = phi_preimage_bound(x) if f_tag == "phi" else x
-    fn = segment_map(2, bound + 1, f_tag)
-    n = np.arange(2, bound + 1, dtype=np.int64)
-    keep = fn <= x
-    n, fn = n[keep], fn[keep]
-    omega_n = _omega_table(bound)[n]
-    cols = _scan_conditions(n, fn, omega_n, _omega_table(x), params)
-    got = np.stack(cols, axis=1).tolist()
-    want = [[classify(k, f_tag, params).cond[i] for i in (0, 3, 6)]
-            for k in n.tolist()]
-    assert got == want
-    assert not all(c[0] for c in want) and not all(c[2] for c in want)
+    top = phi_oracle_top(x) if f_tag == "phi" else x
+    sieve = build_factor_sieve(2, top + 2)
+    fn = segment_map(2, top + 1, f_tag)
+    conds = []
+    for n in (np.flatnonzero(fn <= x) + 2).tolist():
+        report = classify(n, f_tag, params, sieve)
+        assert report.cond == classify_oracle(n, f_tag, params), n
+        conds.append(report.cond)
+    assert not all(c[0] for c in conds) and not all(c[6] for c in conds)
