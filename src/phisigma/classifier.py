@@ -331,6 +331,7 @@ def capture_census(
     epsilon: float = DEFAULT_EPSILON,
     *,
     s_override: float | None = None,
+    threads: int = 1,
 ) -> CaptureCensus:
     """Count the values v <= x of f, and those of them having at least
     one preimage outside the membership set.
@@ -345,14 +346,16 @@ def capture_census(
     p_1, when defined, is a prime, so at least 2; when it is not
     (Omega(n) < 2), (7) is False.  So (7) fails for every n, whatever
     epsilon and S, and every attained value has an outside preimage.
-    epsilon and s_override are still validated by af_params.
+    epsilon and s_override are still validated by af_params.  The
+    bitmap is built on up to `threads` worker threads.
     """
     if f_tag not in ("phi", "sigma"):
         raise DomainError(f"f_tag must be 'phi' or 'sigma', got {f_tag!r}")
     if x > CAPTURE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {CAPTURE_CENSUS_CAP} preimage budget")
     af_params(x, epsilon, s_override=s_override)
-    total = out = value_sets.count_values(value_sets.build_value_bitmap(f_tag, x), x)
+    bitmap = value_sets.build_value_bitmap(f_tag, x, threads=threads)
+    total = out = value_sets.count_values(bitmap, x)
     return CaptureCensus(
         f_tag=f_tag,
         x=x,

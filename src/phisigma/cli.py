@@ -102,7 +102,7 @@ def _parse_xi(raw: str, L: int) -> structure.SimplexSpec:
 
 
 def _cmd_values_table(args) -> str:
-    rows = value_sets.values_table(args.limits)
+    rows = value_sets.values_table(args.limits, threads=args.threads)
     if args.format == "json":
         return _json([dataclasses.asdict(r) for r in rows])
     return value_sets.values_table_csv(rows)
@@ -190,7 +190,7 @@ def _cmd_classify(args) -> str:
 
 def _cmd_capture_census(args) -> str:
     census = classifier.capture_census(
-        args.f, args.x, args.epsilon, s_override=args.S_override
+        args.f, args.x, args.epsilon, s_override=args.S_override, threads=args.threads
     )
     return _json(dataclasses.asdict(census))
 
@@ -228,10 +228,11 @@ def build_parser() -> _Parser:
                        "simplex-volume and normal-primes draw, every other "
                        "subcommand takes no --seed (else exit 64)")
         c.add_argument("--threads", type=_int_arg, default=dflt(1),
-                       help="upper bound on worker threads (>= 1); only "
-                       "simplex-volume uses more than one, every other "
-                       "subcommand runs in one thread; output bytes never "
-                       "depend on it")
+                       help="upper bound on worker threads (>= 1); "
+                       "values-table and capture-census scan for values and "
+                       "simplex-volume draws its batches on up to this many, "
+                       "every other subcommand runs in one thread; output "
+                       "bytes never depend on it")
         return c
 
     # allow_abbrev=False: a flag prefix (--lim for --limits) exits 64

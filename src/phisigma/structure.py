@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ from .sieve import (
     primes_up_to,
     scan_windows,
 )
+from .workers import run_workers, worker_count
 
 MC_BATCH = 1 << 19  # fixed batch size keeps the Philox stream worker-independent
 
@@ -268,12 +268,6 @@ def _ordered_chunks(seed: int, index: int, m: int, buffers):
         yield cols
 
 
-def _mc_workers(threads: int, batches: int, cpus: int | None) -> int:
-    """Worker threads for `batches` Monte Carlo batches: min(threads,
-    batches, cpus), at least 1; cpus is os.cpu_count(), None if unknown."""
-    return max(1, min(threads, batches, cpus or 1))
-
-
 def simplex_volume_mc(
     spec: SimplexSpec, samples: int, seed: int, *, threads: int = 1
 ) -> VolumeEstimate:
@@ -284,9 +278,9 @@ def simplex_volume_mc(
     size MC_BATCH each use the counter-based Philox stream jumped to
     the batch index; each is drawn in chunks of MC_CHUNK rows, ordered
     by a sorting network and counted by simplex_mask.  Up to `threads`
-    worker threads (_mc_workers) take every workers-th batch; hit counts
-    are integers, so the result is bit-reproducible and the same for
-    every thread count.
+    worker threads (worker_count, run_workers) take every workers-th
+    batch; hit counts are integers, so the result is bit-reproducible
+    and the same for every thread count.
     """
     if samples < MIN_MC_SAMPLES:
         raise DomainError(f"need samples >= {MIN_MC_SAMPLES}, got {samples}")
@@ -295,35 +289,21 @@ def simplex_volume_mc(
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {seed}")
     batches = -(-samples // MC_BATCH)
-    workers = _mc_workers(threads, batches, os.cpu_count())
+    workers = worker_count(threads, batches, os.cpu_count())
     # allocated by the calling thread: worker threads allocate only the
     # kernel's temporaries, so their malloc arenas keep little memory
     buffers = _chunk_buffers(spec.L, workers)
 
     counts = [0] * workers
-    errors = []
 
-    def run(w: int) -> None:
-        try:
-            for index in range(w, batches, workers):
-                if errors:  # another worker failed: the estimate is void
-                    return
-                m = min(MC_BATCH, samples - index * MC_BATCH)
-                for cols in _ordered_chunks(seed, index, m, buffers[w]):
-                    counts[w] += int(np.count_nonzero(simplex_mask(cols, spec)))
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
+    def count_batches(w: int):
+        for index in range(w, batches, workers):
+            m = min(MC_BATCH, samples - index * MC_BATCH)
+            for cols in _ordered_chunks(seed, index, m, buffers[w]):
+                counts[w] += int(np.count_nonzero(simplex_mask(cols, spec)))
+            yield
 
-    # the calling thread runs worker 0 and plain threads the others: the
-    # concurrent.futures import alone costs ~20 ms and ~1 MB
-    others = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for t in others:
-        t.start()
-    run(0)
-    for t in others:
-        t.join()
-    if errors:
-        raise errors[0]
+    run_workers(workers, count_batches)
     rate = sum(counts) / samples
     scale = 1.0 / math.factorial(spec.L)
     return VolumeEstimate(

@@ -13,19 +13,23 @@ At x = 10^7 that is 19.6M n, 34% of [2, phi_preimage_bound(x)].
 n = 2 mod 4 is never scanned for phi, since its value phi(n/2) is
 already found in the odd classes.
 
-Memory: a bitmap over [0, x] costs (x+1)/8 bytes, and the build
-additionally keeps an x+2 byte scratch array, one byte per value, that
-is packed into the bitmap at the end, and one scan workspace
+Memory: a bitmap over [0, x] costs (x+1)/8 bytes.  The build marks
+values in a scratch array of x/2 + 2 bytes, one byte per even value
+(the odd values are 1 and sigma's few at n = m^2, 2m^2), packed into
+the bitmap at the end, and keeps one scan workspace per worker thread
 (sieve.scan_bytes, 6.7 to 9.9 MB at the default window size for x up
-to 10^8).  Each window's values are clipped to x + 1 in place and
-marked by one fancy-index store, so no mask or filtered copy is made.  All of it is charged
-against the memory budget before anything is allocated.  At x = 10^8 a
-phi build peaks at about 140 MB of resident memory.
+to 10^8).  Each window's values are clipped in place and marked by one
+fancy-index store, so no mask or filtered copy is made.  All of it,
+with the pack's temporaries, is charged against the memory budget
+before anything is allocated or any thread starts: 0.69 x bytes plus
+the workspaces.  On a 2-vCPU VM, values-table to 10^8 peaks at 96 MB
+of resident memory on one thread and 103 MB on two.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +37,7 @@ import numpy as np
 from .errors import DomainError, check_allocation
 from . import sieve
 from .sieve import primes_up_to, scan_bytes, scan_windows
+from .workers import run_workers, worker_count
 
 
 @dataclass(frozen=True)
@@ -128,43 +133,128 @@ def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
     return progressions
 
 
-def build_value_bitmap(f: str, x: int) -> ValueBitmap:
+_SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)],
+                   dtype="<u2")  # bit i of a byte to bit 2i of two little-endian bytes
+
+
+def _odd_sigma_slots(lo: int, step: int, size: int) -> np.ndarray:
+    """The k < size with n = lo + k*step equal to m^2 or 2m^2 (m >= 1),
+    exactly the n of the window with sigma(n) odd: sigma(n) is the
+    product of 1 + p + ... + p^e over p^e || n, and for odd p that
+    factor is odd iff e is even."""
+    last = lo + (size - 1) * step
+    slots = []
+    for c in (1, 2):
+        n = np.arange(math.isqrt((lo - 1) // c) + 1, math.isqrt(last // c) + 1, dtype=np.int64)
+        n *= n
+        n *= c
+        n -= lo
+        slots.append(n[n % step == 0] // step)
+    return np.concatenate(slots)
+
+
+def _deal(progressions: list[tuple[int, int, int]], threads: int,
+          cpus: int | None) -> list[list[tuple[int, int, int]]]:
+    """The (start, step, top) units of each of worker_count(threads,
+    units, cpus) workers.
+
+    Units are dealt longest first, each to the worker with the fewest
+    elements so far.  That leaves a worker at most one unit above its
+    share, so when the longest progression is over a quarter of a
+    share there are too few to balance (sigma has two), and each is
+    split into its residue sub-progressions start + i*step, step
+    workers*step.  Empty units are dropped.
+    """
+    def length(u):
+        return len(range(u[0], u[2] + 1, u[1]))
+
+    units = [u for u in progressions if length(u)]
+    split = min(threads, cpus or 1)
+    if split > 1 and units and 4 * split * max(map(length, units)) > sum(map(length, units)):
+        units = [(start + i * step, split * step, top) for start, step, top in units
+                 for i in range(split) if start + i * step <= top]
+    workers = worker_count(threads, len(units), cpus)
+    loads = [0] * workers
+    dealt: list[list[tuple[int, int, int]]] = [[] for _ in range(workers)]
+    for u in sorted(units, key=length, reverse=True):
+        w = loads.index(min(loads))
+        dealt[w].append(u)
+        loads[w] += length(u)
+    return dealt
+
+
+def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     """Enumerate the value set of f up to x into a bitmap.
 
     Only the progressions of scan_progressions are scanned, each in
     windows of DEFAULT_SEGMENT_SIZE elements; every n outside them
-    either has f(n) > x or shares its value with a scanned n.  Values
-    are marked in a byte-per-value scratch array, packed at the end.
+    either has f(n) > x or shares its value with a scanned n.  Up to
+    `threads` workers share them (_deal, run_workers), each running one
+    scan_windows at a time, and mark the even values v <= x in one
+    scratch array, half[v >> 1] = True.  The stores are idempotent and
+    nothing is read back, so the bytes never depend on the thread count.
+
+    Every scanned phi value is even (n >= 3).  A window's odd sigma
+    values sit at its m^2 and 2m^2 (_odd_sigma_slots): they are kept
+    aside and their slots parked on the cap slot, where every value
+    above x lands.  The scratch is then packed and spread to the even
+    bits (_SPREAD), and bit 1 (f(1) = 1) and the odd values are set.
 
     Parameters
     ----------
     f : {'phi', 'sigma'}
     x : int
         Value-set frontier, x >= 1.
+    threads : int
+        Upper bound on worker threads, >= 1.
     """
     if f not in ("phi", "sigma"):
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
+    if threads < 1:
+        raise DomainError(f"need threads >= 1, got {threads}")
     progressions = scan_progressions(f, x)
-    size = sieve.DEFAULT_SEGMENT_SIZE
-    # a scan workspace next to the scratch array and the bitmap;
-    # isqrt(top) bounds the large base primes
-    window = scan_bytes(size, math.isqrt(max(top for *_, top in progressions)),
-                        **{f"want_{f}": True})
-    check_allocation((x >> 3) + 1 + x + 2 + window, f"value bitmap build at x={x}")
-    scratch = np.zeros(x + 2, dtype=bool)  # values above x all land on x + 1
-    scratch[1] = True  # f(1) = 1 for both functions
-    for start, step, top in progressions:
-        for _, got in scan_windows(start, top, step=step, **{f"want_{f}": True}):
-            vals = got[f]  # the window's own array, clipped in place
-            np.minimum(vals, x + 1, out=vals)
-            scratch[vals] = True
-            del got, vals  # so the workspace dies with its run, before packbits
+    dealt = _deal(progressions, threads, os.cpu_count())
+    want = {f"want_{f}": True}
+    odd = f == "sigma"
+    # sq bounds the large base primes, the m of any window's odd slots and
+    # the odd values kept; per worker a scan workspace and a window's odd
+    # slots (under 48 bytes per m), then the odd values (16 bytes per m),
+    # the scratch, its packed bits and their spread, the bitmap
+    sq = math.isqrt(max(top for *_, top in progressions)) + 1
+    per_worker = scan_bytes(sieve.DEFAULT_SEGMENT_SIZE, sq, **want) + 48 * sq * odd
+    packed_bytes = (x // 2 + 8) // 8
+    check_allocation(len(dealt) * per_worker + 16 * sq * odd + x // 2 + 2 + 3 * packed_bytes,
+                     f"value bitmap build at x={x} on {len(dealt)} workers")
+    cap = x // 2 + 1  # the slot of 2 * cap, the first even value above x
+    half = np.zeros(cap + 1, dtype=bool)
+    kept = [np.empty(0, dtype=np.int64)]  # the odd sigma values <= x
 
-    bits = np.packbits(scratch[: x + 1], bitorder="little")
+    def scan(w: int):
+        for start, step, top in dealt[w]:
+            for first, got in scan_windows(start, top, step=step, **want):
+                vals = got[f]  # the window's own array, changed in place
+                if odd:
+                    slots = _odd_sigma_slots(first, step, len(vals))
+                    odd_vals = vals[slots]
+                    kept.append(odd_vals[odd_vals <= x])
+                    vals[slots] = 2 * cap
+                np.minimum(vals, 2 * cap, out=vals)
+                vals >>= 1
+                half[vals] = True
+                del got, vals  # hold no window: a run's workspace dies with it
+                yield
+
+    run_workers(len(dealt), scan)
+    packed = np.packbits(half[:cap], bitorder="little")
+    del half
+    bits = _SPREAD[packed].view(np.uint8)[: (x >> 3) + 1]
     if bits[0] & 1:
         raise AssertionError("value 0 can never be attained")
+    bits[0] |= 2  # f(1) = 1 for both functions
+    v = np.concatenate(kept)
+    np.bitwise_or.at(bits, v >> 3, np.left_shift(1, v & 7).astype(np.uint8))
     return ValueBitmap(limit_x=x, f_tag=f, bits=bits)
 
 
@@ -204,11 +294,12 @@ class ValuesTableRow:
     ratio_sigma: float
 
 
-def values_table(limits: list[int]) -> list[ValuesTableRow]:
+def values_table(limits: list[int], *, threads: int = 1) -> list[ValuesTableRow]:
     """Counts V_phi, V_sigma, V_common at each limit.
 
-    One bitmap pair is built at max(limits) and every row is read off
-    by prefix popcounts.  limits must be ascending positive integers.
+    One bitmap pair is built at max(limits), on up to `threads` worker
+    threads, and every row is read off by prefix popcounts.  limits must
+    be ascending positive integers.
     """
     if not limits:
         raise DomainError("need at least one limit")
@@ -217,8 +308,8 @@ def values_table(limits: list[int]) -> list[ValuesTableRow]:
     if limits[0] < 1:
         raise DomainError(f"limits must be >= 1, got {limits}")
     top = limits[-1]
-    bm_phi = build_value_bitmap("phi", top)
-    bm_sigma = build_value_bitmap("sigma", top)
+    bm_phi = build_value_bitmap("phi", top, threads=threads)
+    bm_sigma = build_value_bitmap("sigma", top, threads=threads)
     rows = []
     for n in limits:
         vp = count_values(bm_phi, n)

@@ -212,9 +212,11 @@ def test_criterion_5_property_suite(monkeypatch):
         assert (a.bits == b.bits).all()
 
     # determinism: thread counts must not change a single output byte
-    for args in (
-        ["values-table", "--limits", "1000"],
-        ["simplex-volume", "--L", "3", "--samples", "2e5", "--seed", "7"],
+    for args, threads in (
+        (["values-table", "--limits", "1000"], ("1", "8")),
+        (["simplex-volume", "--L", "3", "--samples", "2e5", "--seed", "7"], ("1", "8")),
+        (["values-table", "--limits", "1e4,1e5"], ("1", "2", "3")),
+        (["capture-census", "--f", "phi", "--x", "1e5"], ("1", "2", "3")),
     ):
         outs = [
             subprocess.run(
@@ -223,8 +225,8 @@ def test_criterion_5_property_suite(monkeypatch):
                 text=True,
                 timeout=300,
             ).stdout
-            for t in ("1", "8")
+            for t in threads
         ]
-        assert outs[0] == outs[1]
+        assert outs[0] and all(out == outs[0] for out in outs), args
 
     _report("criterion 5 (lemma census, oracle agreement, determinism)", t0, 300.0)

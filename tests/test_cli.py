@@ -172,6 +172,12 @@ def test_thread_count_never_changes_bytes():
         one = run_cli(*args, "--threads", "1")
         eight = run_cli(*args, "--threads", "8")
         assert one.stdout == eight.stdout, args
+    # the value scans run on worker threads
+    for args in (("values-table", "--limits", "1e4,1e5"),
+                 ("capture-census", "--f", "sigma", "--x", "1e5")):
+        outs = [run_cli(*args, "--threads", t) for t in ("1", "2", "3")]
+        assert outs[0].returncode == 0, outs[0].stderr
+        assert outs[0].stdout == outs[1].stdout == outs[2].stdout, args
 
 
 def test_simplex_volume_threads_split_batches_same_bytes():
@@ -194,6 +200,26 @@ def test_simplex_volume_passes_threads(monkeypatch, capsys):
     assert cli.main(["simplex-volume", "--L", "2", "--samples", "1e3", "--threads", "5"]) == 0
     assert seen == {"threads": 5}
     assert json.loads(capsys.readouterr().out)["samples"] == 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["values-table", "--limits", "100,1000"],
+    ["capture-census", "--f", "phi", "--x", "1000"],
+])
+def test_value_scans_pass_threads(monkeypatch, capsys, argv):
+    from phisigma import cli, value_sets
+
+    seen = []
+    real = value_sets.build_value_bitmap
+
+    def spy(f, x, *, threads=1):
+        seen.append(threads)
+        return real(f, x, threads=threads)
+
+    monkeypatch.setattr(value_sets, "build_value_bitmap", spy)
+    assert cli.main(argv + ["--threads", "5"]) == 0
+    assert seen and set(seen) == {5}
+    assert capsys.readouterr().out
 
 
 def test_output_file_written_atomically(tmp_path):

@@ -29,7 +29,6 @@ from phisigma.structure import (
     MC_BATCH,
     MC_CHUNK,
     _chunk_buffers,
-    _mc_workers,
     _ordered_chunks,
     _sorting_network,
     simplex_mask,
@@ -214,17 +213,6 @@ def test_mc_pinned_l3_1e7(threads):
 def test_mc_pinned_l6_1e7(threads):
     est = simplex_volume_mc(unit_spec(6), 10**7, 42, threads=threads)
     assert est.mean == PINNED_1E7[6]
-
-
-def test_mc_workers_capped_by_threads_batches_and_cpus():
-    cpus = os.cpu_count()
-    batches = -(-10**10 // MC_BATCH)
-    assert _mc_workers(100000, batches, cpus) == min(100000, batches, cpus or 1)
-    assert _mc_workers(100000, batches, 2) == 2
-    assert _mc_workers(100000, batches, None) == 1
-    assert _mc_workers(3, 1, 64) == 1
-    assert _mc_workers(1, batches, 64) == 1
-    assert _mc_workers(5, 20, 64) == 5
 
 
 def test_mc_rejects_thread_count_below_one():

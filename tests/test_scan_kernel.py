@@ -6,12 +6,15 @@ prime on its own.  Both must agree exactly (==) in every mode.
 """
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from phisigma import anatomy, sieve, value_sets
+from phisigma import ResourceError, anatomy, sieve, value_sets
+from phisigma.errors import MEMORY_BUDGET_ENV
 from phisigma.sieve import LARGE_PRIME_THRESHOLD, primes_up_to, scan_windows, segment_scan
 
 from conftest import big_omega_trial, phi_trial, sigma_trial
@@ -246,6 +249,34 @@ def test_scan_windows_charged_once_per_run(monkeypatch, charges, mode):
 def test_value_bitmap_peak_within_charge(charges, f):
     peak = traced_peak(lambda: value_sets.build_value_bitmap(f, 10**6))
     assert peak <= max(charges)
+
+
+@pytest.mark.parametrize("segment", [sieve.DEFAULT_SEGMENT_SIZE, 1 << 12])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_value_bitmap_threads_peak_within_charge(monkeypatch, charges, f, threads, segment):
+    # the build's one charge, made first, covers every worker's workspace,
+    # the scratch and the pack; 2^12-element windows fill the workspaces
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment)
+    peak = traced_peak(lambda: value_sets.build_value_bitmap(f, 10**5, threads=threads))
+    assert peak <= charges[0]
+
+
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_value_bitmap_refuses_second_worker_before_any_thread(monkeypatch, charges, f):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    want = value_sets.build_value_bitmap(f, 10**5, threads=2).bits
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(charges[0] - 1))
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: (started.append(self), real_start(self)))
+    before = threading.active_count()
+    with pytest.raises(ResourceError):
+        value_sets.build_value_bitmap(f, 10**5, threads=2)
+    assert not started and threading.active_count() == before
+    assert np.array_equal(value_sets.build_value_bitmap(f, 10**5, threads=1).bits, want)
 
 
 def test_smooth_count_peak_within_charge(charges):

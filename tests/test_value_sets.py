@@ -1,19 +1,25 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from phisigma import (
     DomainError,
+    ResourceError,
     build_value_bitmap,
     count_values,
     intersect_count,
     phi_preimage_bound,
+    factorize,
     segment_map,
+    sigma_of,
     values_table,
     values_table_csv,
 )
-from phisigma.value_sets import scan_progressions
+from phisigma.value_sets import _deal, scan_progressions
 
 from conftest import phi_oracle_top, phi_trial, sigma_trial
 
@@ -70,6 +76,8 @@ def test_bitmap_rejects_bad_args():
         build_value_bitmap("tau", 10)
     with pytest.raises(DomainError):
         build_value_bitmap("phi", 0)
+    with pytest.raises(DomainError):
+        build_value_bitmap("phi", 100, threads=0)
 
 
 def test_count_and_intersect_hand_values():
@@ -232,16 +240,121 @@ def test_scan_progressions_at_1e7():
     assert phi_preimage_bound(x) == 58471316
 
 
-@pytest.mark.parametrize("x", [10**4, 10**5, 10**6])
-@pytest.mark.parametrize("f", ["phi", "sigma"])
-def test_bitmap_bytes_match_full_range_scan(f, x):
+def _full_range_bits(f: str, x: int) -> np.ndarray:
+    """The bitmap of f up to x from one step-1 scan of every preimage."""
     top = phi_oracle_top(x) if f == "phi" else x
     vals = segment_map(2, top + 1, f)
     seen = np.zeros(x + 1, dtype=bool)
     seen[1] = True
     seen[vals[vals <= x]] = True
-    want = np.packbits(seen, bitorder="little")
-    assert np.array_equal(build_value_bitmap(f, x).bits, want)
+    return np.packbits(seen, bitorder="little")
+
+
+@pytest.mark.parametrize("x", [10**4, 10**5, 10**6])
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_bitmap_bytes_match_full_range_scan(f, x):
+    assert np.array_equal(build_value_bitmap(f, x).bits, _full_range_bits(f, x))
+
+
+# --- worker threads: the same bytes for every thread count ------------------
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 10, 100, 10**4, 10**5])
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_bitmap_bytes_equal_for_every_thread_count(monkeypatch, f, x):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 3 threads make 3 workers
+    one = build_value_bitmap(f, x, threads=1).bits
+    for threads in (2, 3):
+        assert np.array_equal(build_value_bitmap(f, x, threads=threads).bits, one)
+
+
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_bitmap_workers_stress_more_workers_than_cores(monkeypatch, f):
+    # eight workers share the scratch and the odd values' list; a lost
+    # store or append would drop a value
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    want = _full_range_bits(f, 10**5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = build_value_bitmap(f, 10**5, threads=8).bits
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
+def test_sigma_sub_progression_of_one_window(monkeypatch):
+    from phisigma import sieve
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 10)
+    x = 6000  # two workers split both progressions: 1500, 1499, 1000, 1000 n
+    dealt = _deal(scan_progressions("sigma", x), 2, os.cpu_count())
+    windows = sorted(-(-len(range(a, t + 1, s)) // 1024) for part in dealt for a, s, t in part)
+    assert windows == [1, 1, 2, 2]
+    want = _full_range_bits("sigma", x)
+    for threads in (1, 2, 3):
+        assert np.array_equal(build_value_bitmap("sigma", x, threads=threads).bits, want)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_odd_sigma_values_exhaustive_to_1e6(monkeypatch, threads):
+    # sigma(n) is odd exactly at n = m^2 and 2m^2; those values are set
+    # straight into the bitmap, every other value through the even scratch
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    x = 10**6
+    bits = np.unpackbits(build_value_bitmap("sigma", x, threads=threads).bits,
+                         bitorder="little")[: x + 1]
+    odd = set((2 * np.flatnonzero(bits[1::2]) + 1).tolist())
+    want = {1}
+    for c in (1, 2):
+        for m in range(1, math.isqrt(x // c) + 1):
+            v = sigma_of(factorize(c * m * m))
+            if v <= x:
+                want.add(v)
+    assert odd == want
+
+
+@pytest.mark.parametrize("threads,cpus", [(1, 8), (2, 8), (3, 8), (8, 2), (8, None), (16, 64)])
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_deal_partitions_the_scan_over_capped_workers(f, threads, cpus):
+    x = 10**4
+    progressions = scan_progressions(f, x)
+    dealt = _deal(progressions, threads, cpus)
+    units = [u for part in dealt for u in part]
+    assert len(dealt) == min(threads, len(units), cpus or 1)
+    assert all(dealt)
+    # the units cover each scanned n once
+    covered = sorted(n for a, s, t in units for n in range(a, t + 1, s))
+    assert covered == sorted(n for a, s, t in progressions for n in range(a, t + 1, s))
+    # dealt longest first to the least loaded: within one unit of each other
+    loads = [sum(len(range(a, t + 1, s)) for a, s, t in part) for part in dealt]
+    assert max(loads) - min(loads) <= max(len(range(a, t + 1, s)) for a, s, t in units)
+
+
+def test_deal_splits_sigma_but_not_phi_on_two_workers():
+    assert len(_deal(scan_progressions("sigma", 10**7), 2, 2)) == 2
+    assert sum(map(len, _deal(scan_progressions("sigma", 10**7), 2, 2))) == 4
+    assert sum(map(len, _deal(scan_progressions("phi", 10**7), 2, 2))) == 30
+    assert _deal(scan_progressions("sigma", 1), 4, 8) == [[]]  # nothing to scan
+
+
+def test_failing_scan_worker_reraised_and_no_thread_left(monkeypatch):
+    from phisigma import value_sets
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    real = value_sets.scan_windows
+
+    def failing(start, top, **kw):
+        if threading.current_thread() is not threading.main_thread():
+            raise ResourceError("injected")
+        yield from real(start, top, **kw)
+
+    monkeypatch.setattr(value_sets, "scan_windows", failing)
+    before = threading.active_count()
+    with pytest.raises(ResourceError, match="injected"):
+        build_value_bitmap("phi", 10**5, threads=2)
+    assert threading.active_count() == before
 
 
 def test_values_table_row_10():
