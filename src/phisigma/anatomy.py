@@ -229,7 +229,7 @@ def psi_smooth_count(x: int, y: int) -> SmoothCount:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
     count = 1  # n = 1
     bound = min(y, math.isqrt(x))
-    for _, got in scan_windows(2, x, smooth_bound=bound):
+    for _, _, got in scan_windows([(2, 1, x)], smooth_bound=bound):
         count += int(np.count_nonzero(got["rem"] <= y))
     u = math.log(x) / math.log(y)
     cep = float(x) if u == 0.0 else x * u**-u
@@ -253,7 +253,7 @@ def omega_tail_census(x: int, alpha: float) -> tuple[int, float]:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
     threshold = alpha * _loglog(x)
     observed = 0
-    for _, got in scan_windows(2, x, want_omega=True):
+    for _, _, got in scan_windows([(2, 1, x)], want_omega=True):
         observed += int(np.count_nonzero(got["omega"] >= threshold))
     if alpha < 2.0:
         shape = x * math.log(x) ** -q_function(alpha)

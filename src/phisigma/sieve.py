@@ -18,16 +18,16 @@ those primes share one vectorized pass per window, as in the bucket
 sieve of T. Oliveira e Silva, S. Herzog and S. Pardi (Math. Comp. 83
 (2014) 2033-2060): their first hits come from one table of modular
 inverses, are expanded into (index, p) pairs and applied by ufunc.at.
-scan_windows drives it over a long progression in windows of
-DEFAULT_SEGMENT_SIZE elements, 2 MiB per int64 array; every census in
-the package scans through it, and that one constant sizes all of
-their windows.  The window arrays and the inverse table live in one
-workspace per run (_Workspace), which every window fills in place, as
-the bucket sieve reuses its fixed window buffers: freed and allocated
-afresh, arrays of this size would fault their pages back in at every
-window.  phi and sigma are updated in place, by the factor each prime
-power adds (sigma trades 1 + ... + p^(j-1) for 1 + ... + p^j by exact
-division), so neither needs a buffer beside its own array.
+scan_windows drives it over a list of progressions, cut into windows
+of DEFAULT_SEGMENT_SIZE elements (cut_windows); every census scans
+through it, and that one constant sizes all of their windows.  The
+window arrays and the inverse tables live in one workspace per call
+(_Workspace), which every window fills in place, as the bucket sieve
+reuses its fixed window buffers: freed and allocated afresh, arrays of
+this size would fault their pages back in at every window, or at every
+progression.  phi and sigma are updated in place, by the factor each
+prime power adds (sigma trades 1 + ... + p^(j-1) for 1 + ... + p^j by
+exact division), so neither needs a buffer beside its own array.
 
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
@@ -240,27 +240,30 @@ def _step_inverses(primes: np.ndarray, step: int) -> np.ndarray:
 
 PAIR_BYTES = 33  # index, prime, p^(j+1), n mod p^(j+1) and its zero mask
 
-PRIME_BYTES = 128  # cached inverse, first hit, hit count and their batch copies
+PRIME_BYTES = 120  # a window's first hit, hit count and their batch copies
+
+INVERSE_BYTES = 8  # one step's cached inverse
 
 SCAN_OVERHEAD = 1 << 16  # numpy's casting buffers (8192 elements) and the window's objects
 
 
-def scan_bytes(size: int, large_primes: int, *, want_phi: bool = False,
+def scan_bytes(size: int, large_primes: int, steps: int, *, want_phi: bool = False,
                want_sigma: bool = False, want_omega: bool = False) -> int:
-    """Bytes a scan workspace of `size` elements and one segment_scan
-    window on it hold at their peak, with `large_primes` base primes (an
-    upper bound will do) in the large-prime pass.
+    """Bytes a scan workspace of `size` elements for `steps` distinct
+    steps, and one segment_scan window on it, hold at their peak, with
+    `large_primes` base primes (an upper bound will do) in the
+    large-prime pass.
 
     The workspace's buffers (_Workspace), per element: the remainder,
     each wanted array and the fold's mask.  When any prime is large, its
     batch of (index, p) pairs (_pair_batch) at PAIR_BYTES, and per large
-    prime its inverse table and a window's first-hit arrays at
-    PRIME_BYTES.  And SCAN_OVERHEAD once.
+    prime a window's first-hit arrays at PRIME_BYTES and one inverse
+    table per step at INVERSE_BYTES.  And SCAN_OVERHEAD once.
     """
     per_entry = 8 + 8 * want_phi + 8 * want_sigma + 2 * want_omega + 1
     pairs = _pair_batch(size) if large_primes else 0
-    return (per_entry * size + PAIR_BYTES * pairs + PRIME_BYTES * large_primes
-            + SCAN_OVERHEAD)
+    per_prime = PRIME_BYTES + INVERSE_BYTES * steps
+    return per_entry * size + PAIR_BYTES * pairs + per_prime * large_primes + SCAN_OVERHEAD
 
 
 def _pair_batch(size: int) -> int:
@@ -276,25 +279,26 @@ def _pair_batch(size: int) -> int:
 
 class _Workspace:
     """The buffers segment_scan fills for windows of up to `size`
-    elements of a progression with the given step: the remainder, the
+    elements of progressions with the given steps: the remainder, the
     wanted phi, sigma and omega (each updated in place, with no buffer
-    beside it), the fold's rem > 1 mask, step^-1 mod p for every base
-    prime above max(LARGE_PRIME_THRESHOLD, step), and one batch of the
-    large-prime pass's (index, p) pairs.
+    beside it), the fold's rem > 1 mask, one batch of the large-prime
+    pass's (index, p) pairs, and per step the index n_small of the first
+    base prime above max(LARGE_PRIME_THRESHOLD, step) and step^-1 mod p
+    for it and every later one (tables).
 
-    scan_windows builds one per run, so its windows allocate no array
+    scan_windows builds one per call, so its windows allocate no array
     per element or per pair and fault no fresh pages; a standalone
-    segment_scan builds its own.  The scan_bytes of a window on it are
-    charged first.
+    segment_scan builds its own.  The scan_bytes of a window on it, with
+    every step's inverse table, are charged first.
     """
 
-    def __init__(self, size: int, base_primes: np.ndarray, step: int, *,
+    def __init__(self, size: int, base_primes: np.ndarray, steps: set[int], *,
                  want_phi: bool, want_sigma: bool, want_omega: bool, what: str):
-        self.n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step),
-                                           "right"))
+        large = len(base_primes) - int(np.searchsorted(base_primes, LARGE_PRIME_THRESHOLD,
+                                                       "right"))  # the most at any step
         check_allocation(
-            scan_bytes(size, len(base_primes) - self.n_small, want_phi=want_phi,
-                       want_sigma=want_sigma, want_omega=want_omega),
+            scan_bytes(size, large, len(steps), want_phi=want_phi, want_sigma=want_sigma,
+                       want_omega=want_omega),
             what,
         )
         self.rem = np.empty(size, dtype=np.int64)
@@ -302,10 +306,13 @@ class _Workspace:
         self.sigma = np.empty(size, dtype=np.int64) if want_sigma else None
         self.omega = np.empty(size, dtype=np.int16) if want_omega else None
         self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
-        self.inv = _step_inverses(base_primes[self.n_small :], step)
+        self.tables = {}
+        for step in steps:
+            n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step), "right"))
+            self.tables[step] = n_small, _step_inverses(base_primes[n_small:], step)
         # one batch of (index, p) pairs: index, p^(j+1) and n mod p^(j+1),
         # and n's zero mask
-        batch = _pair_batch(size) if len(self.inv) else 0
+        batch = _pair_batch(size) if large else 0
         self.pairs = np.empty((3, batch), dtype=np.int64)
         self.zero = np.empty(batch, dtype=bool)
 
@@ -375,10 +382,10 @@ def segment_scan(
         raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
     ws = _workspace
     if ws is None:
-        ws = _Workspace(size, base_primes, step, want_phi=want_phi, want_sigma=want_sigma,
+        ws = _Workspace(size, base_primes, {step}, want_phi=want_phi, want_sigma=want_sigma,
                         want_omega=want_omega, what=f"segment scan [{lo}, {hi}) step {step}")
     top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    n_small = ws.n_small
+    n_small, inv = ws.tables[step]
     n_large = max(0, int(np.searchsorted(base_primes, top, "right")) - n_small)
 
     rem, phi, sigma, omega = (None if a is None else a[:size]
@@ -438,7 +445,7 @@ def segment_scan(
             q *= p
 
     if n_large:
-        _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large],
+        _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large], inv,
                           rem, phi, sigma, omega, ws)
 
     # branch-free: rem + big and rem - big are p + 1 and p - 1 where a
@@ -469,20 +476,20 @@ def segment_scan(
     return out
 
 
-def _large_prime_pass(lo, step, primes, rem, phi, sigma, omega, ws) -> None:
+def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega, ws) -> None:
     """Divide the primes (each > step) out of the window lo, lo+step, ...
     that rem covers, updating phi, sigma and omega (those not None).
 
     The k with p | lo + k*step are k0, k0 + p, ... for
-    k0 = (-lo) * inv mod p, inv = step^-1 mod p from the workspace ws,
-    whose table starts at primes[0].  The hit counts are cut into
+    k0 = (-lo) * inv mod p, inv = step^-1 mod p from the workspace's
+    table, which starts at primes[0].  The hit counts are cut into
     batches of whole primes with at most _pair_batch pairs each; a batch
-    is expanded into ws and applied by _apply_pairs.
+    is expanded into the workspace ws and applied by _apply_pairs.
     """
     size = len(rem)
     batch = _pair_batch(size)
     k0 = (-lo) % primes
-    k0 *= ws.inv[: len(primes)]
+    k0 *= inv[: len(primes)]
     k0 %= primes
     count = size - 1 - k0  # hits: (size - 1 - k0) // p + 1, which is 0 for k0 >= size
     count //= primes
@@ -545,34 +552,46 @@ def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega, ws) -> Non
         j += 1
 
 
-def scan_windows(start: int, top: int, *, step: int = 1, want_phi: bool = False,
-                 want_sigma: bool = False, want_omega: bool = False,
-                 smooth_bound: int | None = None):
-    """segment_scan over the progression start, start+step, ... <= top,
-    in windows of DEFAULT_SEGMENT_SIZE elements (read at each call).
-
-    Yields (first, scan) per window, where first is the window's first
-    integer and scan is segment_scan's dict for it, so element k of each
-    array belongs to first + k*step.  The want_* and smooth_bound
-    keywords are segment_scan's.  The base primes are those <= sqrt(top),
-    or <= smooth_bound when it is set.
-
-    Every window is filled into one workspace (_Workspace) of
-    min(DEFAULT_SEGMENT_SIZE, elements) elements, built and charged once
-    per run, so the arrays yielded are valid only until the next window
-    is requested: consume or copy them first.
-    """
-    base = primes_up_to(math.isqrt(top) if smooth_bound is None else smooth_bound)
+def cut_windows(progressions) -> list[tuple[int, int, int]]:
+    """The (lo, step, last) of every window of DEFAULT_SEGMENT_SIZE
+    elements (read at each call) of the progressions (start, step, top),
+    start, start+step, ... <= top, in order; an empty progression has
+    none.  A window is itself such a progression, cut into one window."""
     size = DEFAULT_SEGMENT_SIZE
-    elements = len(range(start, top + 1, step))
-    if not elements:
+    return [(lo, step, min(lo + step * (size - 1), top))
+            for start, step, top in progressions
+            for lo in range(start, top + 1, step * size)]
+
+
+def scan_windows(progressions, *, want_phi: bool = False, want_sigma: bool = False,
+                 want_omega: bool = False, smooth_bound: int | None = None):
+    """segment_scan over every window (cut_windows) of the progressions
+    (start, step, top), in order.
+
+    Yields (first, step, scan) per window, where first is the window's
+    first integer and scan is segment_scan's dict for it, so element k
+    of each array belongs to first + k*step.  The want_* and
+    smooth_bound keywords are segment_scan's.  The base primes are
+    those <= sqrt of the last integer scanned, or <= smooth_bound when
+    it is set; each window divides by those it needs.
+
+    Every window is filled into one workspace (_Workspace) as long as
+    the longest window, with an inverse table per step, built and
+    charged once per call, so the arrays yielded are valid only until
+    the next window is requested: consume or copy them first.
+    """
+    windows = cut_windows(progressions)
+    if not windows:
         return
+    top = max(last for *_, last in windows)
+    base = primes_up_to(math.isqrt(top) if smooth_bound is None else smooth_bound)
+    size = max((last - lo) // step + 1 for lo, step, last in windows)
     wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
-    workspace = _Workspace(min(size, elements), base, step, **wants,
-                           what=f"scan windows [{start}, {top}] step {step}")
-    for lo in range(start, top + 1, step * size):
-        yield lo, segment_scan(lo, min(lo + step * size, top + 1), base, step=step,
-                               smooth_bound=smooth_bound, _workspace=workspace, **wants)
+    workspace = _Workspace(size, base, {step for _, step, _ in windows}, **wants,
+                           what=f"scan of {len(windows)} windows to {top}")
+    for lo, step, last in windows:
+        yield lo, step, segment_scan(lo, last + 1, base, step=step, smooth_bound=smooth_bound,
+                                     _workspace=workspace, **wants)
 
 
 def segment_map(lo: int, hi: int, which: str = "both"):

@@ -481,7 +481,7 @@ def r_l_sum(
     tab[primes - 2] = -np.arange(len(primes), dtype=np.int32)
 
     terms = [np.ones(1)]  # n = 1: zero vector, always a member
-    for lo, got in scan_windows(2, x, want_omega=True,
-                                want_phi=f == "phi", want_sigma=f == "sigma"):
+    for lo, _, got in scan_windows([(2, 1, x)], want_omega=True,
+                                   want_phi=f == "phi", want_sigma=f == "sigma"):
         terms.append(_member_reciprocals(lo, got["omega"], got[f], spec, start, tab, scaled))
     return math.fsum(itertools.chain.from_iterable(terms))

@@ -17,13 +17,13 @@ Memory: a bitmap over [0, x] costs (x+1)/8 bytes.  The build marks
 values in a scratch array of x/2 + 2 bytes, one byte per even value
 (the odd values are 1 and sigma's few at n = m^2, 2m^2), packed into
 the bitmap at the end, and keeps one scan workspace per worker thread
-(sieve.scan_bytes, 6.7 to 9.9 MB at the default window size for x up
-to 10^8).  Each window's values are clipped in place and marked by one
-fancy-index store, so no mask or filtered copy is made.  All of it,
-with the pack's temporaries, is charged against the memory budget
-before anything is allocated or any thread starts: 0.69 x bytes plus
-the workspaces.  On a 2-vCPU VM, values-table to 10^8 peaks at 96 MB
-of resident memory on one thread and 103 MB on two.
+for all of its windows (sieve.scan_bytes, 6.7 to 10.0 MB at the default
+window size for x up to 10^8).  Each window's values are clipped in
+place and marked by one fancy-index store, so no mask or filtered copy
+is made.  All of it, with the pack's temporaries, is charged against
+the memory budget before anything is allocated or any thread starts:
+0.69 x bytes plus the workspaces.  On a 2-vCPU VM, values-table to
+10^8 peaks at 96 MB of resident memory on one thread and 103 MB on two.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, check_allocation
 from . import sieve
-from .sieve import primes_up_to, scan_bytes, scan_windows
+from .sieve import cut_windows, primes_up_to, scan_bytes, scan_windows
 from .workers import run_workers, worker_count
 
 
@@ -153,44 +153,16 @@ def _odd_sigma_slots(lo: int, step: int, size: int) -> np.ndarray:
     return np.concatenate(slots)
 
 
-def _deal(progressions: list[tuple[int, int, int]], threads: int,
-          cpus: int | None) -> list[list[tuple[int, int, int]]]:
-    """The (start, step, top) units of each of worker_count(threads,
-    units, cpus) workers.
-
-    Units are dealt longest first, each to the worker with the fewest
-    elements so far.  That leaves a worker at most one unit above its
-    share, so when the longest progression is over a quarter of a
-    share there are too few to balance (sigma has two), and each is
-    split into its residue sub-progressions start + i*step, step
-    workers*step.  Empty units are dropped.
-    """
-    def length(u):
-        return len(range(u[0], u[2] + 1, u[1]))
-
-    units = [u for u in progressions if length(u)]
-    split = min(threads, cpus or 1)
-    if split > 1 and units and 4 * split * max(map(length, units)) > sum(map(length, units)):
-        units = [(start + i * step, split * step, top) for start, step, top in units
-                 for i in range(split) if start + i * step <= top]
-    workers = worker_count(threads, len(units), cpus)
-    loads = [0] * workers
-    dealt: list[list[tuple[int, int, int]]] = [[] for _ in range(workers)]
-    for u in sorted(units, key=length, reverse=True):
-        w = loads.index(min(loads))
-        dealt[w].append(u)
-        loads[w] += length(u)
-    return dealt
-
-
 def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     """Enumerate the value set of f up to x into a bitmap.
 
-    Only the progressions of scan_progressions are scanned, each in
-    windows of DEFAULT_SEGMENT_SIZE elements; every n outside them
-    either has f(n) > x or shares its value with a scanned n.  Up to
-    `threads` workers share them (_deal, run_workers), each running one
-    scan_windows at a time, and mark the even values v <= x in one
+    Only the progressions of scan_progressions are scanned, cut into
+    windows of DEFAULT_SEGMENT_SIZE elements (cut_windows); every n
+    outside them either has f(n) > x or shares its value with a scanned
+    n.  The windows are dealt round robin to
+    min(threads, windows, CPUs) workers (run_workers): worker w scans
+    every workers-th window from the w-th in one scan_windows call, on
+    one workspace, and marks the even values v <= x in one shared
     scratch array, half[v >> 1] = True.  The stores are idempotent and
     nothing is read back, so the bytes never depend on the thread count.
 
@@ -214,39 +186,40 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
         raise DomainError(f"need x >= 1, got {x}")
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
-    progressions = scan_progressions(f, x)
-    dealt = _deal(progressions, threads, os.cpu_count())
+    windows = cut_windows(scan_progressions(f, x))
+    workers = worker_count(threads, len(windows), os.cpu_count())
     want = {f"want_{f}": True}
     odd = f == "sigma"
     # sq bounds the large base primes, the m of any window's odd slots and
-    # the odd values kept; per worker a scan workspace and a window's odd
-    # slots (under 48 bytes per m), then the odd values (16 bytes per m),
-    # the scratch, its packed bits and their spread, the bitmap
-    sq = math.isqrt(max(top for *_, top in progressions)) + 1
-    per_worker = scan_bytes(sieve.DEFAULT_SEGMENT_SIZE, sq, **want) + 48 * sq * odd
+    # the odd values kept; per worker a scan workspace for every step and
+    # a window's odd slots (under 48 bytes per m), then the odd values
+    # (16 bytes per m), the scratch, its packed bits and their spread, the
+    # bitmap
+    sq = math.isqrt(max((last for *_, last in windows), default=0)) + 1
+    steps = len({step for _, step, _ in windows})
+    per_worker = scan_bytes(sieve.DEFAULT_SEGMENT_SIZE, sq, steps, **want) + 48 * sq * odd
     packed_bytes = (x // 2 + 8) // 8
-    check_allocation(len(dealt) * per_worker + 16 * sq * odd + x // 2 + 2 + 3 * packed_bytes,
-                     f"value bitmap build at x={x} on {len(dealt)} workers")
+    check_allocation(workers * per_worker + 16 * sq * odd + x // 2 + 2 + 3 * packed_bytes,
+                     f"value bitmap build at x={x} on {workers} workers")
     cap = x // 2 + 1  # the slot of 2 * cap, the first even value above x
     half = np.zeros(cap + 1, dtype=bool)
     kept = [np.empty(0, dtype=np.int64)]  # the odd sigma values <= x
 
     def scan(w: int):
-        for start, step, top in dealt[w]:
-            for first, got in scan_windows(start, top, step=step, **want):
-                vals = got[f]  # the window's own array, changed in place
-                if odd:
-                    slots = _odd_sigma_slots(first, step, len(vals))
-                    odd_vals = vals[slots]
-                    kept.append(odd_vals[odd_vals <= x])
-                    vals[slots] = 2 * cap
-                np.minimum(vals, 2 * cap, out=vals)
-                vals >>= 1
-                half[vals] = True
-                del got, vals  # hold no window: a run's workspace dies with it
-                yield
+        for first, step, got in scan_windows(windows[w::workers], **want):
+            vals = got[f]  # the window's own array, changed in place
+            if odd:
+                slots = _odd_sigma_slots(first, step, len(vals))
+                odd_vals = vals[slots]
+                kept.append(odd_vals[odd_vals <= x])
+                vals[slots] = 2 * cap
+            np.minimum(vals, 2 * cap, out=vals)
+            vals >>= 1
+            half[vals] = True
+            del got, vals  # hold no window: the workspace dies with the scan
+            yield
 
-    run_workers(len(dealt), scan)
+    run_workers(workers, scan)
     packed = np.packbits(half[:cap], bitorder="little")
     del half
     bits = _SPREAD[packed].view(np.uint8)[: (x >> 3) + 1]

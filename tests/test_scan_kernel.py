@@ -54,7 +54,7 @@ def _windows_equal_oracle(monkeypatch, top, size, step, want, start=None):
                                  step=step, **want)
     # a window's arrays are valid until the next one: copy each
     windows = [(lo, {k: a.copy() for k, a in got.items()})
-               for lo, got in scan_windows(start, top, step=step, **want)]
+               for lo, _, got in scan_windows([(start, step, top)], **want)]
     assert len(windows) == -(-len(range(start, top + 1, step)) // size)
     for key, arr in whole.items():
         assert np.array_equal(np.concatenate([got[key] for _, got in windows]), arr), key
@@ -234,15 +234,19 @@ def test_segment_scan_peak_within_charge(monkeypatch, charges, mode):
 
 @pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
 def test_scan_windows_charged_once_per_run(monkeypatch, charges, mode):
-    # one charge, the workspace's, covers every window of the run
+    # one charge, the workspace's, covers every window of the run; the
+    # phi classes at 1e6 take two steps, so two inverse tables
     want = MODES.get(mode, {"smooth_bound": 5000})
     size = 1 << 16
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     lo = 10**7 + 1
-    top = lo + 2 * (4 * size - 1)
-    peak = traced_peak(lambda: sum(1 for _ in scan_windows(lo, top, step=2, **want)))
-    assert len(charges) == 2  # the base primes' sieve, then the workspace
-    assert peak <= charges[-1]
+    one_step = [(lo, 2, lo + 2 * (4 * size - 1))]
+    two_steps = value_sets.scan_progressions("phi", 10**6)[::7]
+    for progressions in (one_step, two_steps):
+        charges.clear()
+        peak = traced_peak(lambda: sum(1 for _ in scan_windows(progressions, **want)))
+        assert len(charges) == 2  # the base primes' sieve, then the workspace
+        assert peak <= charges[-1]
 
 
 @pytest.mark.parametrize("f", ["phi", "sigma"])

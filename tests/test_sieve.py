@@ -16,6 +16,7 @@ from phisigma import (
 )
 from phisigma import sieve
 from phisigma.sieve import SPF_PRIME_SENTINEL, composite_mask, scan_windows, segment_scan
+from phisigma.value_sets import scan_progressions
 
 from conftest import factor_pairs_naive, phi_trial, sigma_trial
 
@@ -251,7 +252,7 @@ def test_scan_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     # a window's arrays are valid until the next one: copy each
     windows = [(lo, {k: a.copy() for k, a in got.items()})
-               for lo, got in scan_windows(start, top, step=step, **want)]
+               for lo, _, got in scan_windows([(start, step, top)], **want)]
     elements = len(range(start, top + 1, step))
     assert len(windows) == -(-elements // size)
     assert [lo for lo, _ in windows] == list(range(start, top + 1, step * size))
@@ -263,9 +264,9 @@ def test_scan_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
 def test_scan_windows_fill_one_workspace(monkeypatch, mode):
     # a return to per-window allocation would give the next window fresh memory
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
-    windows = scan_windows(3, 1000, **SCAN_MODES[mode])
-    first = dict(next(windows)[1])
-    second = next(windows)[1]
+    windows = scan_windows([(3, 1, 1000)], **SCAN_MODES[mode])
+    first = dict(next(windows)[2])
+    second = next(windows)[2]
     assert second.keys() == first.keys()
     for key, arr in second.items():
         assert np.shares_memory(arr, first[key]), key
@@ -281,12 +282,35 @@ def test_scan_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
     want = SCAN_MODES[mode]
     base = primes_up_to(want.get("smooth_bound", math.isqrt(top)))
-    for lo, got in scan_windows(start, top, step=step, **want):
+    for lo, _, got in scan_windows([(start, step, top)], **want):
         fresh = segment_scan(lo, min(lo + 97 * step, top + 1), base, step=step, **want)
         assert got.keys() == fresh.keys()
         for key, arr in fresh.items():
             assert got[key].dtype == arr.dtype
             assert np.array_equal(got[key], arr), (lo, key)
+
+
+@pytest.mark.parametrize("size", [None, 97])
+@pytest.mark.parametrize("mode", sorted(SCAN_MODES))
+def test_scan_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode, size):
+    # the phi classes at 1e5 (steps 30 and 60), an empty progression, and
+    # a short one after the long ones, on one workspace: each window
+    # against a standalone scan of its range
+    if size is not None:
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
+    size = sieve.DEFAULT_SEGMENT_SIZE
+    progressions = scan_progressions("phi", 10**5) + [(50, 7, 10), (1001, 3, 1200)]
+    want = SCAN_MODES[mode]
+    expect = [(lo, step, min(lo + step * size, top + 1)) for start, step, top in progressions
+              for lo in range(start, top + 1, step * size)]
+    got = scan_windows(progressions, **want)
+    for (lo, step, hi), (first, got_step, scan) in zip(expect, got, strict=True):
+        assert (first, got_step) == (lo, step)
+        base = primes_up_to(want.get("smooth_bound", math.isqrt(hi - 1)))
+        fresh = segment_scan(lo, hi, base, step=step, **want)
+        assert scan.keys() == fresh.keys()
+        for key, arr in fresh.items():
+            assert np.array_equal(scan[key], arr), (lo, step, key)
 
 
 def test_standalone_scans_keep_their_arrays():
@@ -307,8 +331,8 @@ def test_standalone_scans_keep_their_arrays():
 
 def test_scan_windows_edges(monkeypatch):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 4)
-    assert list(scan_windows(10, 9, want_phi=True)) == []
-    [(lo, got)] = scan_windows(7, 7, want_phi=True)
+    assert list(scan_windows([(10, 1, 9)], want_phi=True)) == []
+    [(lo, _, got)] = scan_windows([(7, 1, 7)], want_phi=True)
     assert lo == 7 and got["phi"].tolist() == [6]
 
 

@@ -19,7 +19,8 @@ from phisigma import (
     values_table,
     values_table_csv,
 )
-from phisigma.value_sets import _deal, scan_progressions
+from phisigma.sieve import cut_windows
+from phisigma.value_sets import scan_progressions
 
 from conftest import phi_oracle_top, phi_trial, sigma_trial
 
@@ -283,15 +284,12 @@ def test_bitmap_workers_stress_more_workers_than_cores(monkeypatch, f):
     assert np.array_equal(got, want)
 
 
-def test_sigma_sub_progression_of_one_window(monkeypatch):
+def test_sigma_bitmap_in_short_windows(monkeypatch):
     from phisigma import sieve
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 10)
-    x = 6000  # two workers split both progressions: 1500, 1499, 1000, 1000 n
-    dealt = _deal(scan_progressions("sigma", x), 2, os.cpu_count())
-    windows = sorted(-(-len(range(a, t + 1, s)) // 1024) for part in dealt for a, s, t in part)
-    assert windows == [1, 1, 2, 2]
+    x = 6000  # 2999 and 2000 n: windows of 1024, 1024, 951, 1024 and 976 n
     want = _full_range_bits("sigma", x)
     for threads in (1, 2, 3):
         assert np.array_equal(build_value_bitmap("sigma", x, threads=threads).bits, want)
@@ -315,28 +313,65 @@ def test_odd_sigma_values_exhaustive_to_1e6(monkeypatch, threads):
     assert odd == want
 
 
+def _dealt(monkeypatch, f, x, threads, cpus):
+    """The windows each scan_windows call of build_value_bitmap(f, x)
+    received, one list per worker."""
+    from phisigma import value_sets
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    real = value_sets.scan_windows
+    dealt = []
+
+    def spy(progressions, **kw):
+        dealt.append(list(progressions))
+        yield from real(dealt[-1], **kw)
+
+    monkeypatch.setattr(value_sets, "scan_windows", spy)
+    build_value_bitmap(f, x, threads=threads)
+    return dealt
+
+
 @pytest.mark.parametrize("threads,cpus", [(1, 8), (2, 8), (3, 8), (8, 2), (8, None), (16, 64)])
 @pytest.mark.parametrize("f", ["phi", "sigma"])
-def test_deal_partitions_the_scan_over_capped_workers(f, threads, cpus):
+def test_deal_partitions_the_scan_over_capped_workers(monkeypatch, f, threads, cpus):
+    from phisigma import sieve
+
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 8)
     x = 10**4
     progressions = scan_progressions(f, x)
-    dealt = _deal(progressions, threads, cpus)
-    units = [u for part in dealt for u in part]
-    assert len(dealt) == min(threads, len(units), cpus or 1)
+    dealt = _dealt(monkeypatch, f, x, threads, cpus)
+    windows = [u for part in dealt for u in part]
+    assert len(windows) == len(cut_windows(progressions))
+    assert len(dealt) == min(threads, len(windows), cpus or 1)
     assert all(dealt)
-    # the units cover each scanned n once
-    covered = sorted(n for a, s, t in units for n in range(a, t + 1, s))
+    # the windows cover each scanned n once
+    covered = sorted(n for a, s, t in windows for n in range(a, t + 1, s))
     assert covered == sorted(n for a, s, t in progressions for n in range(a, t + 1, s))
-    # dealt longest first to the least loaded: within one unit of each other
-    loads = [sum(len(range(a, t + 1, s)) for a, s, t in part) for part in dealt]
-    assert max(loads) - min(loads) <= max(len(range(a, t + 1, s)) for a, s, t in units)
+    # dealt round robin: worker loads within one window of each other
+    assert max(map(len, dealt)) - min(map(len, dealt)) <= 1
 
 
-def test_deal_splits_sigma_but_not_phi_on_two_workers():
-    assert len(_deal(scan_progressions("sigma", 10**7), 2, 2)) == 2
-    assert sum(map(len, _deal(scan_progressions("sigma", 10**7), 2, 2))) == 4
-    assert sum(map(len, _deal(scan_progressions("phi", 10**7), 2, 2))) == 30
-    assert _deal(scan_progressions("sigma", 1), 4, 8) == [[]]  # nothing to scan
+def test_sigma_at_1_scans_nothing(monkeypatch):
+    assert _dealt(monkeypatch, "sigma", 1, 4, 8) == [[]]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+def test_one_workspace_per_worker(monkeypatch, f, threads):
+    from phisigma import sieve
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    built = []
+    real = sieve._Workspace
+
+    class Spy(real):
+        def __init__(self, *args, **kw):
+            built.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(sieve, "_Workspace", Spy)
+    build_value_bitmap(f, 10**6, threads=threads)
+    assert len(built) == threads  # one scan_windows call, one workspace, per worker
 
 
 def test_failing_scan_worker_reraised_and_no_thread_left(monkeypatch):
@@ -345,10 +380,10 @@ def test_failing_scan_worker_reraised_and_no_thread_left(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     real = value_sets.scan_windows
 
-    def failing(start, top, **kw):
+    def failing(progressions, **kw):
         if threading.current_thread() is not threading.main_thread():
             raise ResourceError("injected")
-        yield from real(start, top, **kw)
+        yield from real(progressions, **kw)
 
     monkeypatch.setattr(value_sets, "scan_windows", failing)
     before = threading.active_count()
