@@ -22,8 +22,8 @@ from .sieve import (
     FactorSieve,
     Factorization,
     composite_mask,
+    deal_windows,
     factorize,
-    scan_windows,
 )
 
 SIEVE_CENSUS_CAP = 10**8
@@ -214,12 +214,15 @@ class SmoothCount:
     cep_estimate: float
 
 
-def psi_smooth_count(x: int, y: int) -> SmoothCount:
+def psi_smooth_count(x: int, y: int, *, threads: int = 1) -> SmoothCount:
     """Count the y-smooth integers up to x exactly.
 
     Each window of DEFAULT_SEGMENT_SIZE integers of [2, x] is divided by
     all primes <= min(y, sqrt(x)); n is y-smooth exactly when the
-    remainder is <= y.  n = 1 always counts.
+    remainder is <= y.  n = 1 always counts.  The windows are dealt round
+    robin to min(threads, windows, CPUs) workers (deal_windows), each
+    counting its own windows; the counts are integers, so the sum never
+    depends on the thread count.
     """
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
@@ -227,19 +230,21 @@ def psi_smooth_count(x: int, y: int) -> SmoothCount:
         raise DomainError(f"need y >= 2, got {y}")
     if x > SIEVE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
-    count = 1  # n = 1
-    bound = min(y, math.isqrt(x))
-    for _, _, got in scan_windows([(2, 1, x)], smooth_bound=bound):
-        count += int(np.count_nonzero(got["rem"] <= y))
+    scan = deal_windows([(2, 1, x)], threads, smooth_bound=min(y, math.isqrt(x)),
+                        what=f"smooth count to {x}")
+    count = 1 + sum(scan(lambda _lo, _step, got: int(np.count_nonzero(got["rem"] <= y))))
     u = math.log(x) / math.log(y)
     cep = float(x) if u == 0.0 else x * u**-u
     return SmoothCount(x=x, y=y, psi_exact=count, u=u, cep_estimate=cep)
 
 
-def omega_tail_census(x: int, alpha: float) -> tuple[int, float]:
+def omega_tail_census(x: int, alpha: float, *, threads: int = 1) -> tuple[int, float]:
     """Count n <= x with Omega(n) >= alpha*loglog x; report the bound shape.
 
-    [2, x] is scanned in windows of DEFAULT_SEGMENT_SIZE integers.
+    [2, x] is scanned in windows of DEFAULT_SEGMENT_SIZE integers, dealt
+    round robin to min(threads, windows, CPUs) workers (deal_windows),
+    each counting its own windows; the counts are integers, so the sum
+    never depends on the thread count.
 
     The comparator is x (log x)^(-Q(alpha)) for alpha < 2 and
     x (log x)^(1 - alpha log 2) loglog x for alpha >= 2 (constant
@@ -252,9 +257,8 @@ def omega_tail_census(x: int, alpha: float) -> tuple[int, float]:
     if x > SIEVE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
     threshold = alpha * _loglog(x)
-    observed = 0
-    for _, _, got in scan_windows([(2, 1, x)], want_omega=True):
-        observed += int(np.count_nonzero(got["omega"] >= threshold))
+    scan = deal_windows([(2, 1, x)], threads, want_omega=True, what=f"Omega census to {x}")
+    observed = sum(scan(lambda _lo, _step, got: int(np.count_nonzero(got["omega"] >= threshold))))
     if alpha < 2.0:
         shape = x * math.log(x) ** -q_function(alpha)
     else:

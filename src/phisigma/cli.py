@@ -152,12 +152,12 @@ def _cmd_normal_primes(args) -> str:
 
 
 def _cmd_smooth_count(args) -> str:
-    sc = anatomy.psi_smooth_count(args.x, args.y)
+    sc = anatomy.psi_smooth_count(args.x, args.y, threads=args.threads)
     return _json(dataclasses.asdict(sc))
 
 
 def _cmd_omega_census(args) -> str:
-    observed, shape = anatomy.omega_tail_census(args.x, args.alpha)
+    observed, shape = anatomy.omega_tail_census(args.x, args.alpha, threads=args.threads)
     return _json(
         {
             "x": args.x,
@@ -197,7 +197,7 @@ def _cmd_capture_census(args) -> str:
 
 def _cmd_rl_sum(args) -> str:
     spec = _parse_xi(args.xi, args.L)
-    value = structure.r_l_sum(args.f, spec, args.x, args.offset)
+    value = structure.r_l_sum(args.f, spec, args.x, args.offset, threads=args.threads)
     return _json(
         {
             "f": args.f,
@@ -229,7 +229,8 @@ def build_parser() -> _Parser:
                        "subcommand takes no --seed (else exit 64)")
         c.add_argument("--threads", type=_int_arg, default=dflt(1),
                        help="upper bound on worker threads (>= 1); "
-                       "values-table and capture-census scan for values and "
+                       "values-table, capture-census, smooth-count, "
+                       "omega-census and rl-sum scan their windows and "
                        "simplex-volume draws its batches on up to this many, "
                        "every other subcommand runs in one thread; output "
                        "bytes never depend on it")

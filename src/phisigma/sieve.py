@@ -20,7 +20,9 @@ sieve of T. Oliveira e Silva, S. Herzog and S. Pardi (Math. Comp. 83
 inverses, are expanded into (index, p) pairs and applied by ufunc.at.
 scan_windows drives it over a list of progressions, cut into windows
 of DEFAULT_SEGMENT_SIZE elements (cut_windows); every census scans
-through it, and that one constant sizes all of their windows.  The
+through it, and that one constant sizes all of their windows.
+deal_windows deals the windows round robin to worker threads, one
+scan_windows call per worker, after one charge for all of them.  The
 window arrays and the inverse tables live in one workspace per call
 (_Workspace), which every window fills in place, as the bucket sieve
 reuses its fixed window buffers: freed and allocated afresh, arrays of
@@ -36,10 +38,12 @@ All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .errors import DomainError, ResourceError, check_allocation
 
 INPUT_CAP = 10**12
@@ -592,6 +596,54 @@ def scan_windows(progressions, *, want_phi: bool = False, want_sigma: bool = Fal
     for lo, step, last in windows:
         yield lo, step, segment_scan(lo, last + 1, base, step=step, smooth_bound=smooth_bound,
                                      _workspace=workspace, **wants)
+
+
+def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_bytes: int = 0,
+                 what: str, want_phi: bool = False, want_sigma: bool = False,
+                 want_omega: bool = False, smooth_bound: int | None = None):
+    """Deal the windows (cut_windows) of the progressions round robin to
+    min(threads, windows, CPUs) workers (workers.worker_count), and
+    charge them, before anything is allocated or any thread starts, in
+    one check_allocation: per worker a scan workspace for the longest
+    window (scan_bytes) and worker_bytes, and shared_bytes once.
+
+    Returns run(consume).  It runs the workers (workers.run_workers):
+    worker w scans windows[w::workers] in one scan_windows call, with
+    the want_* and smooth_bound keywords, and calls
+    consume(first, step, scan) on each window as scan_windows yields
+    it.  run returns what consume returned for every window, grouped by
+    worker, so how the caller combines them must not depend on their
+    order.  Worker loads differ by at most one window.
+    """
+    if threads < 1:
+        raise DomainError(f"need threads >= 1, got {threads}")
+    windows = cut_windows(progressions)
+    n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
+    size = max(((last - lo) // step + 1 for lo, step, last in windows), default=0)
+    top = max((last for *_, last in windows), default=0)
+    # scan_windows divides by the primes up to isqrt(top) or smooth_bound,
+    # so the large ones lie above the threshold and below that bound
+    bound = math.isqrt(top) if smooth_bound is None else smooth_bound
+    large = max(0, bound - LARGE_PRIME_THRESHOLD)
+    steps = len({step for _, step, _ in windows})
+    wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
+    workspace = scan_bytes(size, large, steps, **wants)
+    check_allocation(n_workers * (workspace + worker_bytes) + shared_bytes,
+                     f"{what} on {n_workers} workers")
+
+    def run(consume) -> list:
+        results = [[] for _ in range(n_workers)]
+
+        def scan(w: int):
+            for first, step, got in scan_windows(windows[w::n_workers], smooth_bound=smooth_bound,
+                                                 **wants):
+                results[w].append(consume(first, step, got))
+                yield
+
+        workers.run_workers(n_workers, scan)
+        return [r for part in results for r in part]
+
+    return run
 
 
 def segment_map(lo: int, hi: int, which: str = "both"):

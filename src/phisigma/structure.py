@@ -28,15 +28,15 @@ import numpy as np
 
 from .constants import E_TO_E, iterated_log, l0_of, series_coefficient, structure_constants
 from .errors import DomainError, ResourceError, check_allocation
+from . import sieve, workers
 from .sieve import (
     FactorSieve,
     Factorization,
     build_factor_sieve,
+    deal_windows,
     factorize,
     primes_up_to,
-    scan_windows,
 )
-from .workers import run_workers, worker_count
 
 MC_BATCH = 1 << 19  # fixed batch size keeps the Philox stream worker-independent
 
@@ -45,6 +45,15 @@ MC_CHUNK = 1 << 14  # rows drawn at once: a chunk's L columns stay in cache
 MIN_MC_SAMPLES = 1000
 
 RL_SCAN_CAP = 10**8
+
+RL_SLICE = 1 << 14  # integers of a window whose members r_l_sum finds at once
+
+# per integer of a slice beside the rows of X: the survivors' indices, Omega,
+# cofactors and primes, and the simplex_mask temporaries (measured at most
+# 57 for L = 2..40)
+RL_SLICE_BYTES = 80
+
+ARRAY_BYTES = 256  # a small array's object, its shape and strides, and the list slots holding it
 
 XI_PRODUCT_CAP = 1.1
 
@@ -289,21 +298,21 @@ def simplex_volume_mc(
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {seed}")
     batches = -(-samples // MC_BATCH)
-    workers = worker_count(threads, batches, os.cpu_count())
+    n_workers = workers.worker_count(threads, batches, os.cpu_count())
     # allocated by the calling thread: worker threads allocate only the
     # kernel's temporaries, so their malloc arenas keep little memory
-    buffers = _chunk_buffers(spec.L, workers)
+    buffers = _chunk_buffers(spec.L, n_workers)
 
-    counts = [0] * workers
+    counts = [0] * n_workers
 
     def count_batches(w: int):
-        for index in range(w, batches, workers):
+        for index in range(w, batches, n_workers):
             m = min(MC_BATCH, samples - index * MC_BATCH)
             for cols in _ordered_chunks(seed, index, m, buffers[w]):
                 counts[w] += int(np.count_nonzero(simplex_mask(cols, spec)))
             yield
 
-    run_workers(workers, count_batches)
+    workers.run_workers(n_workers, count_batches)
     rate = sum(counts) / samples
     scale = 1.0 / math.factorial(spec.L)
     return VolumeEstimate(
@@ -402,36 +411,39 @@ def check_comparison_lemma(spec: SimplexSpec, trials: int, seed: int) -> bool:
     return True
 
 
-def _member_reciprocals(lo, omega, fn, spec, start, tab, scaled) -> np.ndarray:
+def _member_reciprocals(lo, omega, fn, spec, start, tab, scaled) -> list[np.ndarray]:
     """1/f(n) for the members among the n = lo, lo + 1, ... of one
     r_l_sum window, given Omega(n) and f(n) as the window's arrays.
 
-    The survivors Omega(n) <= L are compacted into omega and fn in place
-    (the next window overwrites them anyway), and their columns are freed
-    on return, before the next window is scanned: held through that scan,
-    they pinned the heap above them, which then stayed resident after
-    r_l_sum returned.
+    The window is walked in slices of RL_SLICE integers, and each slice's
+    members come back as one array.  A slice's survivors Omega(n) <= L
+    have their prime factors peeled off, smallest first, in L rounds
+    through tab, and each factor's scaled entry lands in the survivor's
+    column of X; simplex_mask selects the members.  All of it is sized
+    by the slice, not the window: what a worker holds beside its
+    workspace and the kept terms is at most RL_SLICE * (8 (L + start) +
+    RL_SLICE_BYTES) bytes, whatever the window size.
     """
     L = spec.L
-    m = np.flatnonzero(omega <= L)
-    n = len(m)
-    omega[:n] = omega[m]
-    fn[:n] = fn[m]
-    omega, fn = omega[:n], fn[:n]
-    m += lo
-    check_allocation(8 * (L + start) * n, f"simplex columns from {lo}")
-    # row i holds x_i, from the i-th largest prime factor p_i; rows past
-    # Omega(n) stay 0, and Omega(n) <= L fills rows 0..L-1 only
-    X = np.zeros((L + start, n))
-    for r in range(L):
-        live = np.flatnonzero(omega > r)
-        q = m[live]
-        t = tab[q - 2]
-        p = np.where(t > 0, t, q)
-        m[live] = q // p
-        # the r-th smallest of Omega factors is p_(Omega-1-r)
-        X[omega[live] - 1 - r, live] = scaled[-tab[p - 2]]
-    return 1.0 / fn[simplex_mask(X[start:], spec)]
+    out = []
+    for a in range(0, len(omega), RL_SLICE):
+        idx = np.flatnonzero(omega[a : a + RL_SLICE] <= L)
+        idx += a
+        om = omega[idx]
+        m = idx + lo
+        # row i holds x_i, from the i-th largest prime factor p_i; rows past
+        # Omega(n) stay 0, and Omega(n) <= L fills rows 0..L-1 only
+        X = np.zeros((L + start, len(m)))
+        for r in range(L):
+            live = np.flatnonzero(om > r)
+            q = m[live]
+            t = tab[q - 2]
+            p = np.where(t > 0, t, q)
+            m[live] = q // p
+            # the r-th smallest of Omega factors is p_(Omega-1-r)
+            X[om[live] - 1 - r, live] = scaled[-tab[p - 2]]
+        out.append(1.0 / fn[idx[simplex_mask(X[start:], spec)]])
+    return out
 
 
 def r_l_sum(
@@ -439,21 +451,34 @@ def r_l_sum(
     spec: SimplexSpec,
     x: int,
     offset: str = "from_p0",
+    *,
+    threads: int = 1,
 ) -> float:
     """Sum of 1/f(n) over n <= x with Omega(n) <= L and renormalized
     vector (starting at the given offset) inside S_L(xi).
 
     The scan is exhaustive over [1, x], in windows of DEFAULT_SEGMENT_SIZE
-    integers.  Each window is one segment_scan for Omega and f; the
-    integers with Omega(n) <= L have their prime factors peeled off,
-    smallest first, in L rounds through a smallest-prime-factor table
-    over [2, x] that also holds the index of each prime, and each
-    factor is mapped to loglog(p)/loglog(x) through a table over the
-    primes <= x, computed once with math.log (p = 2 and a missing
-    factor give 0).  simplex_mask selects the members and their 1/f(n)
-    are kept as float64 arrays; no Python float is made per integer.
-    math.fsum is correctly rounded, so the result does not depend on
-    the window size or on the order of the terms.
+    integers, dealt round robin to min(threads, windows, CPUs) workers
+    (deal_windows).  Each window is one segment_scan for Omega and f;
+    _member_reciprocals walks it in slices of RL_SLICE integers, peels
+    the prime factors of the integers with Omega(n) <= L, smallest
+    first, in L rounds through a smallest-prime-factor table over
+    [2, x] that also holds the index of each prime, and maps each factor
+    to loglog(p)/loglog(x) through a table over the primes <= x,
+    computed once with math.log (p = 2 and a missing factor give 0).
+    simplex_mask selects the members and each worker keeps their 1/f(n)
+    as float64 arrays; no Python float is made per integer.  math.fsum
+    is correctly rounded, so the result does not depend on the window
+    size, the slice size, the thread count or the order of the terms.
+
+    One charge, made before anything is allocated, covers the whole
+    sum: the factor table (4 bytes per n), at most one kept term per n
+    (8 bytes, and an array header per slice), the tables over the primes
+    and their temporaries (32 bytes per prime, with
+    pi(x) < 1.25506 x / log x, Rosser and Schoenfeld, Illinois J. Math.
+    6 (1962), (3.6)), and per worker its scan workspace and one slice.
+    The transients of the prime and factor sieves fit in the terms'
+    share, which is not yet taken while they live.
     """
     if f not in ("phi", "sigma"):
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
@@ -467,6 +492,13 @@ def r_l_sum(
         raise DomainError(f"need x >= e^e for the renormalization, got {x}")
 
     start = 0 if offset == "from_p0" else 1
+    pi_bound = int(1.25506 * x / math.log(x)) + 1
+    slices = x // RL_SLICE + x // sieve.DEFAULT_SEGMENT_SIZE + 2
+    scan = deal_windows([(2, 1, x)], threads, want_omega=True, want_phi=f == "phi",
+                        want_sigma=f == "sigma",
+                        worker_bytes=RL_SLICE * (8 * (spec.L + start) + RL_SLICE_BYTES),
+                        shared_bytes=12 * x + ARRAY_BYTES * slices + 32 * pi_bound,
+                        what=f"R_L sum to {x}")
     llx = math.log(math.log(x))
     primes = primes_up_to(x)
     # scaled[i] = loglog(p)/loglog(x) for p = primes[i], by math.log as in
@@ -480,8 +512,7 @@ def r_l_sum(
     tab = build_factor_sieve(2, x + 1).spf.view(np.int32)
     tab[primes - 2] = -np.arange(len(primes), dtype=np.int32)
 
-    terms = [np.ones(1)]  # n = 1: zero vector, always a member
-    for lo, _, got in scan_windows([(2, 1, x)], want_omega=True,
-                                   want_phi=f == "phi", want_sigma=f == "sigma"):
-        terms.append(_member_reciprocals(lo, got["omega"], got[f], spec, start, tab, scaled))
-    return math.fsum(itertools.chain.from_iterable(terms))
+    terms = scan(lambda lo, _, got: _member_reciprocals(lo, got["omega"], got[f], spec, start,
+                                                         tab, scaled))
+    # n = 1: zero vector, always a member
+    return math.fsum(itertools.chain([1.0], *itertools.chain.from_iterable(terms)))

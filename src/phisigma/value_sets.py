@@ -29,15 +29,12 @@ the memory budget before anything is allocated or any thread starts:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_allocation
-from . import sieve
-from .sieve import cut_windows, primes_up_to, scan_bytes, scan_windows
-from .workers import run_workers, worker_count
+from .errors import DomainError
+from .sieve import deal_windows, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -137,6 +134,9 @@ _SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(
                    dtype="<u2")  # bit i of a byte to bit 2i of two little-endian bytes
 
 
+_NO_VALUES = np.empty(0, dtype=np.int64)
+
+
 def _odd_sigma_slots(lo: int, step: int, size: int) -> np.ndarray:
     """The k < size with n = lo + k*step equal to m^2 or 2m^2 (m >= 1),
     exactly the n of the window with sigma(n) odd: sigma(n) is the
@@ -160,7 +160,7 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     windows of DEFAULT_SEGMENT_SIZE elements (cut_windows); every n
     outside them either has f(n) > x or shares its value with a scanned
     n.  The windows are dealt round robin to
-    min(threads, windows, CPUs) workers (run_workers): worker w scans
+    min(threads, windows, CPUs) workers (deal_windows): worker w scans
     every workers-th window from the w-th in one scan_windows call, on
     one workspace, and marks the even values v <= x in one shared
     scratch array, half[v >> 1] = True.  The stores are idempotent and
@@ -184,49 +184,42 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
-    if threads < 1:
-        raise DomainError(f"need threads >= 1, got {threads}")
-    windows = cut_windows(scan_progressions(f, x))
-    workers = worker_count(threads, len(windows), os.cpu_count())
     want = {f"want_{f}": True}
     odd = f == "sigma"
-    # sq bounds the large base primes, the m of any window's odd slots and
-    # the odd values kept; per worker a scan workspace for every step and
-    # a window's odd slots (under 48 bytes per m), then the odd values
-    # (16 bytes per m), the scratch, its packed bits and their spread, the
-    # bitmap
-    sq = math.isqrt(max((last for *_, last in windows), default=0)) + 1
-    steps = len({step for _, step, _ in windows})
-    per_worker = scan_bytes(sieve.DEFAULT_SEGMENT_SIZE, sq, steps, **want) + 48 * sq * odd
+    # sq bounds the m of any window's odd slots and the odd values kept: per
+    # worker a window's odd slots (under 48 bytes per m), then the odd
+    # values (16 bytes per m), the scratch, its packed bits and their
+    # spread, the bitmap
+    sq = math.isqrt(x) + 1
     packed_bytes = (x // 2 + 8) // 8
-    check_allocation(workers * per_worker + 16 * sq * odd + x // 2 + 2 + 3 * packed_bytes,
-                     f"value bitmap build at x={x} on {workers} workers")
+    scan = deal_windows(scan_progressions(f, x), threads, worker_bytes=48 * sq * odd,
+                        shared_bytes=16 * sq * odd + x // 2 + 2 + 3 * packed_bytes,
+                        what=f"value bitmap build at x={x}", **want)
     cap = x // 2 + 1  # the slot of 2 * cap, the first even value above x
     half = np.zeros(cap + 1, dtype=bool)
-    kept = [np.empty(0, dtype=np.int64)]  # the odd sigma values <= x
 
-    def scan(w: int):
-        for first, step, got in scan_windows(windows[w::workers], **want):
-            vals = got[f]  # the window's own array, changed in place
-            if odd:
-                slots = _odd_sigma_slots(first, step, len(vals))
-                odd_vals = vals[slots]
-                kept.append(odd_vals[odd_vals <= x])
-                vals[slots] = 2 * cap
-            np.minimum(vals, 2 * cap, out=vals)
-            vals >>= 1
-            half[vals] = True
-            del got, vals  # hold no window: the workspace dies with the scan
-            yield
+    def mark(first: int, step: int, got) -> np.ndarray:
+        """Mark a window's even values; return its odd values <= x."""
+        vals = got[f]  # the window's own array, changed in place
+        kept = _NO_VALUES
+        if odd:
+            slots = _odd_sigma_slots(first, step, len(vals))
+            odd_vals = vals[slots]
+            kept = odd_vals[odd_vals <= x]
+            vals[slots] = 2 * cap
+        np.minimum(vals, 2 * cap, out=vals)
+        vals >>= 1
+        half[vals] = True
+        return kept
 
-    run_workers(workers, scan)
+    kept = scan(mark)
     packed = np.packbits(half[:cap], bitorder="little")
     del half
     bits = _SPREAD[packed].view(np.uint8)[: (x >> 3) + 1]
     if bits[0] & 1:
         raise AssertionError("value 0 can never be attained")
     bits[0] |= 2  # f(1) = 1 for both functions
-    v = np.concatenate(kept)
+    v = np.concatenate([_NO_VALUES, *kept])
     np.bitwise_or.at(bits, v >> 3, np.left_shift(1, v & 7).astype(np.uint8))
     return ValueBitmap(limit_x=x, f_tag=f, bits=bits)
 

@@ -217,6 +217,9 @@ def test_criterion_5_property_suite(monkeypatch):
         (["simplex-volume", "--L", "3", "--samples", "2e5", "--seed", "7"], ("1", "8")),
         (["values-table", "--limits", "1e4,1e5"], ("1", "2", "3")),
         (["capture-census", "--f", "phi", "--x", "1e5"], ("1", "2", "3")),
+        (["smooth-count", "--x", "1e6", "--y", "100"], ("1", "2", "3")),
+        (["omega-census", "--x", "1e6", "--alpha", "1.5"], ("1", "2", "3")),
+        (["rl-sum", "--f", "phi", "--x", "1e6", "--L", "3"], ("1", "2", "3")),
     ):
         outs = [
             subprocess.run(

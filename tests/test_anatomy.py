@@ -237,6 +237,27 @@ def test_omega_tail_census_domain():
         omega_tail_census(10, 2.0)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_censuses_same_for_every_thread_count(monkeypatch, threads):
+    # 2^10-integer windows make 98 at 1e5, so every thread is a worker
+    import os
+
+    from phisigma import sieve, workers
+
+    def censuses():
+        return ([psi_smooth_count(10**5, y, threads=threads).psi_exact for y in (2, 30, 316)],
+                [omega_tail_census(10**5, a, threads=threads)[0] for a in (1.2, 2.0)])
+
+    want = censuses()
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 10)
+    ran = []
+    real = workers.run_workers
+    monkeypatch.setattr(workers, "run_workers", lambda n, task: (ran.append(n), real(n, task)))
+    assert censuses() == want
+    assert ran == [threads] * 5
+
+
 def test_poisson_tail_examples():
     z, alpha = 10.0, 0.5
     lhs = sum(z**k / math.factorial(k) for k in range(0, int(alpha * z) + 1))

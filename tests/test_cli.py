@@ -172,9 +172,13 @@ def test_thread_count_never_changes_bytes():
         one = run_cli(*args, "--threads", "1")
         eight = run_cli(*args, "--threads", "8")
         assert one.stdout == eight.stdout, args
-    # the value scans run on worker threads
+    # the scans run on worker threads; 1e6 is four windows of [2, x]
     for args in (("values-table", "--limits", "1e4,1e5"),
-                 ("capture-census", "--f", "sigma", "--x", "1e5")):
+                 ("capture-census", "--f", "sigma", "--x", "1e5"),
+                 ("smooth-count", "--x", "1e6", "--y", "100"),
+                 ("omega-census", "--x", "1e6", "--alpha", "1.5"),
+                 *(("rl-sum", "--f", f, "--x", "1e6", "--L", "3", "--offset", offset)
+                   for f in ("phi", "sigma") for offset in ("from_p0", "from_p1"))):
         outs = [run_cli(*args, "--threads", t) for t in ("1", "2", "3")]
         assert outs[0].returncode == 0, outs[0].stderr
         assert outs[0].stdout == outs[1].stdout == outs[2].stdout, args
@@ -220,6 +224,72 @@ def test_value_scans_pass_threads(monkeypatch, capsys, argv):
     assert cli.main(argv + ["--threads", "5"]) == 0
     assert seen and set(seen) == {5}
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["smooth-count", "--x", "1000", "--y", "7"], "anatomy", "psi_smooth_count"),
+    (["omega-census", "--x", "1000", "--alpha", "1.5"], "anatomy", "omega_tail_census"),
+    (["rl-sum", "--f", "phi", "--x", "1000", "--L", "3"], "structure", "r_l_sum"),
+])
+def test_census_scans_pass_threads(monkeypatch, capsys, argv, module, name):
+    import importlib
+
+    from phisigma import cli
+
+    mod = importlib.import_module(f"phisigma.{module}")
+    seen = []
+    real = getattr(mod, name)
+
+    def spy(*args, threads=1):
+        seen.append(threads)
+        return real(*args, threads=threads)
+
+    monkeypatch.setattr(mod, name, spy)
+    assert cli.main(argv + ["--threads", "5"]) == 0
+    assert seen == [5]
+    assert capsys.readouterr().out
+
+
+def _subcommands():
+    from phisigma import cli
+
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return sorted(sub.choices)
+
+
+# one small run of each subcommand; where a subcommand has units of work to
+# deal (scan windows of 2^10 integers, Monte Carlo batches), it has several
+_ONE_RUN = {
+    "capture-census": ["--f", "sigma", "--x", "1e4"],
+    "classify": ["--n", "4620", "--f", "phi", "--x", "1e6"],
+    "constants": [],
+    "normal-primes": ["--x", "1000", "--S", "16", "--sample", "5"],
+    "omega-census": ["--x", "1e4", "--alpha", "1.5"],
+    "rl-sum": ["--f", "phi", "--x", "1e4", "--L", "3"],
+    "simplex-volume": ["--L", "2", "--samples", "1.1e6"],
+    "smooth-count": ["--x", "1e4", "--y", "7"],
+    "values-table": ["--limits", "1e4"],
+}
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_threads_help_names_exactly_the_threaded_subcommands(monkeypatch, capsys, command):
+    # a subcommand reaches more than one worker exactly when the --threads
+    # help names it, so the flag and its documentation cannot drift apart
+    import os
+
+    from phisigma import cli, sieve, workers
+
+    [flag] = [a for a in cli.build_parser()._actions if "--threads" in a.option_strings]
+    named = {c for c in _subcommands() if c in flag.help}
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 10)
+    ran = []
+    real = workers.run_workers
+    monkeypatch.setattr(workers, "run_workers", lambda n, task: (ran.append(n), real(n, task)))
+    assert cli.main([command, *_ONE_RUN[command], "--threads", "5"]) == 0
+    assert capsys.readouterr().out
+    assert (max(ran, default=1) > 1) == (command in named), (command, ran)
 
 
 def test_output_file_written_atomically(tmp_path):

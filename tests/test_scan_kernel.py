@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phisigma import ResourceError, anatomy, sieve, value_sets
+from phisigma import ResourceError, anatomy, sieve, structure, value_sets
 from phisigma.errors import MEMORY_BUDGET_ENV
 from phisigma.sieve import LARGE_PRIME_THRESHOLD, primes_up_to, scan_windows, segment_scan
 
@@ -200,7 +200,8 @@ def test_fold_returns_smooth_remainder_intact():
 
 @pytest.fixture
 def charges(monkeypatch):
-    """The bytes of every check_allocation made by sieve, value_sets and anatomy."""
+    """The bytes of every check_allocation made by sieve, anatomy and structure
+    (value_sets charges through sieve.deal_windows)."""
     seen = []
     original = sieve.check_allocation
 
@@ -208,7 +209,7 @@ def charges(monkeypatch):
         seen.append(nbytes)
         original(nbytes, what)
 
-    for mod in (sieve, value_sets, anatomy):
+    for mod in (sieve, anatomy, structure):
         monkeypatch.setattr(mod, "check_allocation", record)
     return seen
 
@@ -283,11 +284,39 @@ def test_value_bitmap_refuses_second_worker_before_any_thread(monkeypatch, charg
     assert np.array_equal(value_sets.build_value_bitmap(f, 10**5, threads=1).bits, want)
 
 
-def test_smooth_count_peak_within_charge(charges):
-    peak = traced_peak(lambda: anatomy.psi_smooth_count(10**6, 100))
-    assert peak <= max(charges)
+CENSUSES = {
+    "smooth": lambda threads: anatomy.psi_smooth_count(10**6, 100, threads=threads),
+    "omega": lambda threads: anatomy.omega_tail_census(10**6, 1.5, threads=threads),
+    "rl-sum": lambda threads: structure.r_l_sum("phi", structure.unit_spec(3), 10**6,
+                                                threads=threads),
+    "rl-sum-wide": lambda threads: structure.r_l_sum(
+        "sigma", structure.SimplexSpec(L=6, xi=(100.0,) * 5), 3 * 10**5, "from_p1",
+        threads=threads),
+}
 
 
-def test_omega_census_peak_within_charge(charges):
-    peak = traced_peak(lambda: anatomy.omega_tail_census(10**6, 1.5))
-    assert peak <= max(charges)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("census", sorted(CENSUSES))
+def test_census_threads_peak_within_charge(monkeypatch, charges, census, threads):
+    # the census's one charge, made first, covers every worker's workspace
+    # and, for r_l_sum, every slice, table and kept term (94% of the n are
+    # members at L = 6, xi = 100); 1e6 is 4 windows, 3e5 two
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    peak = traced_peak(lambda: CENSUSES[census](threads))
+    assert peak <= charges[0]
+
+
+@pytest.mark.parametrize("census", sorted(CENSUSES))
+def test_census_refuses_second_worker_before_any_thread(monkeypatch, charges, census):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    want = CENSUSES[census](2)
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(charges[0] - 1))
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: (started.append(self), real_start(self)))
+    before = threading.active_count()
+    with pytest.raises(ResourceError):
+        CENSUSES[census](2)
+    assert not started and threading.active_count() == before
+    assert CENSUSES[census](1) == want

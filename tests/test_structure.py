@@ -400,15 +400,54 @@ def test_r_l_sum_equals_reference_loop_1e6(f, L, offset):
     assert r_l_sum(f, spec, 10**6, offset) == r_l_sum_loop(f, spec, 10**6, offset)
 
 
+# r_l_sum at L=3, xi=(1.05, 1.1), pinned from the one-window, unsliced scan
+_RL_PINNED = {
+    (3000, "phi", "from_p0"): 11.693933511905367,
+    (3000, "sigma", "from_p1"): 5.4896127595467625,
+    (30000, "phi", "from_p0"): 13.808792225107753,
+    (30000, "sigma", "from_p1"): 6.613199902325126,
+}
+
+
 def test_r_l_sum_bits_independent_of_window(monkeypatch):
-    from phisigma import sieve
+    from phisigma import sieve, structure
 
     spec = SimplexSpec(L=3, xi=(1.05, 1.1))
     for f, offset in (("phi", "from_p0"), ("sigma", "from_p1")):
         want = r_l_sum_loop(f, spec, 30000, offset)
+        assert want == _RL_PINNED[30000, f, offset]
         for size in (97, 4096, 30000, 1 << 22):
             monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
             assert r_l_sum(f, spec, 30000, offset) == want
+        # member slices that end anywhere in a window, down to one integer
+        # (at a smaller x: a slice costs the same numpy calls at any size)
+        for slice_size, x in ((1, 3000), (7, 3000), (97, 30000)):
+            want = r_l_sum_loop(f, spec, x, offset)
+            assert want == _RL_PINNED[x, f, offset]
+            monkeypatch.setattr(structure, "RL_SLICE", slice_size)
+            for size in (97, 1 << 14):
+                monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
+                assert r_l_sum(f, spec, x, offset) == want, (slice_size, size)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_r_l_sum_bits_independent_of_thread_count(monkeypatch, threads):
+    # 2^10-integer windows make 98 at 1e5, so every thread is a worker
+    import os
+
+    from phisigma import sieve, workers
+
+    spec = SimplexSpec(L=3, xi=(1.05, 1.1))
+    cases = [(f, offset) for f in ("phi", "sigma") for offset in ("from_p0", "from_p1")]
+    want = [r_l_sum(f, spec, 10**5, offset) for f, offset in cases]
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 10)
+    ran = []
+    real = workers.run_workers
+    monkeypatch.setattr(workers, "run_workers", lambda n, task: (ran.append(n), real(n, task)))
+    assert [r_l_sum(f, spec, 10**5, offset, threads=threads) for f, offset in cases] == want
+    assert ran == [threads] * len(cases)
 
 
 def test_r_l_sum_pinned_1e6():

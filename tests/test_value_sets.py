@@ -316,17 +316,17 @@ def test_odd_sigma_values_exhaustive_to_1e6(monkeypatch, threads):
 def _dealt(monkeypatch, f, x, threads, cpus):
     """The windows each scan_windows call of build_value_bitmap(f, x)
     received, one list per worker."""
-    from phisigma import value_sets
+    from phisigma import sieve
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    real = value_sets.scan_windows
+    real = sieve.scan_windows
     dealt = []
 
     def spy(progressions, **kw):
         dealt.append(list(progressions))
         yield from real(dealt[-1], **kw)
 
-    monkeypatch.setattr(value_sets, "scan_windows", spy)
+    monkeypatch.setattr(sieve, "scan_windows", spy)
     build_value_bitmap(f, x, threads=threads)
     return dealt
 
@@ -375,17 +375,17 @@ def test_one_workspace_per_worker(monkeypatch, f, threads):
 
 
 def test_failing_scan_worker_reraised_and_no_thread_left(monkeypatch):
-    from phisigma import value_sets
+    from phisigma import sieve
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    real = value_sets.scan_windows
+    real = sieve.scan_windows
 
     def failing(progressions, **kw):
         if threading.current_thread() is not threading.main_thread():
             raise ResourceError("injected")
         yield from real(progressions, **kw)
 
-    monkeypatch.setattr(value_sets, "scan_windows", failing)
+    monkeypatch.setattr(sieve, "scan_windows", failing)
     before = threading.active_count()
     with pytest.raises(ResourceError, match="injected"):
         build_value_bitmap("phi", 10**5, threads=2)
