@@ -601,8 +601,9 @@ def scan_windows(progressions, *, want_phi: bool = False, want_sigma: bool = Fal
 def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_bytes: int = 0,
                  what: str, want_phi: bool = False, want_sigma: bool = False,
                  want_omega: bool = False, smooth_bound: int | None = None):
-    """Deal the windows (cut_windows) of the progressions round robin to
-    min(threads, windows, CPUs) workers (workers.worker_count), and
+    """Deal the windows (cut_windows) of the progressions, longest first,
+    round robin to min(threads, windows, CPUs) workers
+    (workers.worker_count), and
     charge them, before anything is allocated or any thread starts, in
     one check_allocation: per worker a scan workspace for the longest
     window (scan_bytes) and worker_bytes, and shared_bytes once.
@@ -613,11 +614,15 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     consume(first, step, scan) on each window as scan_windows yields
     it.  run returns what consume returned for every window, grouped by
     worker, so how the caller combines them must not depend on their
-    order.  Worker loads differ by at most one window.
+    order.  Worker loads differ by at most one window in count and by at
+    most the longest window in elements: in each round of the deal a
+    worker's window is no shorter than any later worker's, nor than
+    any of the next round's.
     """
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
     windows = cut_windows(progressions)
+    windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
     size = max(((last - lo) // step + 1 for lo, step, last in windows), default=0)
     top = max((last for *_, last in windows), default=0)

@@ -4,14 +4,13 @@ A ValueBitmap records one bit per integer v <= x, set exactly when v is
 attained by the chosen function.  The preimage scan covers only the
 residue classes that can still produce a value <= x, each up to its own
 exact cutoff (scan_progressions): for sigma, odd n <= x and even
-n <= 2x/3; for phi, the odd n by residue mod 30 and the n = 0 mod 4 by
-residue mod 60, each class up to x times an exact bound on n/phi(n)
-over the first primes the class allows (3 and 5 only where they divide
-the residue), as many as phi(n) <= x leaves room for (_phi_class_top).
-The same product bound gives phi_preimage_bound, a cutoff for all n.
-At x = 10^7 that is 19.6M n, 34% of [2, phi_preimage_bound(x)].
-n = 2 mod 4 is never scanned for phi, since its value phi(n/2) is
-already found in the odd classes.
+n <= 2x/3; for phi, only the odd n, by residue mod 30, each class up to
+x times an exact bound on n/phi(n) over the first odd primes the class
+allows (3 and 5 only where they divide the residue), as many as
+phi(n) <= x leaves room for (_phi_class_top).  The same product bound
+gives phi_preimage_bound, a cutoff for all n.  At x = 10^7 that is 9.9M
+n, 17% of [2, phi_preimage_bound(x)].  The even n's phi values are the
+odd n's doubled, added by one pass over the scratch (build_value_bitmap).
 
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes.  The build marks
 values in a scratch array of x/2 + 2 bytes, one byte per even value
@@ -23,7 +22,7 @@ place and marked by one fancy-index store, so no mask or filtered copy
 is made.  All of it, with the pack's temporaries, is charged against
 the memory budget before anything is allocated or any thread starts:
 0.69 x bytes plus the workspaces.  On a 2-vCPU VM, values-table to
-10^8 peaks at 96 MB of resident memory on one thread and 103 MB on two.
+10^8 peaks at 96 MB of resident memory on one thread and 102.5 MB on two.
 """
 
 from __future__ import annotations
@@ -55,32 +54,25 @@ _WHEEL = (3, 5)  # odd primes whose divisibility splits the phi classes
 _ODD_PRIMES = primes_up_to(127)[1:].tolist()  # prod (q - 1) > 1e46 exceeds any x
 
 
-def _phi_class_top(x: int, *, even: bool, excluded: tuple[int, ...]) -> int:
-    """Largest n of one class with phi(n) <= x possible.
+def _phi_class_top(x: int, excluded: tuple[int, ...]) -> int:
+    """Largest n of one odd class with phi(n) <= x possible.
 
-    The class is the odd n, or the n = 0 mod 4 when even, and of those
-    only the n divisible by none of the primes in excluded (a residue
-    mod 30 or 60 fixes which of the wheel primes 3 and 5 divide n).  Call
-    the odd primes not in excluded the allowed primes, q_1 < q_2 < ...
-
-    For n = 2^a m (a = 0, or a >= 2 when even), m odd with k distinct
-    primes p_1 < ... < p_k, all allowed: p_i >= q_i, so
-    phi(n) = phi(2^a) * prod p_i^(e_i - 1) (p_i - 1) >= c * prod_{i<=k} (q_i - 1)
-    with c = phi(4) = 2 when even and c = 1 when odd.  Hence
-    phi(n) <= x forces k <= K, the largest count with
-    c * prod_{i<=K} (q_i - 1) <= x.  And n/phi(n) =
-    (2 if a else 1) * prod_{i<=k} p_i/(p_i - 1) is at most the same
-    product over the first k <= K allowed primes, since p/(p-1) falls as
-    p grows; it is largest at k = K: call it R.  So phi(n) <= x forces
-    n <= x * R, computed here exactly.  Leaving 3 out drops the factor
-    3/2 from R and lets the next allowed prime in, whose factor is
-    smaller.
+    The class is the odd n divisible by none of the primes in excluded
+    (a residue mod 30 fixes which of the wheel primes 3, 5 divide n);
+    call the other odd primes the allowed ones, q_1 < q_2 < ...  An n of
+    the class with k distinct primes p_1 < ... < p_k has p_i >= q_i, so
+    phi(n) >= prod_{i<=k} (q_i - 1), and phi(n) <= x forces k <= K, the
+    largest count with prod_{i<=K} (q_i - 1) <= x.  As p/(p-1) falls as
+    p grows, n/phi(n) = prod_{i<=k} p_i/(p_i - 1) is at most R, the same
+    product over the first K allowed primes.  So n <= x * R, computed
+    here exactly.  Leaving 3 out drops the factor 3/2 from R and lets
+    the next allowed prime in, whose factor is smaller.
     """
-    c, num, den = (2, 2, 1) if even else (1, 1, 1)
+    num = den = 1
     for q in _ODD_PRIMES:
         if q in excluded:
             continue
-        if c * den * (q - 1) > x:
+        if den * (q - 1) > x:
             break
         num *= q
         den *= q - 1
@@ -90,44 +82,37 @@ def _phi_class_top(x: int, *, even: bool, excluded: tuple[int, ...]) -> int:
 def phi_preimage_bound(x: int) -> int:
     """A bound B with phi(n) <= x implying n <= B; sound, not tight.
 
-    B = 2 * top_odd, top_odd the top of the class of all odd n
-    (_phi_class_top with no prime excluded).  Every n is covered: odd
-    n <= top_odd; n = 2m with m odd has phi(n) = phi(m), so
-    m <= top_odd; and for 4 | n, n <= x * R_even where K_even <= K_odd
-    (the even product carries the factor c = 2), so R_even <= 2 R_odd
-    and the integer n/2 is at most floor(x * R_odd) = top_odd.
-    x = 1 gives B = 2: phi(n) <= 1 only for n = 1, 2.
+    B = 2 * top_odd, top_odd = floor(x * R) the top of the class of all
+    odd n (_phi_class_top with no prime excluded, whose K and R these
+    are).  Every n is covered: odd n <= top_odd; and n = 2^a m with m
+    odd and a >= 1 has phi(n) = 2^(a-1) phi(m) >= phi(m), so m has at
+    most K distinct primes, and n/2 = phi(n) * m/phi(m) <= x * R, so the
+    integer n/2 is at most top_odd.  x = 1 gives B = 2: phi(n) <= 1 only
+    for n = 1, 2.
     """
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
-    return 2 * _phi_class_top(x, even=False, excluded=())
+    return 2 * _phi_class_top(x, excluded=())
 
 
 def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
     """The (start, step, top) progressions whose f-values cover those <= x.
 
-    phi: one progression per residue class, the odd n split mod 30 and
-    the n = 0 mod 4 split mod 60, 15 classes each; each class is scanned
-    up to its own top, x times a bound on n/phi(n) that leaves out the
-    wheel primes 3, 5 not dividing the residue (see _phi_class_top).
-    n = 2 mod 4 is skipped because n = 2m with m odd has
-    phi(n) = phi(m), already seen in the odd classes (m = 1 for n = 2).
+    phi: the 15 odd residue classes mod 30, each up to its own top, x
+    times a bound on n/phi(n) without the wheel primes 3, 5 not dividing
+    the residue (_phi_class_top).  Even n are not scanned: their values
+    are odd n's doubled, added by build_value_bitmap.
     sigma: odd n <= x, since sigma(n) >= n, and even n <= 2x/3, since
     sigma(2^a m) >= (2^(a+1) - 1) m >= 3n/2 for a >= 1.
-    n = 1 is left out of every progression (f(1) = 1), and so is n = 0:
-    the residue classes 1 mod 30 and 0 mod 60 start one step up.
+    n = 1 is left out of every progression (f(1) = 1): the class
+    1 mod 30 starts at 31.
     """
     if f == "sigma":
         return [(3, 2, x), (2, 2, 2 * x // 3)]
-    wheel = math.prod(_WHEEL)
-    progressions = []
-    for first, base, even in ((1, 2, False), (0, 4, True)):
-        step = base * wheel
-        for r in range(first, step, base):
-            excluded = tuple(q for q in _WHEEL if r % q)
-            top = _phi_class_top(x, even=even, excluded=excluded)
-            progressions.append((r if r > 1 else r + step, step, top))
-    return progressions
+    step = 2 * math.prod(_WHEEL)
+    return [(r if r > 1 else r + step, step,
+             _phi_class_top(x, excluded=tuple(q for q in _WHEEL if r % q)))
+            for r in range(1, step, 2)]
 
 
 _SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)],
@@ -172,6 +157,18 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     above x lands.  The scratch is then packed and spread to the even
     bits (_SPREAD), and bit 1 (f(1) = 1) and the odd values are set.
 
+    For phi only odd n are scanned, and after the join the scratch is
+    closed under doubling, in place.  This is sound: every n >= 2 is
+    2^a m, m odd, and phi(n) = 2^(a-1) phi(m) for a >= 1, so the values
+    <= x are exactly the 2^j phi(m) <= x, j >= 0, m odd, and such an m
+    is 1 (value 1, bit 1; 2^j = 2^(j-1) phi(3)) or lies in a scanned
+    class at or below its top.  Value 2u sits at half[u], its double at
+    half[2u]; the pass sets half[2u] |= half[u] for every u with
+    2u < cap, by blocks [a, 2a), a = 1, 2, 4, ...  A block is written
+    only by the block before it, so it is final before it is read; the
+    cap slot is never read or written; and read and written slots never
+    overlap, so numpy makes no copy.
+
     Parameters
     ----------
     f : {'phi', 'sigma'}
@@ -213,6 +210,12 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
         return kept
 
     kept = scan(mark)
+    if f == "phi":
+        a, end = 1, (cap + 1) // 2  # u < end is exactly 2u < cap
+        while a < end:
+            b = min(2 * a, end)
+            half[2 * a:2 * b:2] |= half[a:b]
+            a *= 2
     packed = np.packbits(half[:cap], bitorder="little")
     del half
     bits = _SPREAD[packed].view(np.uint8)[: (x >> 3) + 1]

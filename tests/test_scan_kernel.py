@@ -236,13 +236,14 @@ def test_segment_scan_peak_within_charge(monkeypatch, charges, mode):
 @pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
 def test_scan_windows_charged_once_per_run(monkeypatch, charges, mode):
     # one charge, the workspace's, covers every window of the run; the
-    # phi classes at 1e6 take two steps, so two inverse tables
+    # second run's progressions take two steps, so two inverse tables
     want = MODES.get(mode, {"smooth_bound": 5000})
     size = 1 << 16
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     lo = 10**7 + 1
     one_step = [(lo, 2, lo + 2 * (4 * size - 1))]
-    two_steps = value_sets.scan_progressions("phi", 10**6)[::7]
+    two_steps = [(31, 30, 1559235), (15, 30, 2769694), (29, 30, 1559235), (24, 60, 4677705),
+                 (52, 60, 3118470)]
     for progressions in (one_step, two_steps):
         charges.clear()
         peak = traced_peak(lambda: sum(1 for _ in scan_windows(progressions, **want)))

@@ -293,13 +293,16 @@ def test_scan_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
 @pytest.mark.parametrize("size", [None, 97])
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_scan_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode, size):
-    # the phi classes at 1e5 (steps 30 and 60), an empty progression, and
-    # a short one after the long ones, on one workspace: each window
-    # against a standalone scan of its range
+    # the odd classes mod 30 and the classes 0 mod 4 mod 60 (two steps, so
+    # two inverse tables), an empty progression, and a short one after the
+    # long ones, on one workspace: each window against a standalone scan
+    # of its range
     if size is not None:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     size = sieve.DEFAULT_SEGMENT_SIZE
-    progressions = scan_progressions("phi", 10**5) + [(50, 7, 10), (1001, 3, 1200)]
+    progressions = scan_progressions("phi", 10**5)
+    progressions += [(r or 60, 60, 4 * 10**5) for r in range(0, 60, 4)]
+    progressions += [(50, 7, 10), (1001, 3, 1200)]
     want = SCAN_MODES[mode]
     expect = [(lo, step, min(lo + step * size, top + 1)) for start, step, top in progressions
               for lo in range(start, top + 1, step * size)]

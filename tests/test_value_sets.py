@@ -160,18 +160,37 @@ def _in_progressions(n: np.ndarray, progressions) -> np.ndarray:
     return hit
 
 
+def _doubles_of(v: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Per value in v, whether v = 2^j w for some j >= 0 with found[w]."""
+    hit = found[v].copy()
+    for j in range(1, int(v.max(initial=1)).bit_length()):
+        sel = v % (1 << j) == 0
+        hit[sel] |= found[v[sel] >> j]
+    return hit
+
+
 def _check_cutoffs(x: int) -> None:
-    """Every preimage of a value <= x is scanned, or (phi) is 2 mod 4."""
+    """Every preimage of a value <= x is scanned, or (phi) is even and,
+    by the doubling lemma, has a value 2^j phi(m), m in a scanned class."""
     window = 1 << 20
     for f, top in (("phi", phi_oracle_top(x)), ("sigma", x)):
         progressions = scan_progressions(f, x)
+        scanned = np.zeros(x + 1, dtype=bool)  # values of the scanned n, and of n = 1
+        scanned[1] = True
+        unscanned = np.zeros(x + 1, dtype=bool)  # values of the other n
         for lo in range(2, top + 1, window):
             vals = segment_map(lo, min(lo + window, top + 1), f)
             n = np.flatnonzero(vals <= x) + lo
             ok = _in_progressions(n, progressions)
+            scanned[vals[n[ok] - lo]] = True
+            unscanned[vals[n[~ok] - lo]] = True
             if f == "phi":
-                ok |= n % 4 == 2
+                ok |= n % 2 == 0
             assert ok.all(), (f, x, n[~ok][:5])
+        if f == "phi":
+            v = np.flatnonzero(unscanned)
+            hit = _doubles_of(v, scanned)
+            assert hit.all(), (x, v[~hit][:5])
 
 
 @pytest.mark.parametrize("x", [10**3, 10**5, 10**6])
@@ -185,19 +204,21 @@ def test_scan_cutoffs_sound_1e7():
 
 
 def _check_class_tops(x: int) -> None:
-    """Every n of a phi class with phi(n) <= x lies at or below its top."""
-    tops = {}  # (step, n mod step) -> top
-    for start, step, top in scan_progressions("phi", x):
-        tops[step, start % step] = top
-    odd_top = np.array([tops.get((30, r), 0) for r in range(30)])
-    even_top = np.array([tops.get((60, r), 0) for r in range(60)])
+    """The phi classes are the odd residues mod 30, and every n of a
+    class with phi(n) <= x lies at or below its top."""
+    progressions = scan_progressions("phi", x)
+    assert sorted(start % step for start, step, _ in progressions) == list(range(1, 30, 2))
+    assert {step for _, step, _ in progressions} == {30}
+    top = np.zeros(30, dtype=np.int64)
+    for start, _, t in progressions:
+        top[start % 30] = t
     window = 1 << 20
     bound = phi_oracle_top(x)
     for lo in range(2, bound + 1, window):
         vals = segment_map(lo, min(lo + window, bound + 1), "phi")
         n = np.flatnonzero(vals <= x) + lo
-        odd, even = n[n % 2 == 1], n[n % 4 == 0]
-        over = np.concatenate([odd[odd > odd_top[odd % 30]], even[even > even_top[even % 60]]])
+        odd = n[n % 2 == 1]
+        over = odd[odd > top[odd % 30]]
         assert not len(over), (x, over[:5])
 
 
@@ -213,15 +234,16 @@ def test_phi_class_tops_sound_1e7():
 
 @pytest.mark.parametrize("x", [10**4, 10**5])
 def test_phi_progressions_partition_the_classes(x):
-    # each odd n > 1 and each n = 0 mod 4 lies in exactly one progression,
-    # and no n = 2 mod 4: a duplicate class would only cost time
+    # each odd n > 1 lies in exactly one progression, and no even n: a
+    # duplicate class would only cost time, and the doubling pass finds
+    # every even n's value
     progressions = scan_progressions("phi", x)
     top = min(t for *_, t in progressions)
     cover = np.zeros(top + 1, dtype=np.int64)
     for start, step, _ in progressions:
         cover[start::step] += 1
     n = np.arange(top + 1)
-    want = ((n % 2 == 1) | (n % 4 == 0)) & (n >= 2)
+    want = (n % 2 == 1) & (n >= 2)
     assert np.array_equal(cover, want.astype(np.int64))
 
 
@@ -229,15 +251,13 @@ def test_scan_progressions_at_1e7():
     x = 10**7
     # tops by gcd(n, 15): the classes divisible by 15 keep the unsplit tops
     odd = {1: 16301094, 3: 24451642, 5: 19490439, 15: 29235658}
-    even = {1: 32602189, 3: 46777054, 5: 38980878, 15: 58471317}
     want = [(r if r > 1 else 31, 30, odd[math.gcd(r, 15)]) for r in range(1, 30, 2)]
-    want += [(r or 60, 60, even[math.gcd(r, 15)]) for r in range(0, 60, 4)]
     assert scan_progressions("phi", x) == want
     assert scan_progressions("sigma", x) == [(3, 2, x), (2, 2, 6666666)]
     scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("phi", x))
-    assert scanned == 19620373
+    assert scanned == 9881062
     # against the 61,811,115 n of the step-1 scan to the former minimal-order bound
-    assert scanned / 61811115 < 0.33
+    assert scanned / 61811115 < 0.16
     assert phi_preimage_bound(x) == 58471316
 
 
@@ -255,6 +275,26 @@ def _full_range_bits(f: str, x: int) -> np.ndarray:
 @pytest.mark.parametrize("f", ["phi", "sigma"])
 def test_bitmap_bytes_match_full_range_scan(f, x):
     assert np.array_equal(build_value_bitmap(f, x).bits, _full_range_bits(f, x))
+
+
+def _check_phi_bits_at(xs) -> None:
+    """build_value_bitmap("phi", x) against one oracle scan at max(xs),
+    which serves every x, as no n above 7x has phi(n) <= x."""
+    seen = np.unpackbits(_full_range_bits("phi", max(xs)), bitorder="little")
+    for x in xs:
+        want = np.packbits(seen[: x + 1], bitorder="little")
+        assert np.array_equal(build_value_bitmap("phi", x).bits, want), x
+
+
+def test_phi_doubling_pass_near_powers_of_two():
+    # the doubling pass ends where 2u reaches the cap slot x // 2 + 1
+    near = {2**k + d for k in range(1, 21) for d in (-1, 0, 1)}
+    _check_phi_bits_at(sorted({*range(1, 257), *near}))
+
+
+@pytest.mark.slow
+def test_phi_doubling_pass_at_every_x_to_4096():
+    _check_phi_bits_at(range(1, (1 << 12) + 1))
 
 
 # --- worker threads: the same bytes for every thread count ------------------
@@ -347,8 +387,11 @@ def test_deal_partitions_the_scan_over_capped_workers(monkeypatch, f, threads, c
     # the windows cover each scanned n once
     covered = sorted(n for a, s, t in windows for n in range(a, t + 1, s))
     assert covered == sorted(n for a, s, t in progressions for n in range(a, t + 1, s))
-    # dealt round robin: worker loads within one window of each other
+    # dealt round robin, longest first: worker loads within one window of
+    # each other in count, and within the longest window in elements
     assert max(map(len, dealt)) - min(map(len, dealt)) <= 1
+    loads = [sum((t - a) // s + 1 for a, s, t in part) for part in dealt]
+    assert max(loads) - min(loads) <= max((t - a) // s + 1 for a, s, t in windows)
 
 
 def test_sigma_at_1_scans_nothing(monkeypatch):
