@@ -1,28 +1,32 @@
 """Value sets of phi and sigma: enumeration, counting, intersection.
 
 A ValueBitmap records one bit per integer v <= x, set exactly when v is
-attained by the chosen function.  The preimage scan covers only the
-residue classes that can still produce a value <= x, each up to its own
-exact cutoff (scan_progressions): for sigma, odd n <= x and even
-n <= 2x/3; for phi, only the odd n, by residue mod 30, each class up to
-x times an exact bound on n/phi(n) over the first odd primes the class
-allows (3 and 5 only where they divide the residue), as many as
-phi(n) <= x leaves room for (_phi_class_top).  The same product bound
+attained by the chosen function.  The preimage scan covers only the odd
+n, by residue mod 30, each class up to its own exact cutoff
+(scan_progressions): x times an exact bound on n/f(n) over the class
+(_class_top).  For sigma that is prod p/(p + 1) over the wheel primes
+3, 5 dividing the residue; for phi, the product of p/(p - 1) over the
+first odd primes the class allows (3 and 5 only where they divide the
+residue), as many as phi(n) <= x leaves room for.  The same phi bound
 gives phi_preimage_bound, a cutoff for all n.  At x = 10^7 that is 9.9M
-n, 17% of [2, phi_preimage_bound(x)].  The even n's phi values are the
-odd n's doubled, added by one pass over the scratch (build_value_bitmap).
+n for phi, 17% of [2, phi_preimage_bound(x)], and 4.4M n for sigma.
+The even n's values are the odd n's times 2^j (phi) or a Mersenne
+number 2^j - 1 (sigma), added by one pass over the scratch
+(build_value_bitmap).
 
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes.  The build marks
 values in a scratch array of x/2 + 2 bytes, one byte per even value
-(the odd values are 1 and sigma's few at n = m^2, 2m^2), packed into
-the bitmap at the end, and keeps one scan workspace per worker thread
-for all of its windows (sieve.scan_bytes, 6.7 to 10.0 MB at the default
-window size for x up to 10^8).  Each window's values are clipped in
-place and marked by one fancy-index store, so no mask or filtered copy
-is made.  All of it, with the pack's temporaries, is charged against
-the memory budget before anything is allocated or any thread starts:
-0.69 x bytes plus the workspaces.  On a 2-vCPU VM, values-table to
-10^8 peaks at 96 MB of resident memory on one thread and 102.5 MB on two.
+(the odd values are 1 and sigma's few at odd squares n = m^2, with
+their Mersenne multiples), packed into the bitmap at the end, and keeps
+one scan workspace per worker thread for all of its windows
+(sieve.scan_bytes, 6.7 to 10.0 MB at the default window size for x up
+to 10^8).  Each window's values are clipped in place and marked by one
+fancy-index store, so no mask or filtered copy is made, and both
+closures run in place.  All of it, with the pack's temporaries, is
+charged against the memory budget before anything is allocated or any
+thread starts: 0.69 x bytes plus the workspaces.  On a 2-vCPU VM,
+values-table to 10^8 peaks at 96 MB of resident memory on one thread
+and 102.5 MB on two, and to 10^9 at 0.8 GB.
 """
 
 from __future__ import annotations
@@ -50,27 +54,37 @@ class ValueBitmap:
         return bool(self.bits[v >> 3] & (1 << (v & 7)))
 
 
-_WHEEL = (3, 5)  # odd primes whose divisibility splits the phi classes
+_WHEEL = (3, 5)  # odd primes whose divisibility splits the classes mod 30
 _ODD_PRIMES = primes_up_to(127)[1:].tolist()  # prod (q - 1) > 1e46 exceeds any x
 
 
-def _phi_class_top(x: int, excluded: tuple[int, ...]) -> int:
-    """Largest n of one odd class with phi(n) <= x possible.
+def _class_top(f: str, x: int, r: int) -> int:
+    """Largest n of the odd class r mod 30 with f(n) <= x possible.
 
-    The class is the odd n divisible by none of the primes in excluded
-    (a residue mod 30 fixes which of the wheel primes 3, 5 divide n);
-    call the other odd primes the allowed ones, q_1 < q_2 < ...  An n of
-    the class with k distinct primes p_1 < ... < p_k has p_i >= q_i, so
+    The residue r fixes which of the wheel primes 3, 5 divide n.
+    sigma: sigma(n)/n = prod_{p^e || n} (1 + 1/p + ... + 1/p^e) is at
+    least prod (1 + 1/p) over the wheel primes p dividing r, so
+    sigma(n) <= x forces n <= x * prod p/(p + 1).
+    phi: the class excludes the wheel primes not dividing r; call the
+    other odd primes the allowed ones, q_1 < q_2 < ...  An n of the class
+    with k distinct primes p_1 < ... < p_k has p_i >= q_i, so
     phi(n) >= prod_{i<=k} (q_i - 1), and phi(n) <= x forces k <= K, the
     largest count with prod_{i<=K} (q_i - 1) <= x.  As p/(p-1) falls as
     p grows, n/phi(n) = prod_{i<=k} p_i/(p_i - 1) is at most R, the same
-    product over the first K allowed primes.  So n <= x * R, computed
-    here exactly.  Leaving 3 out drops the factor 3/2 from R and lets
-    the next allowed prime in, whose factor is smaller.
+    product over the first K allowed primes, so n <= x * R.  Leaving 3
+    out drops the factor 3/2 from R and lets the next allowed prime in,
+    whose factor is smaller.
+    Both tops are computed exactly.
     """
     num = den = 1
+    if f == "sigma":
+        for p in _WHEEL:
+            if r % p == 0:
+                num *= p
+                den *= p + 1
+        return x * num // den
     for q in _ODD_PRIMES:
-        if q in excluded:
+        if q in _WHEEL and r % q:
             continue
         if den * (q - 1) > x:
             break
@@ -82,37 +96,31 @@ def _phi_class_top(x: int, excluded: tuple[int, ...]) -> int:
 def phi_preimage_bound(x: int) -> int:
     """A bound B with phi(n) <= x implying n <= B; sound, not tight.
 
-    B = 2 * top_odd, top_odd = floor(x * R) the top of the class of all
-    odd n (_phi_class_top with no prime excluded, whose K and R these
-    are).  Every n is covered: odd n <= top_odd; and n = 2^a m with m
-    odd and a >= 1 has phi(n) = 2^(a-1) phi(m) >= phi(m), so m has at
-    most K distinct primes, and n/2 = phi(n) * m/phi(m) <= x * R, so the
-    integer n/2 is at most top_odd.  x = 1 gives B = 2: phi(n) <= 1 only
-    for n = 1, 2.
+    B = 2 * top_odd, top_odd = floor(x * R) the phi top of the class
+    15 mod 30, which excludes no odd prime, so that top_odd and its K
+    and R (_class_top) bound every odd n.  Every n is covered: odd
+    n <= top_odd; and n = 2^a m with m odd and a >= 1 has
+    phi(n) = 2^(a-1) phi(m) >= phi(m), so m has at most K distinct
+    primes, and n/2 = phi(n) * m/phi(m) <= x * R, so the integer n/2 is
+    at most top_odd.  x = 1 gives B = 2: phi(n) <= 1 only for n = 1, 2.
     """
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
-    return 2 * _phi_class_top(x, excluded=())
+    return 2 * _class_top("phi", x, 15)
 
 
 def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
     """The (start, step, top) progressions whose f-values cover those <= x.
 
-    phi: the 15 odd residue classes mod 30, each up to its own top, x
-    times a bound on n/phi(n) without the wheel primes 3, 5 not dividing
-    the residue (_phi_class_top).  Even n are not scanned: their values
-    are odd n's doubled, added by build_value_bitmap.
-    sigma: odd n <= x, since sigma(n) >= n, and even n <= 2x/3, since
-    sigma(2^a m) >= (2^(a+1) - 1) m >= 3n/2 for a >= 1.
-    n = 1 is left out of every progression (f(1) = 1): the class
-    1 mod 30 starts at 31.
+    For both f: the 15 odd residue classes mod 30, each up to its own
+    top (_class_top), x times a bound on n/phi(n) or n/sigma(n) over
+    the class.  Even n are not scanned: their values are odd n's values
+    times 2^j (phi) or a Mersenne number 2^j - 1 (sigma), added by
+    build_value_bitmap.  n = 1 is left out (f(1) = 1): the class 1 mod
+    30 starts at 31.
     """
-    if f == "sigma":
-        return [(3, 2, x), (2, 2, 2 * x // 3)]
     step = 2 * math.prod(_WHEEL)
-    return [(r if r > 1 else r + step, step,
-             _phi_class_top(x, excluded=tuple(q for q in _WHEEL if r % q)))
-            for r in range(1, step, 2)]
+    return [(r if r > 1 else r + step, step, _class_top(f, x, r)) for r in range(1, step, 2)]
 
 
 _SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)],
@@ -123,28 +131,23 @@ _NO_VALUES = np.empty(0, dtype=np.int64)
 
 
 def _odd_sigma_slots(lo: int, step: int, size: int) -> np.ndarray:
-    """The k < size with n = lo + k*step equal to m^2 or 2m^2 (m >= 1),
-    exactly the n of the window with sigma(n) odd: sigma(n) is the
-    product of 1 + p + ... + p^e over p^e || n, and for odd p that
-    factor is odd iff e is even."""
-    last = lo + (size - 1) * step
-    slots = []
-    for c in (1, 2):
-        n = np.arange(math.isqrt((lo - 1) // c) + 1, math.isqrt(last // c) + 1, dtype=np.int64)
-        n *= n
-        n *= c
-        n -= lo
-        slots.append(n[n % step == 0] // step)
-    return np.concatenate(slots)
+    """The k < size with n = lo + k*step an odd square, exactly the odd n
+    of the window with sigma(n) odd: sigma(n) is the product of
+    1 + p + ... + p^e over p^e || n, and for odd p that factor is odd
+    iff e is even."""
+    n = np.arange(math.isqrt(lo - 1) + 1, math.isqrt(lo + (size - 1) * step) + 1, dtype=np.int64)
+    n *= n
+    n -= lo
+    return n[n % step == 0] // step
 
 
 def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     """Enumerate the value set of f up to x into a bitmap.
 
-    Only the progressions of scan_progressions are scanned, cut into
-    windows of DEFAULT_SEGMENT_SIZE elements (cut_windows); every n
-    outside them either has f(n) > x or shares its value with a scanned
-    n.  The windows are dealt round robin to
+    Only the odd n of scan_progressions are scanned, cut into windows of
+    DEFAULT_SEGMENT_SIZE elements (cut_windows); every n outside them
+    either has f(n) > x or has a value that the closure below derives
+    from a scanned n's.  The windows are dealt round robin to
     min(threads, windows, CPUs) workers (deal_windows): worker w scans
     every workers-th window from the w-th in one scan_windows call, on
     one workspace, and marks the even values v <= x in one shared
@@ -152,22 +155,39 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     nothing is read back, so the bytes never depend on the thread count.
 
     Every scanned phi value is even (n >= 3).  A window's odd sigma
-    values sit at its m^2 and 2m^2 (_odd_sigma_slots): they are kept
+    values sit at its odd squares (_odd_sigma_slots): they are kept
     aside and their slots parked on the cap slot, where every value
-    above x lands.  The scratch is then packed and spread to the even
-    bits (_SPREAD), and bit 1 (f(1) = 1) and the odd values are set.
+    above x lands.  After the join the scratch is closed (below), packed
+    and spread to the even bits (_SPREAD), and bit 1 (f(1) = 1) and the
+    odd values are set.  Value 2u sits at half[u].
 
-    For phi only odd n are scanned, and after the join the scratch is
-    closed under doubling, in place.  This is sound: every n >= 2 is
-    2^a m, m odd, and phi(n) = 2^(a-1) phi(m) for a >= 1, so the values
-    <= x are exactly the 2^j phi(m) <= x, j >= 0, m odd, and such an m
-    is 1 (value 1, bit 1; 2^j = 2^(j-1) phi(3)) or lies in a scanned
-    class at or below its top.  Value 2u sits at half[u], its double at
-    half[2u]; the pass sets half[2u] |= half[u] for every u with
-    2u < cap, by blocks [a, 2a), a = 1, 2, 4, ...  A block is written
-    only by the block before it, so it is final before it is read; the
-    cap slot is never read or written; and read and written slots never
-    overlap, so numpy makes no copy.
+    phi: the scratch is closed under doubling, in place.  This is sound:
+    every n >= 2 is 2^a m, m odd, and phi(n) = 2^(a-1) phi(m) for
+    a >= 1, so the values <= x are exactly the 2^j phi(m) <= x, j >= 0,
+    m odd, and such an m is 1 (value 1, bit 1; 2^j = 2^(j-1) phi(3)) or
+    lies in a scanned class at or below its top.  The pass sets
+    half[2u] |= half[u] for every u with 2u < cap, by blocks [a, 2a),
+    a = 1, 2, 4, ...  A block is written only by the block before it,
+    so it is final before it is read; the cap slot is never read or
+    written; and read and written slots never overlap, so numpy makes
+    no copy.
+
+    sigma: the scratch is closed under the Mersenne multipliers
+    M = 2^(a+1) - 1 = 3, 7, 15, ... <= x, in place.  This is sound:
+    every n >= 2 is 2^a m, m odd, and sigma(n) = (2^(a+1) - 1) sigma(m),
+    so the values <= x are exactly the M w <= x, M = 1 or a Mersenne
+    number, w = sigma(m) for an odd m, and such an m is 1 (w = 1) or, as
+    sigma(m) <= sigma(n) <= x, lies in a scanned class at or below its
+    top.  M is odd, so M w is even iff w is.  Each M must multiply only
+    the scan's own values: M M' w is in general no value of sigma.  The
+    even w with M w <= x for some M >= 3 are at most x/3, at u < x//6 + 1;
+    the pass sets half[M u] |= half[u] for every M and every such u with
+    M u < cap, by blocks [a, b) with b <= 3a, from the top block down.
+    A block's writes land at M u >= 3a >= b, above it and above every
+    block read after it, so every slot read still holds what the scan
+    left; the cap slot is never read or written; and read and written
+    slots never overlap, so numpy makes no copy.  The odd w, 1 and the
+    kept values, are set times every M with M w <= x.
 
     Parameters
     ----------
@@ -183,14 +203,15 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
         raise DomainError(f"need x >= 1, got {x}")
     want = {f"want_{f}": True}
     odd = f == "sigma"
-    # sq bounds the m of any window's odd slots and the odd values kept: per
-    # worker a window's odd slots (under 48 bytes per m), then the odd
-    # values (16 bytes per m), the scratch, its packed bits and their
-    # spread, the bitmap
+    mersenne = [(1 << j) - 1 for j in range(2, (x + 1).bit_length())]  # 3, 7, ... <= x
+    # sq bounds the m of any window's odd slots and of the odd values kept:
+    # per worker a window's odd slots (under 48 bytes per m), then the odd
+    # values and one multiplier's multiples of them (under 32 bytes per m),
+    # the scratch, its packed bits and their spread, the bitmap
     sq = math.isqrt(x) + 1
     packed_bytes = (x // 2 + 8) // 8
     scan = deal_windows(scan_progressions(f, x), threads, worker_bytes=48 * sq * odd,
-                        shared_bytes=16 * sq * odd + x // 2 + 2 + 3 * packed_bytes,
+                        shared_bytes=32 * sq * odd + x // 2 + 2 + 3 * packed_bytes,
                         what=f"value bitmap build at x={x}", **want)
     cap = x // 2 + 1  # the slot of 2 * cap, the first even value above x
     half = np.zeros(cap + 1, dtype=bool)
@@ -216,14 +237,27 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
             b = min(2 * a, end)
             half[2 * a:2 * b:2] |= half[a:b]
             a *= 2
+    else:
+        b = x // 6 + 1  # u < b is exactly 3u < cap
+        while b > 1:
+            a = -(-b // 3)  # the block [a, b) has b <= 3a
+            for m in mersenne:
+                k = min(b, (cap - 1) // m + 1)  # u < k is exactly m u < cap
+                if k <= a:
+                    break
+                half[m * a:m * k:m] |= half[a:k]
+            b = a
     packed = np.packbits(half[:cap], bitorder="little")
     del half
     bits = _SPREAD[packed].view(np.uint8)[: (x >> 3) + 1]
     if bits[0] & 1:
         raise AssertionError("value 0 can never be attained")
     bits[0] |= 2  # f(1) = 1 for both functions
-    v = np.concatenate([_NO_VALUES, *kept])
-    np.bitwise_or.at(bits, v >> 3, np.left_shift(1, v & 7).astype(np.uint8))
+    if odd:
+        w = np.concatenate([np.ones(1, dtype=np.int64), *kept])  # the odd w: sigma(1), kept
+        for m in [1, *mersenne]:
+            v = w[w <= x // m] * m
+            np.bitwise_or.at(bits, v >> 3, np.left_shift(1, v & 7).astype(np.uint8))
     return ValueBitmap(limit_x=x, f_tag=f, bits=bits)
 
 

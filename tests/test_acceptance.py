@@ -2,7 +2,8 @@
 line and enforcing its stated runtime budget.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; the
-extended 1e8 table row is non-gating and lives behind the slow marker.
+extended 1e8 table row is non-gating and lives behind the slow marker,
+and the 1e9 row behind the frontier marker (`pytest -m frontier`).
 """
 
 import random
@@ -45,6 +46,8 @@ TABLE1 = {
 
 TABLE1_1E8 = (15037909, 15784779, 7570480)
 
+TABLE1_1E9 = (139847905, 146622886, 69091721)
+
 RHO_REF = 0.542598586098471
 
 V2_EXACT = 0.46287202527121724  # pinned after first computation
@@ -80,6 +83,17 @@ def test_criterion_1_extended_1e8():
     (row,) = values_table([10**8])
     assert (row.v_phi, row.v_sigma, row.v_common) == TABLE1_1E8
     _report("criterion 1 extended (1e8, non-gating)", t0, 1800.0)
+
+
+@pytest.mark.frontier
+@pytest.mark.parametrize("threads", [1, 2])
+def test_criterion_1_frontier_1e9(threads):
+    # the counts agree with a step-1 scan of every n in [2, phi_preimage_bound]
+    # (phi) and [2, x] (sigma), which uses no classes, tops or closure
+    t0 = time.time()
+    (row,) = values_table([10**9], threads=threads)
+    assert (row.v_phi, row.v_sigma, row.v_common) == TABLE1_1E9
+    _report(f"criterion 1 frontier (1e9, threads={threads}, non-gating)", t0, 3600.0)
 
 
 def test_criterion_2_constants_regression():

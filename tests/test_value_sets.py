@@ -160,19 +160,23 @@ def _in_progressions(n: np.ndarray, progressions) -> np.ndarray:
     return hit
 
 
-def _doubles_of(v: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """Per value in v, whether v = 2^j w for some j >= 0 with found[w]."""
-    hit = found[v].copy()
-    for j in range(1, int(v.max(initial=1)).bit_length()):
-        sel = v % (1 << j) == 0
-        hit[sel] |= found[v[sel] >> j]
+def _multiples_of(v: np.ndarray, found: np.ndarray, multipliers) -> np.ndarray:
+    """Per value in v, whether v = M w for some M in multipliers with found[w]."""
+    hit = np.zeros(v.shape, dtype=bool)
+    for m in multipliers:
+        sel = v % m == 0
+        hit[sel] |= found[v[sel] // m]
     return hit
 
 
 def _check_cutoffs(x: int) -> None:
-    """Every preimage of a value <= x is scanned, or (phi) is even and,
-    by the doubling lemma, has a value 2^j phi(m), m in a scanned class."""
+    """Every preimage of a value <= x is scanned, or is even and has a
+    value M w, w the value of a scanned n or w = 1: by the doubling lemma
+    (phi) M = 2^j, j >= 0; by the Mersenne lemma (sigma) M = 2^j - 1,
+    j >= 2."""
     window = 1 << 20
+    multipliers = {"phi": [1 << j for j in range(x.bit_length())],
+                   "sigma": [(1 << j) - 1 for j in range(2, (x + 1).bit_length())]}
     for f, top in (("phi", phi_oracle_top(x)), ("sigma", x)):
         progressions = scan_progressions(f, x)
         scanned = np.zeros(x + 1, dtype=bool)  # values of the scanned n, and of n = 1
@@ -184,13 +188,11 @@ def _check_cutoffs(x: int) -> None:
             ok = _in_progressions(n, progressions)
             scanned[vals[n[ok] - lo]] = True
             unscanned[vals[n[~ok] - lo]] = True
-            if f == "phi":
-                ok |= n % 2 == 0
+            ok |= n % 2 == 0
             assert ok.all(), (f, x, n[~ok][:5])
-        if f == "phi":
-            v = np.flatnonzero(unscanned)
-            hit = _doubles_of(v, scanned)
-            assert hit.all(), (x, v[~hit][:5])
+        v = np.flatnonzero(unscanned)
+        hit = _multiples_of(v, scanned, multipliers[f])
+        assert hit.all(), (f, x, v[~hit][:5])
 
 
 @pytest.mark.parametrize("x", [10**3, 10**5, 10**6])
@@ -203,33 +205,43 @@ def test_scan_cutoffs_sound_1e7():
     _check_cutoffs(10**7)
 
 
-def _check_class_tops(x: int) -> None:
-    """The phi classes are the odd residues mod 30, and every n of a
-    class with phi(n) <= x lies at or below its top."""
-    progressions = scan_progressions("phi", x)
+def _check_class_tops(f: str, x: int) -> None:
+    """The classes of f are the odd residues mod 30, and every n of a
+    class with f(n) <= x lies at or below its top."""
+    progressions = scan_progressions(f, x)
     assert sorted(start % step for start, step, _ in progressions) == list(range(1, 30, 2))
     assert {step for _, step, _ in progressions} == {30}
     top = np.zeros(30, dtype=np.int64)
     for start, _, t in progressions:
         top[start % 30] = t
     window = 1 << 20
-    bound = phi_oracle_top(x)
+    bound = phi_oracle_top(x) if f == "phi" else x
     for lo in range(2, bound + 1, window):
-        vals = segment_map(lo, min(lo + window, bound + 1), "phi")
+        vals = segment_map(lo, min(lo + window, bound + 1), f)
         n = np.flatnonzero(vals <= x) + lo
         odd = n[n % 2 == 1]
         over = odd[odd > top[odd % 30]]
-        assert not len(over), (x, over[:5])
+        assert not len(over), (f, x, over[:5])
 
 
 @pytest.mark.parametrize("x", [1, 10, 10**3, 10**5, 10**6])
 def test_phi_class_tops_sound(x):
-    _check_class_tops(x)
+    _check_class_tops("phi", x)
+
+
+@pytest.mark.parametrize("x", [1, 10, 10**3, 10**5, 10**6])
+def test_sigma_class_tops_sound(x):
+    _check_class_tops("sigma", x)
 
 
 @pytest.mark.slow
 def test_phi_class_tops_sound_1e7():
-    _check_class_tops(10**7)
+    _check_class_tops("phi", 10**7)
+
+
+@pytest.mark.slow
+def test_sigma_class_tops_sound_1e7():
+    _check_class_tops("sigma", 10**7)
 
 
 @pytest.mark.parametrize("x", [10**4, 10**5])
@@ -253,12 +265,17 @@ def test_scan_progressions_at_1e7():
     odd = {1: 16301094, 3: 24451642, 5: 19490439, 15: 29235658}
     want = [(r if r > 1 else 31, 30, odd[math.gcd(r, 15)]) for r in range(1, 30, 2)]
     assert scan_progressions("phi", x) == want
-    assert scan_progressions("sigma", x) == [(3, 2, x), (2, 2, 6666666)]
     scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("phi", x))
     assert scanned == 9881062
     # against the 61,811,115 n of the step-1 scan to the former minimal-order bound
     assert scanned / 61811115 < 0.16
     assert phi_preimage_bound(x) == 58471316
+    # sigma: x times prod p/(p + 1) over the wheel primes dividing the class
+    odd = {1: 10000000, 3: 7500000, 5: 8333333, 15: 6250000}
+    want = [(r if r > 1 else 31, 30, odd[math.gcd(r, 15)]) for r in range(1, 30, 2)]
+    assert scan_progressions("sigma", x) == want
+    scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("sigma", x))
+    assert scanned == 4430553  # against 8,333,332 odd n <= x and even n <= 2x/3
 
 
 def _full_range_bits(f: str, x: int) -> np.ndarray:
@@ -277,24 +294,39 @@ def test_bitmap_bytes_match_full_range_scan(f, x):
     assert np.array_equal(build_value_bitmap(f, x).bits, _full_range_bits(f, x))
 
 
-def _check_phi_bits_at(xs) -> None:
-    """build_value_bitmap("phi", x) against one oracle scan at max(xs),
-    which serves every x, as no n above 7x has phi(n) <= x."""
-    seen = np.unpackbits(_full_range_bits("phi", max(xs)), bitorder="little")
+def _check_bits_at(f: str, xs) -> None:
+    """build_value_bitmap(f, x) against one oracle scan at max(xs), which
+    serves every x, as no n above 7x has phi(n) <= x, nor above x
+    sigma(n) <= x."""
+    seen = np.unpackbits(_full_range_bits(f, max(xs)), bitorder="little")
     for x in xs:
         want = np.packbits(seen[: x + 1], bitorder="little")
-        assert np.array_equal(build_value_bitmap("phi", x).bits, want), x
+        assert np.array_equal(build_value_bitmap(f, x).bits, want), (f, x)
+
+
+_NEAR_POWERS_OF_TWO = sorted({*range(1, 257),
+                              *(2**k + d for k in range(1, 21) for d in (-1, 0, 1))})
 
 
 def test_phi_doubling_pass_near_powers_of_two():
     # the doubling pass ends where 2u reaches the cap slot x // 2 + 1
-    near = {2**k + d for k in range(1, 21) for d in (-1, 0, 1)}
-    _check_phi_bits_at(sorted({*range(1, 257), *near}))
+    _check_bits_at("phi", _NEAR_POWERS_OF_TWO)
+
+
+def test_sigma_mersenne_closure_near_powers_of_two():
+    # 2^k - 1 is a Mersenne number: there the last multiplier comes in,
+    # and each multiplier's cut u < (cap - 1) // M + 1 moves
+    _check_bits_at("sigma", _NEAR_POWERS_OF_TWO)
 
 
 @pytest.mark.slow
 def test_phi_doubling_pass_at_every_x_to_4096():
-    _check_phi_bits_at(range(1, (1 << 12) + 1))
+    _check_bits_at("phi", range(1, (1 << 12) + 1))
+
+
+@pytest.mark.slow
+def test_sigma_mersenne_closure_at_every_x_to_4096():
+    _check_bits_at("sigma", range(1, (1 << 12) + 1))
 
 
 # --- worker threads: the same bytes for every thread count ------------------
@@ -328,8 +360,8 @@ def test_sigma_bitmap_in_short_windows(monkeypatch):
     from phisigma import sieve
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 10)
-    x = 6000  # 2999 and 2000 n: windows of 1024, 1024, 951, 1024 and 976 n
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 6)
+    x = 6000  # 2,657 odd n in 15 classes of 125 to 200 n: 52 windows of 7 to 64 n
     want = _full_range_bits("sigma", x)
     for threads in (1, 2, 3):
         assert np.array_equal(build_value_bitmap("sigma", x, threads=threads).bits, want)
@@ -337,8 +369,10 @@ def test_sigma_bitmap_in_short_windows(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_odd_sigma_values_exhaustive_to_1e6(monkeypatch, threads):
-    # sigma(n) is odd exactly at n = m^2 and 2m^2; those values are set
-    # straight into the bitmap, every other value through the even scratch
+    # sigma(n) is odd exactly at n = m^2 and 2m^2; only the odd squares
+    # are scanned, and their values, with 1, times each Mersenne number
+    # (sigma(2^a m^2) for a >= 1) are set straight into the bitmap, every
+    # other value through the even scratch
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     x = 10**6
     bits = np.unpackbits(build_value_bitmap("sigma", x, threads=threads).bits,
