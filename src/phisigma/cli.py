@@ -56,7 +56,8 @@ def _int_arg(s: str) -> int:
 
 
 def _limits_arg(s: str) -> list[int]:
-    return [_int_arg(part) for part in s.split(",") if part]
+    """Comma-separated integer flags; an empty item is a usage error."""
+    return [_int_arg(part) for part in s.split(",")]
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -18,18 +18,17 @@ those primes share one vectorized pass per window, as in the bucket
 sieve of T. Oliveira e Silva, S. Herzog and S. Pardi (Math. Comp. 83
 (2014) 2033-2060): their first hits come from one table of modular
 inverses, are expanded into (index, p) pairs and applied by ufunc.at.
-scan_windows drives it over a list of progressions, cut into windows
-of DEFAULT_SEGMENT_SIZE elements (cut_windows); every census scans
-through it, and that one constant sizes all of their windows.
-deal_windows deals the windows round robin to worker threads, one
-scan_windows call per worker, after one charge for all of them.  The
-window arrays and the inverse tables live in one workspace per call
-(_Workspace), which every window fills in place, as the bucket sieve
+deal_windows is the one window loop: it cuts a list of progressions
+into windows of DEFAULT_SEGMENT_SIZE elements (cut_windows), so that
+one constant sizes every census's windows, charges them once, sieves
+the base primes and builds the inverse table once, and deals the
+windows round robin to worker threads.  Each worker fills one
+workspace (_Workspace) in place at every window, as the bucket sieve
 reuses its fixed window buffers: freed and allocated afresh, arrays of
-this size would fault their pages back in at every window, or at every
-progression.  phi and sigma are updated in place, by the factor each
-prime power adds (sigma trades 1 + ... + p^(j-1) for 1 + ... + p^j by
-exact division), so neither needs a buffer beside its own array.
+this size would fault their pages back in at every window.  phi and
+sigma are updated in place, by the factor each prime power adds (sigma
+trades 1 + ... + p^(j-1) for 1 + ... + p^j by exact division), so
+neither needs a buffer beside its own array.
 
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
@@ -246,27 +245,26 @@ PAIR_BYTES = 33  # index, prime, p^(j+1), n mod p^(j+1) and its zero mask
 
 PRIME_BYTES = 120  # a window's first hit, hit count and their batch copies
 
-INVERSE_BYTES = 8  # one step's cached inverse
+INVERSE_BYTES = 8  # a prime's entry in the inverse table
 
 SCAN_OVERHEAD = 1 << 16  # numpy's casting buffers (8192 elements) and the window's objects
 
 
-def scan_bytes(size: int, large_primes: int, steps: int, *, want_phi: bool = False,
+def scan_bytes(size: int, large_primes: int, *, want_phi: bool = False,
                want_sigma: bool = False, want_omega: bool = False) -> int:
-    """Bytes a scan workspace of `size` elements for `steps` distinct
-    steps, and one segment_scan window on it, hold at their peak, with
-    `large_primes` base primes (an upper bound will do) in the
-    large-prime pass.
+    """Bytes a scan workspace of `size` elements, its inverse table and
+    one segment_scan window on it hold at their peak, with `large_primes`
+    base primes (an upper bound will do) in the large-prime pass.
 
     The workspace's buffers (_Workspace), per element: the remainder,
     each wanted array and the fold's mask.  When any prime is large, its
     batch of (index, p) pairs (_pair_batch) at PAIR_BYTES, and per large
-    prime a window's first-hit arrays at PRIME_BYTES and one inverse
-    table per step at INVERSE_BYTES.  And SCAN_OVERHEAD once.
+    prime a window's first-hit arrays at PRIME_BYTES and its inverse at
+    INVERSE_BYTES.  And SCAN_OVERHEAD once.
     """
     per_entry = 8 + 8 * want_phi + 8 * want_sigma + 2 * want_omega + 1
     pairs = _pair_batch(size) if large_primes else 0
-    per_prime = PRIME_BYTES + INVERSE_BYTES * steps
+    per_prime = PRIME_BYTES + INVERSE_BYTES
     return per_entry * size + PAIR_BYTES * pairs + per_prime * large_primes + SCAN_OVERHEAD
 
 
@@ -281,42 +279,38 @@ def _pair_batch(size: int) -> int:
     return size // 4 + 1
 
 
+def _step_table(base_primes: np.ndarray, step: int) -> tuple[int, np.ndarray]:
+    """(n_small, inv): the index of the first base prime above
+    max(LARGE_PRIME_THRESHOLD, step), where the large-prime pass starts,
+    and step^-1 mod p for it and every later one."""
+    n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step), "right"))
+    return n_small, _step_inverses(base_primes[n_small:], step)
+
+
 class _Workspace:
     """The buffers segment_scan fills for windows of up to `size`
-    elements of progressions with the given steps: the remainder, the
-    wanted phi, sigma and omega (each updated in place, with no buffer
-    beside it), the fold's rem > 1 mask, one batch of the large-prime
-    pass's (index, p) pairs, and per step the index n_small of the first
-    base prime above max(LARGE_PRIME_THRESHOLD, step) and step^-1 mod p
-    for it and every later one (tables).
+    elements of one step: the remainder, the wanted phi, sigma and omega
+    (each updated in place, with no buffer beside it), the fold's
+    rem > 1 mask and one batch of the large-prime pass's (index, p)
+    pairs, beside the step's table (_step_table), which it only reads.
 
-    scan_windows builds one per call, so its windows allocate no array
+    deal_windows builds one per worker, so its windows allocate no array
     per element or per pair and fault no fresh pages; a standalone
-    segment_scan builds its own.  The scan_bytes of a window on it, with
-    every step's inverse table, are charged first.
+    segment_scan builds its own.  Whoever builds one has charged its
+    scan_bytes first.
     """
 
-    def __init__(self, size: int, base_primes: np.ndarray, steps: set[int], *,
-                 want_phi: bool, want_sigma: bool, want_omega: bool, what: str):
-        large = len(base_primes) - int(np.searchsorted(base_primes, LARGE_PRIME_THRESHOLD,
-                                                       "right"))  # the most at any step
-        check_allocation(
-            scan_bytes(size, large, len(steps), want_phi=want_phi, want_sigma=want_sigma,
-                       want_omega=want_omega),
-            what,
-        )
+    def __init__(self, size: int, table: tuple[int, np.ndarray], *, want_phi: bool,
+                 want_sigma: bool, want_omega: bool):
+        self.table = table
         self.rem = np.empty(size, dtype=np.int64)
         self.phi = np.empty(size, dtype=np.int64) if want_phi else None
         self.sigma = np.empty(size, dtype=np.int64) if want_sigma else None
         self.omega = np.empty(size, dtype=np.int16) if want_omega else None
         self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
-        self.tables = {}
-        for step in steps:
-            n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step), "right"))
-            self.tables[step] = n_small, _step_inverses(base_primes[n_small:], step)
         # one batch of (index, p) pairs: index, p^(j+1) and n mod p^(j+1),
         # and n's zero mask
-        batch = _pair_batch(size) if large else 0
+        batch = _pair_batch(size) if len(table[1]) else 0
         self.pairs = np.empty((3, batch), dtype=np.int64)
         self.zero = np.empty(batch, dtype=bool)
 
@@ -366,7 +360,7 @@ def segment_scan(
     Every array is filled in place in a workspace (_Workspace) built
     for this call, whose scan_bytes are charged against the budget
     first, so the arrays returned belong to the caller alone.
-    scan_windows passes its own workspace through _workspace instead,
+    deal_windows passes a worker's workspace through _workspace instead,
     and its windows' arrays are overwritten by the next window.
 
     Returns a dict with any of:
@@ -386,10 +380,13 @@ def segment_scan(
         raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
     ws = _workspace
     if ws is None:
-        ws = _Workspace(size, base_primes, {step}, want_phi=want_phi, want_sigma=want_sigma,
-                        want_omega=want_omega, what=f"segment scan [{lo}, {hi}) step {step}")
+        wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
+        large = len(base_primes) - int(np.searchsorted(base_primes, LARGE_PRIME_THRESHOLD, "right"))
+        check_allocation(scan_bytes(size, large, **wants),
+                         f"segment scan [{lo}, {hi}) step {step}")
+        ws = _Workspace(size, _step_table(base_primes, step), **wants)
     top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    n_small, inv = ws.tables[step]
+    n_small, inv = ws.table
     n_large = max(0, int(np.searchsorted(base_primes, top, "right")) - n_small)
 
     rem, phi, sigma, omega = (None if a is None else a[:size]
@@ -567,82 +564,61 @@ def cut_windows(progressions) -> list[tuple[int, int, int]]:
             for lo in range(start, top + 1, step * size)]
 
 
-def scan_windows(progressions, *, want_phi: bool = False, want_sigma: bool = False,
-                 want_omega: bool = False, smooth_bound: int | None = None):
-    """segment_scan over every window (cut_windows) of the progressions
-    (start, step, top), in order.
-
-    Yields (first, step, scan) per window, where first is the window's
-    first integer and scan is segment_scan's dict for it, so element k
-    of each array belongs to first + k*step.  The want_* and
-    smooth_bound keywords are segment_scan's.  The base primes are
-    those <= sqrt of the last integer scanned, or <= smooth_bound when
-    it is set; each window divides by those it needs.
-
-    Every window is filled into one workspace (_Workspace) as long as
-    the longest window, with an inverse table per step, built and
-    charged once per call, so the arrays yielded are valid only until
-    the next window is requested: consume or copy them first.
-    """
-    windows = cut_windows(progressions)
-    if not windows:
-        return
-    top = max(last for *_, last in windows)
-    base = primes_up_to(math.isqrt(top) if smooth_bound is None else smooth_bound)
-    size = max((last - lo) // step + 1 for lo, step, last in windows)
-    wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
-    workspace = _Workspace(size, base, {step for _, step, _ in windows}, **wants,
-                           what=f"scan of {len(windows)} windows to {top}")
-    for lo, step, last in windows:
-        yield lo, step, segment_scan(lo, last + 1, base, step=step, smooth_bound=smooth_bound,
-                                     _workspace=workspace, **wants)
-
-
 def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_bytes: int = 0,
                  what: str, want_phi: bool = False, want_sigma: bool = False,
                  want_omega: bool = False, smooth_bound: int | None = None):
-    """Deal the windows (cut_windows) of the progressions, longest first,
-    round robin to min(threads, windows, CPUs) workers
-    (workers.worker_count), and
+    """Deal the windows (cut_windows) of the progressions, which must
+    share one step, longest first, round robin to
+    min(threads, windows, CPUs) workers (workers.worker_count), and
     charge them, before anything is allocated or any thread starts, in
     one check_allocation: per worker a scan workspace for the longest
-    window (scan_bytes) and worker_bytes, and shared_bytes once.
+    window (scan_bytes) and worker_bytes, and shared_bytes once.  Then
+    sieve the base primes, those <= sqrt of the last integer scanned or
+    <= smooth_bound when it is set, and build the step's inverse table
+    (_step_table), once for all workers.
 
     Returns run(consume).  It runs the workers (workers.run_workers):
-    worker w scans windows[w::workers] in one scan_windows call, with
-    the want_* and smooth_bound keywords, and calls
-    consume(first, step, scan) on each window as scan_windows yields
-    it.  run returns what consume returned for every window, grouped by
-    worker, so how the caller combines them must not depend on their
-    order.  Worker loads differ by at most one window in count and by at
-    most the longest window in elements: in each round of the deal a
-    worker's window is no shorter than any later worker's, nor than
-    any of the next round's.
+    worker w fills one workspace (_Workspace) with a segment_scan of
+    each of windows[w::workers], with the want_* and smooth_bound
+    keywords, and calls consume(first, step, scan) on it, where first
+    is the window's first integer, so element k of each of scan's
+    arrays belongs to first + k*step.  The arrays are overwritten by
+    the worker's next window: consume or copy them first.  run returns
+    what consume returned for every window, grouped by worker, so how
+    the caller combines them must not depend on their order.  Worker
+    loads differ by at most one window in count and by at most the
+    longest window in elements: in each round of the deal a worker's
+    window is no shorter than any later worker's, nor than any of the
+    next round's.
     """
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
     windows = cut_windows(progressions)
+    steps = {step for _, step, _ in windows} or {1}  # no window: any step will do
+    if len(steps) > 1:
+        raise DomainError(f"need progressions of one step, got steps {sorted(steps)}")
     windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
     size = max(((last - lo) // step + 1 for lo, step, last in windows), default=0)
     top = max((last for *_, last in windows), default=0)
-    # scan_windows divides by the primes up to isqrt(top) or smooth_bound,
-    # so the large ones lie above the threshold and below that bound
+    # the large base primes lie above the threshold and below this bound
     bound = math.isqrt(top) if smooth_bound is None else smooth_bound
     large = max(0, bound - LARGE_PRIME_THRESHOLD)
-    steps = len({step for _, step, _ in windows})
     wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
-    workspace = scan_bytes(size, large, steps, **wants)
-    check_allocation(n_workers * (workspace + worker_bytes) + shared_bytes,
+    check_allocation(n_workers * (scan_bytes(size, large, **wants) + worker_bytes) + shared_bytes,
                      f"{what} on {n_workers} workers")
+    base = primes_up_to(bound)
+    table = _step_table(base, *steps)
 
     def run(consume) -> list:
         results = [[] for _ in range(n_workers)]
 
         def scan(w: int):
-            for first, step, got in scan_windows(windows[w::n_workers], smooth_bound=smooth_bound,
-                                                 **wants):
-                results[w].append(consume(first, step, got))
+            ws = _Workspace(size, table, **wants)
+            for lo, step, last in windows[w::n_workers]:
+                got = segment_scan(lo, last + 1, base, step=step, smooth_bound=smooth_bound,
+                                   _workspace=ws, **wants)
+                results[w].append(consume(lo, step, got))
                 yield
 
         workers.run_workers(n_workers, scan)

@@ -11,18 +11,18 @@ residue), as many as phi(n) <= x leaves room for.  The same phi bound
 gives phi_preimage_bound, a cutoff for all n.  At x = 10^7 that is 9.9M
 n for phi, 17% of [2, phi_preimage_bound(x)], and 4.4M n for sigma.
 The even n's values are the odd n's times 2^j (phi) or a Mersenne
-number 2^j - 1 (sigma), added by one pass over the scratch
-(build_value_bitmap).
+number 2^j - 1 (sigma), added by one pass over the scratch, the same
+for both (build_value_bitmap).
 
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes.  The build marks
 values in a scratch array of x/2 + 2 bytes, one byte per even value
 (the odd values are 1 and sigma's few at odd squares n = m^2, with
 their Mersenne multiples), packed into the bitmap at the end, and keeps
 one scan workspace per worker thread for all of its windows
-(sieve.scan_bytes, 6.7 to 10.0 MB at the default window size for x up
-to 10^8).  Each window's values are clipped in place and marked by one
-fancy-index store, so no mask or filtered copy is made, and both
-closures run in place.  All of it, with the pack's temporaries, is
+(sieve.scan_bytes, 7.0 to 8.9 MB at the default window size for x from
+10^7 to 10^8).  Each window's values are clipped in place and marked by
+one fancy-index store, so no mask or filtered copy is made, and the
+closure runs in place.  All of it, with the pack's temporaries, is
 charged against the memory budget before anything is allocated or any
 thread starts: 0.69 x bytes plus the workspaces.  On a 2-vCPU VM,
 values-table to 10^8 peaks at 96 MB of resident memory on one thread
@@ -149,45 +149,37 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     either has f(n) > x or has a value that the closure below derives
     from a scanned n's.  The windows are dealt round robin to
     min(threads, windows, CPUs) workers (deal_windows): worker w scans
-    every workers-th window from the w-th in one scan_windows call, on
-    one workspace, and marks the even values v <= x in one shared
-    scratch array, half[v >> 1] = True.  The stores are idempotent and
-    nothing is read back, so the bytes never depend on the thread count.
+    every workers-th window from the w-th on one workspace, and marks
+    the even values v <= x in one shared scratch array,
+    half[v >> 1] = True.  The stores are idempotent and nothing is read
+    back, so the bytes never depend on the thread count.
 
     Every scanned phi value is even (n >= 3).  A window's odd sigma
     values sit at its odd squares (_odd_sigma_slots): they are kept
     aside and their slots parked on the cap slot, where every value
     above x lands.  After the join the scratch is closed (below), packed
-    and spread to the even bits (_SPREAD), and bit 1 (f(1) = 1) and the
-    odd values are set.  Value 2u sits at half[u].
+    and spread to the even bits (_SPREAD), and the odd values are set.
+    Value 2u sits at half[u].
 
-    phi: the scratch is closed under doubling, in place.  This is sound:
-    every n >= 2 is 2^a m, m odd, and phi(n) = 2^(a-1) phi(m) for
-    a >= 1, so the values <= x are exactly the 2^j phi(m) <= x, j >= 0,
-    m odd, and such an m is 1 (value 1, bit 1; 2^j = 2^(j-1) phi(3)) or
-    lies in a scanned class at or below its top.  The pass sets
-    half[2u] |= half[u] for every u with 2u < cap, by blocks [a, 2a),
-    a = 1, 2, 4, ...  A block is written only by the block before it,
-    so it is final before it is read; the cap slot is never read or
-    written; and read and written slots never overlap, so numpy makes
-    no copy.
-
-    sigma: the scratch is closed under the Mersenne multipliers
-    M = 2^(a+1) - 1 = 3, 7, 15, ... <= x, in place.  This is sound:
-    every n >= 2 is 2^a m, m odd, and sigma(n) = (2^(a+1) - 1) sigma(m),
-    so the values <= x are exactly the M w <= x, M = 1 or a Mersenne
-    number, w = sigma(m) for an odd m, and such an m is 1 (w = 1) or, as
-    sigma(m) <= sigma(n) <= x, lies in a scanned class at or below its
-    top.  M is odd, so M w is even iff w is.  Each M must multiply only
-    the scan's own values: M M' w is in general no value of sigma.  The
-    even w with M w <= x for some M >= 3 are at most x/3, at u < x//6 + 1;
+    The scratch is closed, in place, under the multipliers M <= x of f:
+    M = 2^a = 2, 4, 8, ... for phi, M = 2^(a+1) - 1 = 3, 7, 15, ... for
+    sigma.  This is sound: every n >= 2 is 2^a m, m odd, with
+    phi(n) = 2^(a-1) phi(m) for a >= 1 and sigma(n) = (2^(a+1) - 1)
+    sigma(m), so the values <= x are exactly the M w <= x, M = 1 or a
+    multiplier, w = f(m) for an odd m, and such an m is 1 (w = 1) or, as
+    f(m) <= f(n) <= x, lies in a scanned class at or below its top.
+    Each M multiplies only the scan's own values, which misses nothing:
+    phi's multipliers are closed under products, and for sigma M M' w is
+    in general no value.  With M_1 the least multiplier, the even w with
+    M w <= x for some M are at most x/M_1, at u < (cap - 1)//M_1 + 1;
     the pass sets half[M u] |= half[u] for every M and every such u with
-    M u < cap, by blocks [a, b) with b <= 3a, from the top block down.
-    A block's writes land at M u >= 3a >= b, above it and above every
-    block read after it, so every slot read still holds what the scan
-    left; the cap slot is never read or written; and read and written
-    slots never overlap, so numpy makes no copy.  The odd w, 1 and the
-    kept values, are set times every M with M w <= x.
+    M u < cap, by blocks [a, b) with b <= M_1 a, from the top block
+    down.  A block's writes land at M u >= M_1 a >= b, above it and
+    above every block read after it, so every slot read still holds what
+    the scan left; the cap slot is never read or written; and read and
+    written slots never overlap, so numpy makes no copy.  The odd w, 1
+    and sigma's kept values, have no slot in the scratch: they are set
+    straight into the bitmap times 1 and every M with M w <= x.
 
     Parameters
     ----------
@@ -203,7 +195,8 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
         raise DomainError(f"need x >= 1, got {x}")
     want = {f"want_{f}": True}
     odd = f == "sigma"
-    mersenne = [(1 << j) - 1 for j in range(2, (x + 1).bit_length())]  # 3, 7, ... <= x
+    # the multipliers <= x: 2, 4, 8, ... for phi, 3, 7, 15, ... for sigma
+    mults = [(1 << j) - odd for j in range(1 + odd, (x + odd).bit_length())]
     # sq bounds the m of any window's odd slots and of the odd values kept:
     # per worker a window's odd slots (under 48 bytes per m), then the odd
     # values and one multiplier's multiples of them (under 32 bytes per m),
@@ -231,33 +224,24 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
         return kept
 
     kept = scan(mark)
-    if f == "phi":
-        a, end = 1, (cap + 1) // 2  # u < end is exactly 2u < cap
-        while a < end:
-            b = min(2 * a, end)
-            half[2 * a:2 * b:2] |= half[a:b]
-            a *= 2
-    else:
-        b = x // 6 + 1  # u < b is exactly 3u < cap
-        while b > 1:
-            a = -(-b // 3)  # the block [a, b) has b <= 3a
-            for m in mersenne:
-                k = min(b, (cap - 1) // m + 1)  # u < k is exactly m u < cap
-                if k <= a:
-                    break
-                half[m * a:m * k:m] |= half[a:k]
-            b = a
+    b = (cap - 1) // mults[0] + 1 if mults else 0  # u < b is exactly mults[0] u < cap
+    while b > 1:
+        a = -(-b // mults[0])  # the block [a, b) has b <= mults[0] a
+        for m in mults:
+            k = min(b, (cap - 1) // m + 1)  # u < k is exactly m u < cap
+            if k <= a:
+                break
+            half[m * a:m * k:m] |= half[a:k]
+        b = a
     packed = np.packbits(half[:cap], bitorder="little")
     del half
     bits = _SPREAD[packed].view(np.uint8)[: (x >> 3) + 1]
     if bits[0] & 1:
         raise AssertionError("value 0 can never be attained")
-    bits[0] |= 2  # f(1) = 1 for both functions
-    if odd:
-        w = np.concatenate([np.ones(1, dtype=np.int64), *kept])  # the odd w: sigma(1), kept
-        for m in [1, *mersenne]:
-            v = w[w <= x // m] * m
-            np.bitwise_or.at(bits, v >> 3, np.left_shift(1, v & 7).astype(np.uint8))
+    w = np.concatenate([np.ones(1, dtype=np.int64), *kept])  # the odd w: f(1) = 1, kept
+    for m in [1, *mults]:
+        v = w[w <= x // m] * m
+        np.bitwise_or.at(bits, v >> 3, np.left_shift(1, v & 7).astype(np.uint8))
     return ValueBitmap(limit_x=x, f_tag=f, bits=bits)
 
 

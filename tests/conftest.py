@@ -1,8 +1,8 @@
 """Shared oracles: small, slow, obviously-correct reference code.
 
-Everything here is deliberately independent of the library internals;
-these implementations are the ground truth the fast paths are tested
-against.
+Everything here but dealt_windows, a test helper, is deliberately
+independent of the library internals; these implementations are the
+ground truth the fast paths are tested against.
 """
 
 import math
@@ -164,3 +164,16 @@ def classify_oracle(n, f_tag, params):
 
     c8 = sum(ai * v for ai, v in zip(a, vec)) <= 1.0 - params.omega
     return (c0, c1, c2, c3, c4, c5, c6, c7, c8)
+
+
+def dealt_windows(progressions, **want):
+    """(first, step, scan) for every window of sieve.deal_windows on one
+    thread, with want the segment_scan keywords, in cut_windows order
+    (the deal runs the longest first).  A window's arrays are overwritten
+    by the next window, so each scan is a copy."""
+    from phisigma import sieve
+
+    run = sieve.deal_windows(progressions, 1, what="test scan", **want)
+    got = run(lambda first, step, scan: (first, step, {k: a.copy() for k, a in scan.items()}))
+    order = {window[:2]: i for i, window in enumerate(sieve.cut_windows(progressions))}
+    return sorted(got, key=lambda window: order[window[:2]])

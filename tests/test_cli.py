@@ -320,6 +320,15 @@ def test_non_finite_integer_flag_exits_64(capsys, y):
     assert "usage error" in out.err
 
 
+@pytest.mark.parametrize("limits", ["1e4,,1e5", ",", "1e4,", ""])
+def test_empty_limits_item_exits_64(capsys, limits):
+    # an empty item is refused, not dropped: "1e4,,1e5" must not run as "1e4,1e5"
+    code, out = _main(capsys, "values-table", "--limits", limits)
+    assert code == 64
+    assert out.out == ""
+    assert "usage error" in out.err
+
+
 @pytest.mark.parametrize("argv", [
     ("normal-primes", "--x", "100", "--S", "16", "--sample", "-1"),
     ("normal-primes", "--x", "100", "--S", "16", "--seed", "-1"),

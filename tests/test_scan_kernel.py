@@ -15,9 +15,9 @@ import pytest
 
 from phisigma import ResourceError, anatomy, sieve, structure, value_sets
 from phisigma.errors import MEMORY_BUDGET_ENV
-from phisigma.sieve import LARGE_PRIME_THRESHOLD, primes_up_to, scan_windows, segment_scan
+from phisigma.sieve import LARGE_PRIME_THRESHOLD, deal_windows, primes_up_to, segment_scan
 
-from conftest import big_omega_trial, phi_trial, sigma_trial
+from conftest import big_omega_trial, dealt_windows, phi_trial, sigma_trial
 from reference_loops import segment_scan_strided
 
 MODES = {
@@ -52,9 +52,7 @@ def _windows_equal_oracle(monkeypatch, top, size, step, want, start=None):
         start = 2 if step < 4 else 4
     whole = segment_scan_strided(start, top + 1, primes_up_to(math.isqrt(top)),
                                  step=step, **want)
-    # a window's arrays are valid until the next one: copy each
-    windows = [(lo, {k: a.copy() for k, a in got.items()})
-               for lo, _, got in scan_windows([(start, step, top)], **want)]
+    windows = [(lo, got) for lo, _, got in dealt_windows([(start, step, top)], **want)]
     assert len(windows) == -(-len(range(start, top + 1, step)) // size)
     for key, arr in whole.items():
         assert np.array_equal(np.concatenate([got[key] for _, got in windows]), arr), key
@@ -234,21 +232,51 @@ def test_segment_scan_peak_within_charge(monkeypatch, charges, mode):
 
 
 @pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
-def test_scan_windows_charged_once_per_run(monkeypatch, charges, mode):
-    # one charge, the workspace's, covers every window of the run; the
-    # second run's progressions take two steps, so two inverse tables
+def test_deal_charged_once_per_run(monkeypatch, charges, mode):
+    # one charge, the deal's, made first, covers every window of the run;
+    # the second run's progressions are three wheel classes of one step
     want = MODES.get(mode, {"smooth_bound": 5000})
     size = 1 << 16
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     lo = 10**7 + 1
-    one_step = [(lo, 2, lo + 2 * (4 * size - 1))]
-    two_steps = [(31, 30, 1559235), (15, 30, 2769694), (29, 30, 1559235), (24, 60, 4677705),
-                 (52, 60, 3118470)]
-    for progressions in (one_step, two_steps):
+    one_class = [(lo, 2, lo + 2 * (4 * size - 1))]
+    wheel_classes = [(31, 30, 1559235), (15, 30, 2769694), (29, 30, 1559235)]
+    for progressions in (one_class, wheel_classes):
         charges.clear()
-        peak = traced_peak(lambda: sum(1 for _ in scan_windows(progressions, **want)))
-        assert len(charges) == 2  # the base primes' sieve, then the workspace
-        assert peak <= charges[-1]
+        peak = traced_peak(lambda: deal_windows(progressions, 1, what="test scan", **want)(
+            lambda *window: None))
+        assert len(charges) == 2  # the deal, then its base primes' sieve
+        assert peak <= charges[0]
+
+
+SCANS = {
+    "phi": lambda: value_sets.build_value_bitmap("phi", 10**6, threads=2),
+    "sigma": lambda: value_sets.build_value_bitmap("sigma", 10**6, threads=2),
+    "omega": lambda: anatomy.omega_tail_census(10**6, 1.5, threads=2),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_two_workers_share_one_setup(monkeypatch, scan):
+    # the deal sieves the base primes once, builds one inverse table and
+    # makes one charge, its own, for both workers' workspaces
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kw):
+            calls.append((name, args[-1]))
+            return real(*args, **kw)
+        monkeypatch.setattr(sieve, name, call)
+
+    for name in ("primes_up_to", "_step_inverses", "check_allocation", "_Workspace"):
+        spy(name, getattr(sieve, name))
+    SCANS[scan]()
+    deal, prime_sieve = [what for name, what in calls if name == "check_allocation"]
+    assert deal.endswith("on 2 workers") and prime_sieve.startswith("prime sieve")
+    names = [name for name, _ in calls]
+    assert names.count("primes_up_to") == names.count("_step_inverses") == 1
+    assert names.count("_Workspace") == 2
 
 
 @pytest.mark.parametrize("f", ["phi", "sigma"])

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from phisigma import (
     sigma_of,
 )
 from phisigma import sieve
-from phisigma.sieve import SPF_PRIME_SENTINEL, composite_mask, scan_windows, segment_scan
+from phisigma.sieve import SPF_PRIME_SENTINEL, composite_mask, deal_windows, segment_scan
 from phisigma.value_sets import scan_progressions
 
-from conftest import factor_pairs_naive, phi_trial, sigma_trial
+from conftest import dealt_windows, factor_pairs_naive, phi_trial, sigma_trial
 
 
 def test_primes_up_to_small():
@@ -244,15 +246,13 @@ def test_segment_scan_rejects_bad_step():
 @pytest.mark.parametrize("step", [1, 2, 4])
 @pytest.mark.parametrize("size", [1, 97, 1 << 14])
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
-def test_scan_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
+def test_dealt_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
     start, top = 3, 3000 if size == 1 else 150_000
     want = SCAN_MODES[mode]
     bound = want.get("smooth_bound", math.isqrt(top))
     whole = segment_scan(start, top + 1, primes_up_to(bound), step=step, **want)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
-    # a window's arrays are valid until the next one: copy each
-    windows = [(lo, {k: a.copy() for k, a in got.items()})
-               for lo, _, got in scan_windows([(start, step, top)], **want)]
+    windows = [(lo, got) for lo, _, got in dealt_windows([(start, step, top)], **want)]
     elements = len(range(start, top + 1, step))
     assert len(windows) == -(-elements // size)
     assert [lo for lo, _ in windows] == list(range(start, top + 1, step * size))
@@ -261,28 +261,29 @@ def test_scan_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
 
 
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
-def test_scan_windows_fill_one_workspace(monkeypatch, mode):
+def test_dealt_windows_fill_one_workspace(monkeypatch, mode):
     # a return to per-window allocation would give the next window fresh memory
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
-    windows = scan_windows([(3, 1, 1000)], **SCAN_MODES[mode])
-    first = dict(next(windows)[2])
-    second = next(windows)[2]
-    assert second.keys() == first.keys()
-    for key, arr in second.items():
-        assert np.shares_memory(arr, first[key]), key
+    run = deal_windows([(3, 1, 1000)], 1, what="test scan", **SCAN_MODES[mode])
+    first, *later = run(lambda lo, step, got: dict(got))
+    assert len(later) == 10
+    for got in later:
+        assert got.keys() == first.keys()
+        for key, arr in got.items():
+            assert np.shares_memory(arr, first[key]), key
 
 
 @pytest.mark.parametrize("start, top, step",
                          [(3, 1000, 1), (7, 7, 1), (4, 4000, 4), (10**6 + 1, 10**6 + 4001, 2)])
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
-def test_scan_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
+def test_dealt_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
     # a ragged last window, a one-element progression, step 4 and base
     # primes in the large-prime pass, each window against a standalone
     # scan of its range
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
     want = SCAN_MODES[mode]
     base = primes_up_to(want.get("smooth_bound", math.isqrt(top)))
-    for lo, _, got in scan_windows([(start, step, top)], **want):
+    for lo, _, got in dealt_windows([(start, step, top)], **want):
         fresh = segment_scan(lo, min(lo + 97 * step, top + 1), base, step=step, **want)
         assert got.keys() == fresh.keys()
         for key, arr in fresh.items():
@@ -292,21 +293,18 @@ def test_scan_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
 
 @pytest.mark.parametrize("size", [None, 97])
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
-def test_scan_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode, size):
-    # the odd classes mod 30 and the classes 0 mod 4 mod 60 (two steps, so
-    # two inverse tables), an empty progression, and a short one after the
-    # long ones, on one workspace: each window against a standalone scan
-    # of its range
+def test_dealt_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode, size):
+    # the odd classes mod 30, an empty progression, and a short one after
+    # the long ones, on one workspace: each window against a standalone
+    # scan of its range
     if size is not None:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     size = sieve.DEFAULT_SEGMENT_SIZE
-    progressions = scan_progressions("phi", 10**5)
-    progressions += [(r or 60, 60, 4 * 10**5) for r in range(0, 60, 4)]
-    progressions += [(50, 7, 10), (1001, 3, 1200)]
+    progressions = scan_progressions("phi", 10**5) + [(50, 30, 10), (1000, 30, 1200)]
     want = SCAN_MODES[mode]
     expect = [(lo, step, min(lo + step * size, top + 1)) for start, step, top in progressions
               for lo in range(start, top + 1, step * size)]
-    got = scan_windows(progressions, **want)
+    got = dealt_windows(progressions, **want)
     for (lo, step, hi), (first, got_step, scan) in zip(expect, got, strict=True):
         assert (first, got_step) == (lo, step)
         base = primes_up_to(want.get("smooth_bound", math.isqrt(hi - 1)))
@@ -332,11 +330,27 @@ def test_standalone_scans_keep_their_arrays():
     assert np.array_equal(phi, kept[0]) and np.array_equal(sigma, kept[1])
 
 
-def test_scan_windows_edges(monkeypatch):
+def test_dealt_windows_edges(monkeypatch):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 4)
-    assert list(scan_windows([(10, 1, 9)], want_phi=True)) == []
-    [(lo, _, got)] = scan_windows([(7, 1, 7)], want_phi=True)
+    assert dealt_windows([(10, 1, 9)], want_phi=True) == []
+    [(lo, _, got)] = dealt_windows([(7, 1, 7)], want_phi=True)
     assert lo == 7 and got["phi"].tolist() == [6]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_deal_refuses_mixed_steps_before_any_charge(monkeypatch, threads):
+    # every window of a deal reads one inverse table, so one step; an
+    # empty progression has no window and mixes nothing
+    charged = []
+    monkeypatch.setattr(sieve, "check_allocation", lambda nbytes, what: charged.append(what))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    before = threading.active_count()
+    for progressions in ([(3, 2, 1001), (5, 4, 1001)], [(31, 30, 10**4), (24, 60, 10**4)]):
+        with pytest.raises(DomainError, match="one step"):
+            deal_windows(progressions, threads, what="test scan", want_phi=True)
+    assert not charged and threading.active_count() == before
+    deal_windows([(3, 2, 1001), (50, 7, 10)], threads, what="test scan", want_phi=True)
+    assert len(charged) == 2  # the deal, then its base primes
 
 
 def test_input_cap_enforced():

@@ -388,21 +388,21 @@ def test_odd_sigma_values_exhaustive_to_1e6(monkeypatch, threads):
 
 
 def _dealt(monkeypatch, f, x, threads, cpus):
-    """The windows each scan_windows call of build_value_bitmap(f, x)
-    received, one list per worker."""
+    """The windows (lo, step, last) that build_value_bitmap(f, x) scanned,
+    one list per worker thread."""
     from phisigma import sieve
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    real = sieve.scan_windows
-    dealt = []
+    real = sieve.segment_scan
+    dealt = {}
 
-    def spy(progressions, **kw):
-        dealt.append(list(progressions))
-        yield from real(dealt[-1], **kw)
+    def spy(lo, hi, *args, step, **kw):
+        dealt.setdefault(threading.current_thread(), []).append((lo, step, hi - 1))
+        return real(lo, hi, *args, step=step, **kw)
 
-    monkeypatch.setattr(sieve, "scan_windows", spy)
+    monkeypatch.setattr(sieve, "segment_scan", spy)
     build_value_bitmap(f, x, threads=threads)
-    return dealt
+    return list(dealt.values())
 
 
 @pytest.mark.parametrize("threads,cpus", [(1, 8), (2, 8), (3, 8), (8, 2), (8, None), (16, 64)])
@@ -429,7 +429,7 @@ def test_deal_partitions_the_scan_over_capped_workers(monkeypatch, f, threads, c
 
 
 def test_sigma_at_1_scans_nothing(monkeypatch):
-    assert _dealt(monkeypatch, "sigma", 1, 4, 8) == [[]]
+    assert _dealt(monkeypatch, "sigma", 1, 4, 8) == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -448,21 +448,21 @@ def test_one_workspace_per_worker(monkeypatch, f, threads):
 
     monkeypatch.setattr(sieve, "_Workspace", Spy)
     build_value_bitmap(f, 10**6, threads=threads)
-    assert len(built) == threads  # one scan_windows call, one workspace, per worker
+    assert len(built) == threads  # one workspace per worker
 
 
 def test_failing_scan_worker_reraised_and_no_thread_left(monkeypatch):
     from phisigma import sieve
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    real = sieve.scan_windows
+    real = sieve.segment_scan
 
-    def failing(progressions, **kw):
+    def failing(*args, **kw):
         if threading.current_thread() is not threading.main_thread():
             raise ResourceError("injected")
-        yield from real(progressions, **kw)
+        return real(*args, **kw)
 
-    monkeypatch.setattr(sieve, "scan_windows", failing)
+    monkeypatch.setattr(sieve, "segment_scan", failing)
     before = threading.active_count()
     with pytest.raises(ResourceError, match="injected"):
         build_value_bitmap("phi", 10**5, threads=2)
