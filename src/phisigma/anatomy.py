@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_TO_E, q_function
-from .errors import DomainError, ResourceError, check_allocation
+from .errors import ARRAY_BYTES, DomainError, ResourceError, check_allocation
 from .sieve import (
     FactorSieve,
     Factorization,
@@ -318,8 +318,10 @@ def sieve_bound_census(
     if E == 0:
         raise DomainError(f"degenerate forms (E = 0): {forms}")
 
-    comp = composite_mask(max(0, *(a * x + b for a, b in forms)))
-    check_allocation(x, f"linear-form survivors over [1, {x}]")
+    top = max(0, *(a * x + b for a, b in forms))
+    # the mask, the survivors and the views of one form, all live at once
+    check_allocation(top + 1 + x + 5 * ARRAY_BYTES, f"prime mask to {top} and survivors to {x}")
+    comp = composite_mask(top)
     # ok[n - 1] is True while every form seen so far is prime at n
     ok = np.ones(x, dtype=bool)
     for a, b in forms:

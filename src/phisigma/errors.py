@@ -12,6 +12,8 @@ DEFAULT_MEMORY_BUDGET = 4 << 30
 
 MEMORY_BUDGET_ENV = "PHISIGMA_MEMORY_BUDGET"
 
+ARRAY_BYTES = 256  # a small array's object, its shape and strides, and the list slots holding it
+
 
 class PhiSigmaError(Exception):
     """Base class for all errors raised by this package."""

@@ -18,17 +18,17 @@ those primes share one vectorized pass per window, as in the bucket
 sieve of T. Oliveira e Silva, S. Herzog and S. Pardi (Math. Comp. 83
 (2014) 2033-2060): their first hits come from one table of modular
 inverses, are expanded into (index, p) pairs and applied by ufunc.at.
-deal_windows is the one window loop: it cuts a list of progressions
-into windows of DEFAULT_SEGMENT_SIZE elements (cut_windows), so that
-one constant sizes every census's windows, charges them once, sieves
-the base primes and builds the inverse table once, and deals the
-windows round robin to worker threads.  Each worker fills one
-workspace (_Workspace) in place at every window, as the bucket sieve
-reuses its fixed window buffers: freed and allocated afresh, arrays of
-this size would fault their pages back in at every window.  phi and
-sigma are updated in place, by the factor each prime power adds (sigma
-trades 1 + ... + p^(j-1) for 1 + ... + p^j by exact division), so
-neither needs a buffer beside its own array.
+deal_windows is the one window loop and segment_scan's one caller: it
+cuts a list of progressions into windows of DEFAULT_SEGMENT_SIZE
+elements (cut_windows), charges them once, sieves the base primes and
+builds the inverse table once, and deals the windows round robin to
+worker threads.  Each worker fills one workspace (_Workspace) in place
+at every window, as the bucket sieve reuses its fixed window buffers:
+freed and allocated afresh, arrays of this size would fault their
+pages back in at every window.  phi and sigma are updated in place, by
+the factor each prime power adds (sigma trades 1 + ... + p^(j-1) for
+1 + ... + p^j by exact division), so neither needs a buffer beside its
+own array.
 
 All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
 10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
@@ -61,22 +61,31 @@ def primes_up_to(limit: int) -> np.ndarray:
     ----------
     limit : int
         Upper bound (inclusive).  limit < 2 yields an empty array.
+        The sieve's mask and the primes are charged in one request.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(~composite_mask(limit)).astype(np.int64)
+    check_allocation(limit + 1 + 8 * prime_count_bound(limit), f"prime sieve to {limit}")
+    prime = composite_mask(limit)
+    np.logical_not(prime, out=prime)
+    return np.flatnonzero(prime).astype(np.int64, copy=False)
+
+
+def prime_count_bound(x: int) -> int:
+    """An upper bound on pi(x): pi(x) < 1.25506 x / log x for x > 1
+    (Rosser and Schoenfeld, Illinois J. Math. 6 (1962), (3.6))."""
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
 
 
 def composite_mask(limit: int) -> np.ndarray:
     """Boolean mask over [0, limit], True at 0, 1 and every composite.
 
-    The limit+1 bytes are charged against the memory budget.
+    The caller charges its limit + 1 bytes, with what it holds beside it.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    check_allocation(limit + 1, f"prime sieve to {limit}")
     composite = np.zeros(limit + 1, dtype=bool)
     composite[:2] = True
     for p in range(2, math.isqrt(limit) + 1):
@@ -148,14 +157,14 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
     if hi - 1 > INPUT_CAP:
         raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
     size = hi - lo
-    check_allocation(4 * size, f"spf window [{lo}, {hi})")
+    root = math.isqrt(hi)
+    # the table, and each base prime as int64 and as a listed Python int
+    check_allocation(4 * size + 44 * prime_count_bound(root), f"spf window [{lo}, {hi})")
     spf = np.zeros(size, dtype=np.uint32)
-    for p in primes_up_to(math.isqrt(hi)).tolist():
+    for p in reversed(primes_up_to(root).tolist()):  # each smaller p overwrites
         start = (-lo) % p
-        if start >= size:
-            continue
-        sub = spf[start::p]
-        sub[sub == SPF_PRIME_SENTINEL] = p
+        if start < size:  # the windows near 10^12 miss most base primes
+            spf[start::p] = p
     return FactorSieve(window_lo=lo, window_hi=hi, spf=spf)
 
 
@@ -279,25 +288,19 @@ def _pair_batch(size: int) -> int:
     return size // 4 + 1
 
 
-def _step_table(base_primes: np.ndarray, step: int) -> tuple[int, np.ndarray]:
-    """(n_small, inv): the index of the first base prime above
-    max(LARGE_PRIME_THRESHOLD, step), where the large-prime pass starts,
-    and step^-1 mod p for it and every later one."""
-    n_small = int(np.searchsorted(base_primes, max(LARGE_PRIME_THRESHOLD, step), "right"))
-    return n_small, _step_inverses(base_primes[n_small:], step)
-
-
 class _Workspace:
     """The buffers segment_scan fills for windows of up to `size`
     elements of one step: the remainder, the wanted phi, sigma and omega
     (each updated in place, with no buffer beside it), the fold's
     rem > 1 mask and one batch of the large-prime pass's (index, p)
-    pairs, beside the step's table (_step_table), which it only reads.
+    pairs, beside the step's table (n_small, inv), which it only reads:
+    the index of the first base prime above max(LARGE_PRIME_THRESHOLD,
+    step), where the large-prime pass starts, and step^-1 mod p for it
+    and every later one.
 
-    deal_windows builds one per worker, so its windows allocate no array
-    per element or per pair and fault no fresh pages; a standalone
-    segment_scan builds its own.  Whoever builds one has charged its
-    scan_bytes first.
+    deal_windows builds one per worker, after charging its scan_bytes,
+    so its windows allocate no array per element or per pair and fault
+    no fresh pages.
     """
 
     def __init__(self, size: int, table: tuple[int, np.ndarray], *, want_phi: bool,
@@ -325,9 +328,10 @@ def segment_scan(
     want_omega: bool = False,
     smooth_bound: int | None = None,
     step: int = 1,
-    _workspace: _Workspace | None = None,
+    workspace: _Workspace,
 ):
-    """Vectorized factor scan of the progression lo, lo+step, ... < hi.
+    """Vectorized factor scan of the progression lo, lo+step, ... < hi,
+    one window of a deal (deal_windows), which has checked its bounds.
 
     Divides every scanned integer by the supplied base primes (all
     primes <= sqrt of the last element must be present for exact
@@ -341,10 +345,10 @@ def segment_scan(
     modular inverse, see _multiples).  The slice for p^j divides the
     remainder by p and adds 1 to Omega.  phi and sigma are built in
     place as products over the prime powers p^e || n: phi multiplies by
-    p - 1 on the p-slice and by p on each p^j sub-slice (j >= 2), giving
-    p^(e-1) (p - 1); sigma multiplies by p + 1 on the p-slice, and on
-    each p^j sub-slice divides out 1 + p + ... + p^(j-1), exactly, and
-    multiplies in 1 + p + ... + p^j, giving 1 + p + ... + p^e.
+    p - 1 on the p-slice and by p on each p^j-slice (j >= 2), giving
+    p^(e-1) (p - 1); sigma, on each p^j-slice, divides out
+    1 + p + ... + p^(j-1), exactly (nothing for j = 1), and multiplies
+    in 1 + p + ... + p^j, giving 1 + p + ... + p^e.
 
     The base primes above the threshold hit a window a few times each,
     so they share one vectorized pass (_large_prime_pass) in place of a
@@ -357,11 +361,9 @@ def segment_scan(
     Whatever remains above 1 after the base primes is a single prime
     factor (for exact modes) and is folded in last.
 
-    Every array is filled in place in a workspace (_Workspace) built
-    for this call, whose scan_bytes are charged against the budget
-    first, so the arrays returned belong to the caller alone.
-    deal_windows passes a worker's workspace through _workspace instead,
-    and its windows' arrays are overwritten by the next window.
+    Every array is filled in place in the worker's workspace
+    (_Workspace), so the arrays returned are overwritten by its next
+    window.
 
     Returns a dict with any of:
       'phi', 'sigma' : int64 arrays of exact values,
@@ -370,27 +372,14 @@ def segment_scan(
                        base primes (only when smooth_bound is set).
     Element k of each array belongs to lo + k*step.
     """
-    if step < 1:
-        raise DomainError(f"need step >= 1, got {step}")
-    if hi <= lo or lo < 2:
-        raise DomainError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     size = (hi - lo + step - 1) // step
     last = lo + (size - 1) * step
-    if last > INPUT_CAP:
-        raise ResourceError(f"window end {hi} exceeds the 10^12 input cap")
-    ws = _workspace
-    if ws is None:
-        wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
-        large = len(base_primes) - int(np.searchsorted(base_primes, LARGE_PRIME_THRESHOLD, "right"))
-        check_allocation(scan_bytes(size, large, **wants),
-                         f"segment scan [{lo}, {hi}) step {step}")
-        ws = _Workspace(size, _step_table(base_primes, step), **wants)
     top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    n_small, inv = ws.table
+    n_small, inv = workspace.table
     n_large = max(0, int(np.searchsorted(base_primes, top, "right")) - n_small)
 
-    rem, phi, sigma, omega = (None if a is None else a[:size]
-                              for a in (ws.rem, ws.phi, ws.sigma, ws.omega))
+    rem, phi, sigma, omega = (None if a is None else a[:size] for a in
+                              (workspace.rem, workspace.phi, workspace.sigma, workspace.omega))
     rem[0] = lo  # lo, lo + step, ... by doubling: no ramp array, no slow cumsum
     k = 1
     while k < size:
@@ -406,54 +395,37 @@ def segment_scan(
     for p in base_primes[:n_small].tolist():
         if p > top:
             break
-        hit = _multiples(lo, step, p)
-        if hit is None or hit[0] >= size:
-            continue
-        start, stride = hit
-        sl = slice(start, size, stride)
-        r = rem[sl]
-        r //= p
-        if want_omega:
-            o = omega[sl]
-            o += 1
-        if want_phi:
-            ph = phi[sl]
-            ph *= p - 1
-        if want_sigma:
-            sg = sigma[sl]
-            sg *= p + 1
-            s_prev = p + 1  # 1 + p + ... + p^(j-1) on the p^j sub-slice
-        q = p * p
+        q, s = p, 1  # q = p^j, s = 1 + p + ... + p^(j-1)
         while q <= last:
             hit = _multiples(lo, step, q)
             if hit is None or hit[0] >= size:
                 break
-            # multiples of p^j are a sub-progression of the p-slice
-            sub = slice((hit[0] - start) // stride, None, hit[1] // stride)
-            r_sub = r[sub]
-            r_sub //= p
+            sl = slice(hit[0], size, hit[1])
+            r = rem[sl]
+            r //= p
             if want_omega:
-                o_sub = o[sub]
-                o_sub += 1
+                o = omega[sl]
+                o += 1
             if want_phi:
-                ph_sub = ph[sub]
-                ph_sub *= p
+                ph = phi[sl]
+                ph *= p - 1 if q == p else p
             if want_sigma:
-                sg_sub = sg[sub]
-                sg_sub //= s_prev
-                s_prev = s_prev * p + 1
-                sg_sub *= s_prev
+                sg = sigma[sl]
+                if q > p:
+                    sg //= s
+                s = s * p + 1
+                sg *= s
             q *= p
 
     if n_large:
         _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large], inv,
-                          rem, phi, sigma, omega, ws)
+                          rem, phi, sigma, omega, workspace)
 
     # branch-free: rem + big and rem - big are p + 1 and p - 1 where a
     # prime p is left and 1 where rem = 1, sigma's and phi's factors with
     # no masked multiply; rem is restored after each use
     if want_phi or want_sigma or want_omega:
-        big = np.greater(rem, 1, out=ws.big[:size])
+        big = np.greater(rem, 1, out=workspace.big[:size])
     if want_omega:
         omega += big
     if want_sigma:
@@ -465,16 +437,8 @@ def segment_scan(
         phi *= rem
         rem += big
 
-    out = {}
-    if want_phi:
-        out["phi"] = phi
-    if want_sigma:
-        out["sigma"] = sigma
-    if want_omega:
-        out["omega"] = omega
-    if smooth_bound is not None:
-        out["rem"] = rem
-    return out
+    out = dict(phi=phi, sigma=sigma, omega=omega, rem=None if smooth_bound is None else rem)
+    return {key: arr for key, arr in out.items() if arr is not None}
 
 
 def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega, ws) -> None:
@@ -568,14 +532,15 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
                  what: str, want_phi: bool = False, want_sigma: bool = False,
                  want_omega: bool = False, smooth_bound: int | None = None):
     """Deal the windows (cut_windows) of the progressions, which must
-    share one step, longest first, round robin to
-    min(threads, windows, CPUs) workers (workers.worker_count), and
-    charge them, before anything is allocated or any thread starts, in
-    one check_allocation: per worker a scan workspace for the longest
-    window (scan_bytes) and worker_bytes, and shared_bytes once.  Then
-    sieve the base primes, those <= sqrt of the last integer scanned or
-    <= smooth_bound when it is set, and build the step's inverse table
-    (_step_table), once for all workers.
+    start at 2 or above, end at 10**12 or below and share one step >= 1,
+    longest first, round robin to min(threads, windows, CPUs) workers
+    (workers.worker_count), and charge them, before anything is
+    allocated or any thread starts, in one check_allocation: per worker
+    a scan workspace for the longest window (scan_bytes) and
+    worker_bytes, and shared_bytes once.  Then sieve the base primes,
+    those <= sqrt of the last integer scanned or <= smooth_bound when
+    it is set, and build the step's inverse table (see _Workspace),
+    once for all workers.
 
     Returns run(consume).  It runs the workers (workers.run_workers):
     worker w fills one workspace (_Workspace) with a segment_scan of
@@ -593,31 +558,37 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     """
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
+    if any(start < 2 or step < 1 for start, step, _ in progressions):
+        raise DomainError(f"need starts >= 2 and steps >= 1, got {progressions}")
     windows = cut_windows(progressions)
     steps = {step for _, step, _ in windows} or {1}  # no window: any step will do
     if len(steps) > 1:
         raise DomainError(f"need progressions of one step, got steps {sorted(steps)}")
+    (step,) = steps
+    top = max((last for *_, last in windows), default=0)
+    if top > INPUT_CAP:
+        raise ResourceError(f"window end {top} exceeds the 10^12 input cap")
     windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
-    size = max(((last - lo) // step + 1 for lo, step, last in windows), default=0)
-    top = max((last for *_, last in windows), default=0)
+    size = max(((last - lo) // step + 1 for lo, _, last in windows), default=0)
     # the large base primes lie above the threshold and below this bound
     bound = math.isqrt(top) if smooth_bound is None else smooth_bound
-    large = max(0, bound - LARGE_PRIME_THRESHOLD)
+    large = min(max(0, bound - LARGE_PRIME_THRESHOLD), prime_count_bound(bound))
     wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
     check_allocation(n_workers * (scan_bytes(size, large, **wants) + worker_bytes) + shared_bytes,
                      f"{what} on {n_workers} workers")
     base = primes_up_to(bound)
-    table = _step_table(base, *steps)
+    n_small = int(np.searchsorted(base, max(LARGE_PRIME_THRESHOLD, step), "right"))
+    table = n_small, _step_inverses(base[n_small:], step)
 
     def run(consume) -> list:
         results = [[] for _ in range(n_workers)]
 
         def scan(w: int):
             ws = _Workspace(size, table, **wants)
-            for lo, step, last in windows[w::n_workers]:
+            for lo, _, last in windows[w::n_workers]:
                 got = segment_scan(lo, last + 1, base, step=step, smooth_bound=smooth_bound,
-                                   _workspace=ws, **wants)
+                                   workspace=ws, **wants)
                 results[w].append(consume(lo, step, got))
                 yield
 
@@ -641,21 +612,21 @@ def segment_map(lo: int, hi: int, which: str = "both"):
     -------
     np.ndarray or (np.ndarray, np.ndarray)
         Element k holds f(lo + k).  For 'both', the pair (phi, sigma).
+        The caller owns them: one worker's deal (deal_windows), which
+        charges them too, copies each window into place.
     """
     if which not in ("phi", "sigma", "both"):
         raise DomainError(f"which must be phi|sigma|both, got {which!r}")
     if not 2 <= lo < hi:
         raise DomainError(f"need 2 <= lo < hi, got [{lo}, {hi})")
-    base = primes_up_to(math.isqrt(hi - 1))
-    got = segment_scan(
-        lo,
-        hi,
-        base,
-        want_phi=which in ("phi", "both"),
-        want_sigma=which in ("sigma", "both"),
-    )
-    if which == "phi":
-        return got["phi"]
-    if which == "sigma":
-        return got["sigma"]
-    return got["phi"], got["sigma"]
+    keys = ("phi", "sigma") if which == "both" else (which,)
+    scan = deal_windows([(lo, 1, hi - 1)], 1, shared_bytes=8 * len(keys) * (hi - lo),
+                        what=f"segment map [{lo}, {hi})", **{f"want_{k}": True for k in keys})
+    out = [np.empty(hi - lo, dtype=np.int64) for _ in keys]
+
+    def place(first, step, got):
+        for key, arr in zip(keys, out):
+            arr[first - lo : first - lo + len(got[key])] = got[key]
+
+    scan(place)
+    return tuple(out) if which == "both" else out[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import E_TO_E, iterated_log, l0_of, series_coefficient, structure_constants
-from .errors import DomainError, ResourceError, check_allocation
+from .errors import ARRAY_BYTES, DomainError, ResourceError, check_allocation
 from . import sieve, workers
 from .sieve import (
     FactorSieve,
@@ -52,8 +52,6 @@ RL_SLICE = 1 << 14  # integers of a window whose members r_l_sum finds at once
 # cofactors and primes, and the simplex_mask temporaries (measured at most
 # 57 for L = 2..40)
 RL_SLICE_BYTES = 80
-
-ARRAY_BYTES = 256  # a small array's object, its shape and strides, and the list slots holding it
 
 XI_PRODUCT_CAP = 1.1
 
@@ -474,11 +472,10 @@ def r_l_sum(
     One charge, made before anything is allocated, covers the whole
     sum: the factor table (4 bytes per n), at most one kept term per n
     (8 bytes, and an array header per slice), the tables over the primes
-    and their temporaries (32 bytes per prime, with
-    pi(x) < 1.25506 x / log x, Rosser and Schoenfeld, Illinois J. Math.
-    6 (1962), (3.6)), and per worker its scan workspace and one slice.
-    The transients of the prime and factor sieves fit in the terms'
-    share, which is not yet taken while they live.
+    and their temporaries (32 bytes per prime, pi(x) bounded by
+    sieve.prime_count_bound), and per worker its scan workspace and one
+    slice.  The transients of the prime and factor sieves fit in the
+    terms' share, which is not yet taken while they live.
     """
     if f not in ("phi", "sigma"):
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
@@ -492,7 +489,7 @@ def r_l_sum(
         raise DomainError(f"need x >= e^e for the renormalization, got {x}")
 
     start = 0 if offset == "from_p0" else 1
-    pi_bound = int(1.25506 * x / math.log(x)) + 1
+    pi_bound = sieve.prime_count_bound(x)
     slices = x // RL_SLICE + x // sieve.DEFAULT_SEGMENT_SIZE + 2
     scan = deal_windows([(2, 1, x)], threads, want_omega=True, want_phi=f == "phi",
                         want_sigma=f == "sigma",

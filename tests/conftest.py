@@ -1,12 +1,13 @@
 """Shared oracles: small, slow, obviously-correct reference code.
 
-Everything here but dealt_windows, a test helper, is deliberately
-independent of the library internals; these implementations are the
-ground truth the fast paths are tested against.
+Everything here but dealt_windows and joined_scan, test helpers, is
+deliberately independent of the library internals; these
+implementations are the ground truth the fast paths are tested against.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from phisigma import is_s_normal, series_coefficient
@@ -177,3 +178,12 @@ def dealt_windows(progressions, **want):
     got = run(lambda first, step, scan: (first, step, {k: a.copy() for k, a in scan.items()}))
     order = {window[:2]: i for i, window in enumerate(sieve.cut_windows(progressions))}
     return sorted(got, key=lambda window: order[window[:2]])
+
+
+def joined_scan(lo, hi, step=1, **want):
+    """The scan of the progression lo, lo+step, ... < hi: its windows
+    (dealt_windows) joined in order, key by key.  A progression of at
+    most DEFAULT_SEGMENT_SIZE elements is one window, on a fresh
+    workspace."""
+    windows = dealt_windows([(lo, step, hi - 1)], **want)
+    return {key: np.concatenate([scan[key] for *_, scan in windows]) for key in windows[0][2]}

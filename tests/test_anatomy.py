@@ -304,10 +304,11 @@ def test_sieve_census_charges_its_prime_mask(monkeypatch):
     from phisigma import ResourceError
     from phisigma.errors import MEMORY_BUDGET_ENV
 
+    # the mask, the survivors and 1280 bytes for the arrays' objects
     monkeypatch.setenv(MEMORY_BUDGET_ENV, "5000")
-    assert sieve_bound_census([(1, 0)], 4000)[0] == 550  # 4001-byte mask fits
+    assert sieve_bound_census([(1, 0)], 1859)[0] == 283  # 1860 + 1859 + 1280 fit
     with pytest.raises(ResourceError):
-        sieve_bound_census([(1, 0), (1, 2)], 4998)  # needs 5001 bytes
+        sieve_bound_census([(1, 0), (1, 2)], 1859)  # a 1862-byte mask: 5001 bytes
 
 
 def _census_oracle(forms, x):
@@ -345,10 +346,12 @@ def test_sieve_census_charges_its_survivor_array(monkeypatch):
     from phisigma import ResourceError
     from phisigma.errors import MEMORY_BUDGET_ENV
 
+    # both arrays are live at once, so one request charges both
     monkeypatch.setenv(MEMORY_BUDGET_ENV, "5000")
-    assert sieve_bound_census([(1, -10)], 5000)[0] == 667  # both arrays fit
-    with pytest.raises(ResourceError):  # a 4992-byte mask, 5001 survivor bytes
-        sieve_bound_census([(1, -10)], 5001)
+    assert sieve_bound_census([(1, -10)], 1864)[0] == 283  # 1855 + 1864 + 1280 fit
+    for x in (1865, 5000):  # 5001 bytes; at 5000 the two arrays alone are 9991
+        with pytest.raises(ResourceError):
+            sieve_bound_census([(1, -10)], x)
 
 
 def test_sieve_census_degenerate_forms():

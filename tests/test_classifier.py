@@ -166,10 +166,10 @@ def test_unitary_divisor_budget_guard():
 
 def test_condition3_never_fails_at_desk_scale():
     # Omega(n) <= 19 for n <= 1e6 while the budget is 10 loglog 1e6 ~ 26
-    from phisigma.sieve import primes_up_to as put, segment_scan
+    from conftest import joined_scan
 
     x = 10**6
-    om = segment_scan(2, x + 1, put(1000), want_omega=True)["omega"]
+    om = joined_scan(2, x + 1, want_omega=True)["omega"]
     threshold = 10 * math.log(math.log(x))
     assert int((om >= threshold).sum()) == 0
 

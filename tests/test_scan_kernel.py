@@ -15,9 +15,9 @@ import pytest
 
 from phisigma import ResourceError, anatomy, sieve, structure, value_sets
 from phisigma.errors import MEMORY_BUDGET_ENV
-from phisigma.sieve import LARGE_PRIME_THRESHOLD, deal_windows, primes_up_to, segment_scan
+from phisigma.sieve import LARGE_PRIME_THRESHOLD, deal_windows, primes_up_to
 
-from conftest import big_omega_trial, dealt_windows, phi_trial, sigma_trial
+from conftest import big_omega_trial, dealt_windows, joined_scan, phi_trial, sigma_trial
 from reference_loops import segment_scan_strided
 
 MODES = {
@@ -34,10 +34,12 @@ P_AFTER = PRIMES[PRIMES.index(P_AT) + 2]
 
 
 def assert_scan_equal(lo, hi, step, want, base=None):
+    # the deal sieves base primes to the same bound: sqrt of the last
+    # element, or smooth_bound
     size = (hi - lo + step - 1) // step
     if base is None:
         base = primes_up_to(math.isqrt(lo + (size - 1) * step))
-    got = segment_scan(lo, hi, base, step=step, **want)
+    got = joined_scan(lo, hi, step, **want)
     ref = segment_scan_strided(lo, hi, base, step=step, **want)
     assert got.keys() == ref.keys()
     for key, arr in ref.items():
@@ -189,8 +191,8 @@ def test_fold_returns_smooth_remainder_intact():
     want = {"smooth_bound": 5000, **MODES["phi+sigma+omega"]}
     for lo, step in ((2, 1), (3, 30), (60, 60)):
         got = assert_scan_equal(lo, lo + 5000 * step, step, want, base)
-        assert (got["rem"] == segment_scan(lo, lo + 5000 * step, base, step=step,
-                                           smooth_bound=5000)["rem"]).all()
+        assert (got["rem"] == joined_scan(lo, lo + 5000 * step, step,
+                                          smooth_bound=5000)["rem"]).all()
 
 
 # --- memory: the traced peak stays within what was charged -----------------
@@ -223,12 +225,42 @@ def traced_peak(fn):
 
 @pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
 def test_segment_scan_peak_within_charge(monkeypatch, charges, mode):
+    # one full window on a fresh workspace, within the deal's charge
     want = MODES.get(mode, {"smooth_bound": 5000})
-    lo, size = 10**7 + 1, 1 << 18
-    hi = lo + 2 * size
-    base = primes_up_to(math.isqrt(hi))
-    peak = traced_peak(lambda: segment_scan(lo, hi, base, step=2, **want))
-    assert peak <= charges[-1]
+    lo, size = 10**7 + 1, sieve.DEFAULT_SEGMENT_SIZE
+    scan = deal_windows([(lo, 2, lo + 2 * (size - 1))], 1, what="test scan", **want)
+    peak = traced_peak(lambda: scan(lambda *window: None))
+    assert len(charges) == 2 and peak <= charges[0]  # the deal, then its base primes
+
+
+@pytest.mark.parametrize("which", ["phi", "sigma", "both"])
+def test_segment_map_charged_once_by_its_deal(monkeypatch, which):
+    # 3e6 is 12 windows; the deal's one charge covers them and the output
+    seen = []
+    real = sieve.check_allocation
+    monkeypatch.setattr(sieve, "check_allocation",
+                        lambda nbytes, what: (seen.append((nbytes, what)), real(nbytes, what)))
+    peak = traced_peak(lambda: sieve.segment_map(2, 3 * 10**6, which))
+    (deal,) = [(nbytes, what) for nbytes, what in seen if not what.startswith("prime sieve")]
+    assert deal[1].endswith("on 1 workers")
+    assert peak <= deal[0]
+
+
+SIEVES = {
+    "primes": lambda: sieve.primes_up_to(10**7),
+    "spf": lambda: sieve.build_factor_sieve(2, 10**7 + 1),
+    "spf-at-cap": lambda: sieve.build_factor_sieve(10**12 - 10**5, 10**12 + 1),
+    "twin-census": lambda: anatomy.sieve_bound_census([(1, 0), (1, 2)], 10**6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIEVES))
+def test_sieve_peak_within_charge(charges, name):
+    # each sieve charges what it holds at once in one request: the mask
+    # and the primes, the spf table and the base primes, the mask and
+    # the survivors
+    peak = traced_peak(SIEVES[name])
+    assert peak <= max(charges)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])

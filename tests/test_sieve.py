@@ -9,6 +9,7 @@ import pytest
 from phisigma import (
     DomainError,
     Factorization,
+    ResourceError,
     build_factor_sieve,
     factorize,
     phi_of,
@@ -17,10 +18,10 @@ from phisigma import (
     sigma_of,
 )
 from phisigma import sieve
-from phisigma.sieve import SPF_PRIME_SENTINEL, composite_mask, deal_windows, segment_scan
+from phisigma.sieve import SPF_PRIME_SENTINEL, composite_mask, deal_windows
 from phisigma.value_sets import scan_progressions
 
-from conftest import dealt_windows, factor_pairs_naive, phi_trial, sigma_trial
+from conftest import dealt_windows, factor_pairs_naive, joined_scan, phi_trial, sigma_trial
 
 
 def test_primes_up_to_small():
@@ -198,7 +199,7 @@ def test_segment_independence():
 
 
 def test_segment_scan_omega_against_trial_division():
-    got = segment_scan(2, 2001, primes_up_to(44), want_omega=True)["omega"]
+    got = joined_scan(2, 2001, want_omega=True)["omega"]
     for n in range(2, 2001):
         assert got[n - 2] == sum(e for _, e in factor_pairs_naive(n)), n
 
@@ -217,9 +218,8 @@ SCAN_MODES = {
 def test_segment_scan_progression_matches_full_window(mode, lo, step):
     # lo runs through values sharing every factor of the steps (2, 3, 5)
     for hi in (lo + 1, lo + step, lo + 2 * step + 1, lo + 997):
-        base = primes_up_to(math.isqrt(hi - 1))
-        full = segment_scan(lo, hi, base, **SCAN_MODES[mode])
-        prog = segment_scan(lo, hi, base, step=step, **SCAN_MODES[mode])
+        full = joined_scan(lo, hi, **SCAN_MODES[mode])
+        prog = joined_scan(lo, hi, step, **SCAN_MODES[mode])
         assert full.keys() == prog.keys()
         for key, want in full.items():
             assert prog[key].dtype == want.dtype
@@ -229,8 +229,8 @@ def test_segment_scan_progression_matches_full_window(mode, lo, step):
 @pytest.mark.parametrize("step", [2, 4, 9, 30])
 def test_segment_scan_progression_vs_trial_division(step):
     lo = 837421 - 837421 % step + step  # a multiple of step
-    got = segment_scan(lo, lo + 500 * step, primes_up_to(1000), want_phi=True,
-                       want_sigma=True, want_omega=True, step=step)
+    got = joined_scan(lo, lo + 500 * step, step, want_phi=True, want_sigma=True,
+                      want_omega=True)
     for k in range(0, 500, 3):
         n = lo + k * step
         assert got["phi"][k] == phi_trial(n)
@@ -238,9 +238,15 @@ def test_segment_scan_progression_vs_trial_division(step):
         assert got["omega"][k] == sum(e for _, e in factor_pairs_naive(n))
 
 
-def test_segment_scan_rejects_bad_step():
-    with pytest.raises(DomainError):
-        segment_scan(2, 10, primes_up_to(3), want_phi=True, step=0)
+def test_deal_rejects_bad_progressions_before_any_charge(monkeypatch):
+    charged = []
+    monkeypatch.setattr(sieve, "check_allocation", lambda nbytes, what: charged.append(what))
+    for progressions in ([(2, 0, 10)], [(2, -1, 10)], [(1, 1, 10)], [(0, 2, 10)]):
+        with pytest.raises(DomainError):
+            deal_windows(progressions, 1, what="test scan", want_phi=True)
+    with pytest.raises(ResourceError):
+        deal_windows([(10**12 - 4, 2, 10**12 + 2)], 1, what="test scan", want_phi=True)
+    assert not charged
 
 
 @pytest.mark.parametrize("step", [1, 2, 4])
@@ -249,8 +255,7 @@ def test_segment_scan_rejects_bad_step():
 def test_dealt_windows_concatenate_to_one_scan(monkeypatch, mode, size, step):
     start, top = 3, 3000 if size == 1 else 150_000
     want = SCAN_MODES[mode]
-    bound = want.get("smooth_bound", math.isqrt(top))
-    whole = segment_scan(start, top + 1, primes_up_to(bound), step=step, **want)
+    whole = joined_scan(start, top + 1, step, **want)  # one window
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     windows = [(lo, got) for lo, _, got in dealt_windows([(start, step, top)], **want)]
     elements = len(range(start, top + 1, step))
@@ -278,13 +283,12 @@ def test_dealt_windows_fill_one_workspace(monkeypatch, mode):
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_dealt_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
     # a ragged last window, a one-element progression, step 4 and base
-    # primes in the large-prime pass, each window against a standalone
-    # scan of its range
+    # primes in the large-prime pass, each window of a reused workspace
+    # against a one-window deal of its range on a fresh one
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 97)
     want = SCAN_MODES[mode]
-    base = primes_up_to(want.get("smooth_bound", math.isqrt(top)))
     for lo, _, got in dealt_windows([(start, step, top)], **want):
-        fresh = segment_scan(lo, min(lo + 97 * step, top + 1), base, step=step, **want)
+        fresh = joined_scan(lo, min(lo + 97 * step, top + 1), step, **want)
         assert got.keys() == fresh.keys()
         for key, arr in fresh.items():
             assert got[key].dtype == arr.dtype
@@ -295,8 +299,8 @@ def test_dealt_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_dealt_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode, size):
     # the odd classes mod 30, an empty progression, and a short one after
-    # the long ones, on one workspace: each window against a standalone
-    # scan of its range
+    # the long ones, on one workspace: each window against a one-window
+    # deal of its range
     if size is not None:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     size = sieve.DEFAULT_SEGMENT_SIZE
@@ -307,26 +311,23 @@ def test_dealt_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode,
     got = dealt_windows(progressions, **want)
     for (lo, step, hi), (first, got_step, scan) in zip(expect, got, strict=True):
         assert (first, got_step) == (lo, step)
-        base = primes_up_to(want.get("smooth_bound", math.isqrt(hi - 1)))
-        fresh = segment_scan(lo, hi, base, step=step, **want)
+        fresh = joined_scan(lo, hi, step, **want)
         assert scan.keys() == fresh.keys()
         for key, arr in fresh.items():
             assert np.array_equal(scan[key], arr), (lo, step, key)
 
 
-def test_standalone_scans_keep_their_arrays():
-    base = primes_up_to(100)
-    want = {"want_phi": True, "want_sigma": True, "want_omega": True}
-    got = segment_scan(1000, 2000, base, **want)
-    kept = {key: arr.copy() for key, arr in got.items()}
-    later = segment_scan(5000, 6000, base, **want)
-    for key, arr in got.items():
-        assert not np.shares_memory(arr, later[key])
-        assert np.array_equal(arr, kept[key]), key
+@pytest.mark.parametrize("size", [None, 97])
+def test_segment_map_returns_arrays_it_owns(monkeypatch, size):
+    # the deal overwrites its workspace at every window; segment_map
+    # copies each window out, so later calls leave its arrays alone
+    if size is not None:
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     phi, sigma = segment_map(1000, 2000, "both")
     kept = phi.copy(), sigma.copy()
-    segment_map(3000, 4000, "both")
-    segment_map(3000, 4000, "phi")
+    later = segment_map(3000, 4000, "both") + (segment_map(3000, 4000, "phi"),)
+    assert not any(np.shares_memory(a, b) for a in (phi, sigma) for b in later)
+    assert not np.shares_memory(phi, sigma)
     assert np.array_equal(phi, kept[0]) and np.array_equal(sigma, kept[1])
 
 
