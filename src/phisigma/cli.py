@@ -3,7 +3,8 @@
 Every subcommand prints machine-readable output (CSV or JSON), writes
 files atomically, and is byte-reproducible for a fixed argument vector.
 Exit status: 0 success, 1 domain error, 2 resource error, 64 usage
-error.
+error, which includes an --output path that cannot be written (no
+partial or temporary file is left behind).
 """
 
 from __future__ import annotations
@@ -77,16 +78,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _json(payload) -> str:
-    def default(o):
-        if dataclasses.is_dataclass(o):
-            return dataclasses.asdict(o)
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        raise TypeError(f"not serializable: {o!r}")
-
-    return json.dumps(payload, sort_keys=True, default=default) + "\n"
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _parse_xi(raw: str, L: int) -> structure.SimplexSpec:
@@ -134,6 +126,8 @@ def _cmd_normal_primes(args) -> str:
         raise DomainError(f"need x >= 3, got {args.x}")
     if args.sample < 0:
         raise DomainError(f"need sample >= 0, got {args.sample}")
+    if not constants.E_TO_E <= args.S < math.inf:  # checked before any prime is drawn
+        raise DomainError(f"need finite S >= e^e = {constants.E_TO_E:.4f}, got {args.S}")
     if not 0 <= args.seed < 1 << 128:
         raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {args.seed}")
     primes = sieve.primes_up_to(args.x)
@@ -338,7 +332,14 @@ def main(argv: list[str] | None = None) -> int:
     except PhiSigmaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(text, args.output)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        if args.output is None:
+            raise
+        print(f"usage error: cannot write --output {args.output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -12,12 +12,8 @@ The bulk scan (segment_scan) covers an arithmetic progression
 lo, lo+step, ... < hi.  A base prime p <= LARGE_PRIME_THRESHOLD is
 sliced by its powers: for each p^j, the scanned integers divisible by
 p^j form one strided slice, located by a modular inverse, so every
-array operation touches only integers it changes.  A larger p hits a
-window only size/p times, too few to pay for its own numpy calls, so
-those primes share one vectorized pass per window, as in the bucket
-sieve of T. Oliveira e Silva, S. Herzog and S. Pardi (Math. Comp. 83
-(2014) 2033-2060): their first hits come from one table of modular
-inverses, are expanded into (index, p) pairs and applied by ufunc.at.
+array operation touches only integers it changes.  The larger primes
+share one vectorized pass per window (_large_prime_pass).
 deal_windows is the one window loop and segment_scan's one caller: it
 cuts a list of progressions into windows of DEFAULT_SEGMENT_SIZE
 elements (cut_windows), charges them once, sieves the base primes and
@@ -229,30 +225,9 @@ def _multiples(lo: int, step: int, q: int) -> tuple[int, int] | None:
     return (-(lo // g)) * pow(step // g, -1, m) % m, m
 
 
-def _step_inverses(primes: np.ndarray, step: int) -> np.ndarray:
-    """step^-1 mod p for each p in primes (no p may divide step).
-
-    Fermat, step^(p-2) mod p, by square-and-multiply over the whole
-    array; every product is below p^2, far inside int64 for any base
-    prime.
-    """
-    inv = np.ones_like(primes)
-    b = step % primes
-    e = primes - 2
-    t = np.empty_like(primes)
-    while e.any():
-        np.multiply(inv, b, out=t)
-        t %= primes
-        np.copyto(inv, t, where=(e & 1).astype(bool))
-        b *= b
-        b %= primes
-        e >>= 1
-    return inv
-
-
 PAIR_BYTES = 33  # index, prime, p^(j+1), n mod p^(j+1) and its zero mask
 
-PRIME_BYTES = 120  # a window's first hit, hit count and their batch copies
+PRIME_BYTES = 120  # a window's first hit, hit count and their live and batch temporaries
 
 INVERSE_BYTES = 8  # a prime's entry in the inverse table
 
@@ -292,11 +267,11 @@ class _Workspace:
     """The buffers segment_scan fills for windows of up to `size`
     elements of one step: the remainder, the wanted phi, sigma and omega
     (each updated in place, with no buffer beside it), the fold's
-    rem > 1 mask and one batch of the large-prime pass's (index, p)
-    pairs, beside the step's table (n_small, inv), which it only reads:
-    the index of the first base prime above max(LARGE_PRIME_THRESHOLD,
-    step), where the large-prime pass starts, and step^-1 mod p for it
-    and every later one.
+    rem > 1 mask and one batch of _large_prime_pass's (index, p) pairs,
+    beside the step's table (n_small, inv), which it only reads: the
+    index of the first base prime above max(LARGE_PRIME_THRESHOLD,
+    step), where that pass starts, and step^-1 mod p for it and every
+    later one.
 
     deal_windows builds one per worker, after charging its scan_bytes,
     so its windows allocate no array per element or per pair and fault
@@ -350,13 +325,7 @@ def segment_scan(
     1 + p + ... + p^(j-1), exactly (nothing for j = 1), and multiplies
     in 1 + p + ... + p^j, giving 1 + p + ... + p^e.
 
-    The base primes above the threshold hit a window a few times each,
-    so they share one vectorized pass (_large_prime_pass) in place of a
-    slice loop per prime: their first hits (-lo) * step^-1 mod p come
-    from one inverse table (_step_inverses), the hits are expanded into
-    (index, p) pairs, and the pairs are applied by ufunc.at, which is
-    exact when two primes hit one index; the pairs with p^2 | n get one
-    more round per power.
+    The larger base primes share one pass (_large_prime_pass).
 
     Whatever remains above 1 after the base primes is a single prime
     factor (for exact modes) and is folded in last.
@@ -442,21 +411,36 @@ def segment_scan(
 
 
 def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega, ws) -> None:
-    """Divide the primes (each > step) out of the window lo, lo+step, ...
-    that rem covers, updating phi, sigma and omega (those not None).
+    """Divide the base primes above max(LARGE_PRIME_THRESHOLD, step) out
+    of the window lo, lo+step, ... that rem covers, updating phi, sigma
+    and omega (those not None).
 
+    Such a prime p hits a window of `size` elements only size/p times,
+    too few to pay for its own numpy calls, so all of them share one
+    vectorized pass per window, as in the bucket sieve of T. Oliveira e
+    Silva, S. Herzog and S. Pardi (Math. Comp. 83 (2014) 2033-2060).
     The k with p | lo + k*step are k0, k0 + p, ... for
     k0 = (-lo) * inv mod p, inv = step^-1 mod p from the workspace's
-    table, which starts at primes[0].  The hit counts are cut into
-    batches of whole primes with at most _pair_batch pairs each; a batch
-    is expanded into the workspace ws and applied by _apply_pairs.
+    table, which starts at primes[0].  The primes with k0 >= size miss
+    the window and are dropped once; the rest are cut into batches of
+    whole primes with at most _pair_batch pairs each, by searchsorted on
+    the cumulative hit counts.  A batch is expanded into (index, p)
+    pairs in the rows of ws.pairs, and its round j covers the pairs with
+    p^j | n = lo + k*step: rem is divided by p, Omega gains 1, phi gains
+    p - 1 (j = 1) or p, and sigma gains p + 1 (j = 1) or trades
+    1 + p + ... + p^(j-1) for 1 + p + ... + p^j by exact division, as in
+    the slices.  ufunc.at applies every pair even where two primes share
+    an index, and each round keeps only the pairs whose n/p^j is still
+    divisible by p.
     """
     size = len(rem)
     batch = _pair_batch(size)
     k0 = (-lo) % primes
     k0 *= inv[: len(primes)]
     k0 %= primes
-    count = size - 1 - k0  # hits: (size - 1 - k0) // p + 1, which is 0 for k0 >= size
+    live = k0 < size
+    primes, k0 = primes[live], k0[live]
+    count = size - 1 - k0  # hits: (size - 1 - k0) // p + 1
     count //= primes
     count += 1
     ends = np.cumsum(count)
@@ -464,57 +448,40 @@ def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega, ws) -> None
     while a < len(primes):
         done = int(ends[a - 1]) if a else 0
         b = int(np.searchsorted(ends, done + batch, "right"))
-        _apply_pairs(lo, step, primes[a:b], k0[a:b], count[a:b], rem, phi, sigma, omega, ws)
+        first_k, c = k0[a:b], count[a:b]
+        p = np.repeat(primes[a:b], c)
+        idx, power, n = (row[: len(p)] for row in ws.pairs)
+        # idx by one cumsum: step p inside a group, the jump to k0 at its start
+        np.copyto(idx, p)
+        first = ends[a:b] - c - done
+        idx[first[0]] = first_k[0]
+        idx[first[1:]] = first_k[1:] - (first_k[:-1] + (c[:-1] - 1) * primes[a : b - 1])
+        np.cumsum(idx, out=idx)
+        np.multiply(p, p, out=power)  # p^(j+1) for the pairs of round j
+        k, j = idx, 1
+        while True:
+            if omega is not None:
+                np.add.at(omega, k, np.int16(1))
+            np.floor_divide.at(rem, k, p)
+            if phi is not None:
+                np.multiply.at(phi, k, np.subtract(p, 1, out=n) if j == 1 else p)
+            if sigma is not None:
+                if j == 1:
+                    np.multiply.at(sigma, k, np.add(p, 1, out=n))
+                else:
+                    s = (power // p - 1) // (p - 1)  # 1 + p + ... + p^(j-1)
+                    np.floor_divide.at(sigma, k, s)
+                    np.multiply.at(sigma, k, s * p + 1)
+            n = np.multiply(k, step, out=ws.pairs[2, : len(k)])
+            n += lo
+            n %= power
+            deeper = np.flatnonzero(np.equal(n, 0, out=ws.zero[: len(k)]))
+            if not len(deeper):
+                break
+            k, p, power = k[deeper], p[deeper], power[deeper]
+            power *= p
+            j += 1
         a = b
-
-
-def _apply_pairs(lo, step, primes, k0, count, rem, phi, sigma, omega, ws) -> None:
-    """Apply the hits k0 + i*p, i < count, of each prime p.
-
-    Round j covers the pairs (k, p) with p^j | n = lo + k*step: rem is
-    divided by p, Omega gains 1, phi gains p - 1 (j = 1) or p, and sigma
-    gains p + 1 (j = 1) or trades 1 + p + ... + p^(j-1) for
-    1 + p + ... + p^j by exact division, as in the slices.  ufunc.at
-    applies every pair even where two primes share an index, and each
-    round keeps only the pairs whose n/p^j is still divisible by p.  The
-    first round's pair arrays other than p are rows of ws.pairs.
-    """
-    live = count > 0
-    primes, k0, count = primes[live], k0[live], count[live]
-    if not len(primes):
-        return
-    p = np.repeat(primes, count)
-    idx, power, n = (row[: len(p)] for row in ws.pairs)
-    # idx by one cumsum: step p inside a group, the jump to k0 at its start
-    np.copyto(idx, p)
-    first = np.cumsum(count) - count
-    idx[first[0]] = k0[0]
-    idx[first[1:]] = k0[1:] - (k0[:-1] + (count[:-1] - 1) * primes[:-1])
-    np.cumsum(idx, out=idx)
-    np.multiply(p, p, out=power)  # p^(j+1) for the pairs of round j
-    k, j = idx, 1
-    while True:
-        if omega is not None:
-            np.add.at(omega, k, np.int16(1))
-        np.floor_divide.at(rem, k, p)
-        if phi is not None:
-            np.multiply.at(phi, k, np.subtract(p, 1, out=n) if j == 1 else p)
-        if sigma is not None:
-            if j == 1:
-                np.multiply.at(sigma, k, np.add(p, 1, out=n))
-            else:
-                s = (power // p - 1) // (p - 1)  # 1 + p + ... + p^(j-1)
-                np.floor_divide.at(sigma, k, s)
-                np.multiply.at(sigma, k, s * p + 1)
-        n = np.multiply(k, step, out=ws.pairs[2, : len(k)])
-        n += lo
-        n %= power
-        deeper = np.flatnonzero(np.equal(n, 0, out=ws.zero[: len(k)]))
-        if not len(deeper):
-            break
-        k, p, power = k[deeper], p[deeper], power[deeper]
-        power *= p
-        j += 1
 
 
 def cut_windows(progressions) -> list[tuple[int, int, int]]:
@@ -579,7 +546,8 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
                      f"{what} on {n_workers} workers")
     base = primes_up_to(bound)
     n_small = int(np.searchsorted(base, max(LARGE_PRIME_THRESHOLD, step), "right"))
-    table = n_small, _step_inverses(base[n_small:], step)
+    # no such prime divides step, so every inverse exists
+    table = n_small, np.array([pow(step, -1, p) for p in base[n_small:].tolist()], dtype=np.int64)
 
     def run(consume) -> list:
         results = [[] for _ in range(n_workers)]

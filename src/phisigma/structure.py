@@ -148,14 +148,14 @@ def _renormalize_fact(
     return RenormalizedVector(entries=tuple(entries), source_n=n, level_x=float(x))
 
 
-def default_xi(x: float, *, min_l: int = 2) -> SimplexSpec:
+def default_xi(x: float) -> SimplexSpec:
     """Level and weights at x: L = floor(L_0 - 2 sqrt(log3 x)) and
     xi_i = 1 + 1/(10 (L_0 - i)^3).
 
     The formula value of L is negative for every x representable in
     double precision (the asymptotic regime starts far beyond), so the
-    returned dimension is clamped below at min_l; the unclamped value
-    is kept on the spec as l_formula.
+    returned dimension is clamped below at 2; the unclamped value is
+    kept on the spec as l_formula.
     """
     consts = structure_constants()
     l3 = iterated_log(x, 3)
@@ -163,12 +163,9 @@ def default_xi(x: float, *, min_l: int = 2) -> SimplexSpec:
         raise DomainError(f"need log3 x > 0 (x > e^e), got x={x}")
     l0 = l0_of(x, consts)
     l_formula = math.floor(l0 - 2.0 * math.sqrt(l3))
-    L = max(l_formula, min_l)
-    if L - 2 >= l0:
-        raise DomainError(
-            f"L={L} needs L_0(x) >= L - 1 for the weights, got L_0={l0} at x={x}"
-        )
-    # i <= L - 2 < l0, so every l0 - i >= 1
+    L = max(l_formula, 2)
+    # l0 >= 1 (l0_of) and l_formula <= l0 - 1, so i <= L - 2 < l0 and
+    # every l0 - i >= 1
     return SimplexSpec(L=L, xi=xi_weights(L, l0), l0=l0, l_formula=l_formula)
 
 
@@ -321,7 +318,10 @@ def simplex_volume_mc(
     )
 
 
-def simplex_volume_exact(spec: SimplexSpec, *, abs_tol: float = 1e-9) -> float:
+EXACT_VOLUME_ABS_TOL = 1e-9  # absolute error asked of simplex_volume_exact
+
+
+def simplex_volume_exact(spec: SimplexSpec) -> float:
     """Exact volume for L in {2, 3} by nested adaptive integration."""
     from scipy.integrate import dblquad, quad
 
@@ -337,7 +337,7 @@ def simplex_volume_exact(spec: SimplexSpec, *, abs_tol: float = 1e-9) -> float:
             t for t in (xi0 / (a1 + a2), xi0 / a1) if 0.0 < t < 1.0
         )
         val, _ = quad(inner2, 0.0, 1.0, points=breaks or None, limit=400,
-                      epsabs=abs_tol / 10, epsrel=1e-12)
+                      epsabs=EXACT_VOLUME_ABS_TOL / 10, epsrel=1e-12)
         return val
     if spec.L == 3:
         a3 = series_coefficient(3)
@@ -348,7 +348,7 @@ def simplex_volume_exact(spec: SimplexSpec, *, abs_tol: float = 1e-9) -> float:
             return max(0.0, ub)
 
         val, _ = dblquad(inner3, 0.0, 1.0, 0.0, lambda x1: x1,
-                         epsabs=abs_tol / 10, epsrel=1e-11)
+                         epsabs=EXACT_VOLUME_ABS_TOL / 10, epsrel=1e-11)
         return val
     raise DomainError(f"exact volume supports L in {{2, 3}}, got L={spec.L}")
 

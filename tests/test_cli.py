@@ -300,6 +300,20 @@ def test_output_file_written_atomically(tmp_path):
     assert list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("is_dir", [False, True], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_exits_64_without_leftovers(capsys, tmp_path, is_dir):
+    # a missing directory fails at the temporary file, a directory at the rename
+    d = tmp_path / "d"
+    if is_dir:
+        d.mkdir()
+    out = d if is_dir else d / "x.csv"
+    code, got = _main(capsys, "values-table", "--limits", "100", "--output", str(out))
+    assert code == 64
+    assert got.out == ""
+    assert got.err.startswith(f"usage error: cannot write --output {out}: ")
+    assert [p.name for p in tmp_path.rglob("*")] == (["d"] if is_dir else [])
+
+
 def test_seed_flag_accepted_before_subcommand():
     r = run_cli("--seed", "11", "simplex-volume", "--L", "2", "--samples", "1e4")
     assert json.loads(r.stdout)["seed"] == 11
@@ -344,9 +358,11 @@ def test_empty_limits_item_exits_64(capsys, limits):
     ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "inf"),
     ("constants", "--tol", "inf"),
     ("constants", "--tol", "nan"),
+    ("normal-primes", "--x", "100", "--S", "nan", "--sample", "0"),
+    ("normal-primes", "--x", "100", "--S", "10", "--sample", "0"),
 ], ids=["sample", "np-seed", "mc-seed", "mc-seed-2^128", "xi-nan", "xi-inf",
         "alpha-nan", "S-nan", "x-inf", "S-override-nan", "S-inf", "S-override-inf",
-        "tol-inf", "tol-nan"])
+        "tol-inf", "tol-nan", "S-nan-no-sample", "S-below-e^e-no-sample"])
 def test_bad_values_exit_1_without_output(capsys, argv):
     code, out = _main(capsys, *argv)
     assert code == 1

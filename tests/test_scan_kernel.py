@@ -290,25 +290,25 @@ SCANS = {
 
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_two_workers_share_one_setup(monkeypatch, scan):
-    # the deal sieves the base primes once, builds one inverse table and
-    # makes one charge, its own, for both workers' workspaces
+    # the deal sieves the base primes once, hands both workers' workspaces
+    # one inverse table and makes one charge, its own, for both of them
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     calls = []
 
     def spy(name, real):
         def call(*args, **kw):
-            calls.append((name, args[-1]))
+            calls.append((name, args))
             return real(*args, **kw)
         monkeypatch.setattr(sieve, name, call)
 
-    for name in ("primes_up_to", "_step_inverses", "check_allocation", "_Workspace"):
+    for name in ("primes_up_to", "check_allocation", "_Workspace"):
         spy(name, getattr(sieve, name))
     SCANS[scan]()
-    deal, prime_sieve = [what for name, what in calls if name == "check_allocation"]
+    deal, prime_sieve = [args[-1] for name, args in calls if name == "check_allocation"]
     assert deal.endswith("on 2 workers") and prime_sieve.startswith("prime sieve")
-    names = [name for name, _ in calls]
-    assert names.count("primes_up_to") == names.count("_step_inverses") == 1
-    assert names.count("_Workspace") == 2
+    assert [name for name, _ in calls].count("primes_up_to") == 1
+    first, second = [args[1] for name, args in calls if name == "_Workspace"]
+    assert first is second
 
 
 @pytest.mark.parametrize("f", ["phi", "sigma"])

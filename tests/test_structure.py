@@ -99,16 +99,12 @@ def test_xi_weights_shared_by_default_xi_and_cli():
                                          for i in range(L - 1))
 
 
-def test_default_xi_refuses_levels_beyond_l0():
+def test_default_xi_levels_stay_below_l0():
     spec = default_xi(1e6)
     assert spec.l0 == 1 and spec.L == 2
-    with pytest.raises(DomainError):
-        default_xi(1e6, min_l=3)
     l0 = default_xi(1e300).l0
-    edge = default_xi(1e300, min_l=l0 + 1)  # i runs to L - 2 = l0 - 1
-    assert edge.L == l0 + 1 and all(1.0 < w <= 1.1 for w in edge.xi)
-    with pytest.raises(DomainError):
-        default_xi(1e300, min_l=l0 + 2)
+    edge = xi_weights(l0 + 1, l0)  # i runs to L - 2 = l0 - 1
+    assert len(edge) == l0 and all(1.0 < w <= 1.1 for w in edge)
 
 
 def test_contains_zero_vector():
