@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -39,21 +40,33 @@ class _UsageError(Exception):
     pass
 
 
+# an exponent of ten digits or more is past any flag's range
+_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d{1,9}))?")
+_MAX_DIGITS = 4300  # the default limit of int() on the digits of a string
+
+
 def _int_arg(s: str) -> int:
-    """Integer flag accepting scientific notation (1e9)."""
+    """Integer flag accepting scientific notation (1e9), parsed exactly:
+    1e23 is 10**23, not the nearest double."""
     try:
         return int(s)
     except ValueError:
         pass
-    try:
-        v = float(s)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {s!r}") from exc
-    if not math.isfinite(v):
+    m = _DECIMAL.fullmatch(s.strip())
+    if m is None or not (m[2] or m[3]):  # nan and inf too
         raise argparse.ArgumentTypeError(f"not a finite number: {s!r}")
-    if v != int(v):
+    frac = m[3] or ""
+    digits = (m[2] + frac).lstrip("0")
+    if not digits:
+        return 0
+    # the value is int(mantissa) * 10**exp, the mantissa without trailing zeros
+    mantissa = digits.rstrip("0")
+    exp = int(m[4] or 0) - len(frac) + len(digits) - len(mantissa)
+    if exp < 0:
         raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
-    return int(v)
+    if len(mantissa) + exp > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits: {s!r}")
+    return (-1 if m[1] == "-" else 1) * int(mantissa) * 10**exp
 
 
 def _limits_arg(s: str) -> list[int]:
@@ -70,6 +83,10 @@ def _emit(text: str, path: str | None) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode a new file gets
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -63,6 +63,8 @@ def primes_up_to(limit: int) -> np.ndarray:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    if limit > INPUT_CAP:
+        raise ResourceError(f"prime sieve to {limit} exceeds the 10^12 input cap")
     check_allocation(limit + 1 + 8 * prime_count_bound(limit), f"prime sieve to {limit}")
     prime = composite_mask(limit)
     np.logical_not(prime, out=prime)
@@ -527,14 +529,17 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
         raise DomainError(f"need threads >= 1, got {threads}")
     if any(start < 2 or step < 1 for start, step, _ in progressions):
         raise DomainError(f"need starts >= 2 and steps >= 1, got {progressions}")
+    # the last integer scanned, checked before a window is cut: past the
+    # cap, the list of windows alone could exhaust memory
+    top = max((start + (last - start) // step * step
+               for start, step, last in progressions if last >= start), default=0)
+    if top > INPUT_CAP:
+        raise ResourceError(f"window end {top} exceeds the 10^12 input cap")
     windows = cut_windows(progressions)
     steps = {step for _, step, _ in windows} or {1}  # no window: any step will do
     if len(steps) > 1:
         raise DomainError(f"need progressions of one step, got steps {sorted(steps)}")
     (step,) = steps
-    top = max((last for *_, last in windows), default=0)
-    if top > INPUT_CAP:
-        raise ResourceError(f"window end {top} exceeds the 10^12 input cap")
     windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
     size = max(((last - lo) // step + 1 for lo, _, last in windows), default=0)

@@ -1,16 +1,17 @@
 """Value sets of phi and sigma: enumeration, counting, intersection.
 
 A ValueBitmap records one bit per integer v <= x, set exactly when v is
-attained by the chosen function.  The preimage scan covers only the odd
-n, by residue mod 30, each class up to its own exact cutoff
+attained by the chosen function.  The preimage scan covers only odd n,
+by residue mod 30 for sigma and mod 90 for phi, which also skips the n
+with exactly one factor 3, each class up to its own exact cutoff
 (scan_progressions): x times an exact bound on n/f(n) over the class
 (_class_top).  For sigma that is prod p/(p + 1) over the wheel primes
 3, 5 dividing the residue; for phi, the product of p/(p - 1) over the
 first odd primes the class allows (3 and 5 only where they divide the
 residue), as many as phi(n) <= x leaves room for.  The same phi bound
-gives phi_preimage_bound, a cutoff for all n.  At x = 10^7 that is 9.9M
-n for phi, 17% of [2, phi_preimage_bound(x)], and 4.4M n for sigma.
-The even n's values are the odd n's times 2^j (phi) or a Mersenne
+gives phi_preimage_bound, a cutoff for all n.  At x = 10^7 that is 7.1M
+n for phi, 12% of [2, phi_preimage_bound(x)], and 4.4M n for sigma.
+The other n's values are the scanned n's times 2^j (phi) or a Mersenne
 number 2^j - 1 (sigma), added by one pass over the scratch, the same
 for both (build_value_bitmap).
 
@@ -54,14 +55,16 @@ class ValueBitmap:
         return bool(self.bits[v >> 3] & (1 << (v & 7)))
 
 
-_WHEEL = (3, 5)  # odd primes whose divisibility splits the classes mod 30
+_WHEEL = (3, 5)  # odd primes whose divisibility splits the classes mod 30 and 90
 _ODD_PRIMES = primes_up_to(127)[1:].tolist()  # prod (q - 1) > 1e46 exceeds any x
 
 
 def _class_top(f: str, x: int, r: int) -> int:
-    """Largest n of the odd class r mod 30 with f(n) <= x possible.
+    """Largest n of the odd class r mod 30 or 90 with f(n) <= x possible.
 
-    The residue r fixes which of the wheel primes 3, 5 divide n.
+    The residue r fixes which of the wheel primes 3, 5 divide n; only
+    r % 3 and r % 5 are read, so a class mod 90 has the top of its class
+    mod 30.
     sigma: sigma(n)/n = prod_{p^e || n} (1 + 1/p + ... + 1/p^e) is at
     least prod (1 + 1/p) over the wheel primes p dividing r, so
     sigma(n) <= x forces n <= x * prod p/(p + 1).
@@ -112,15 +115,19 @@ def phi_preimage_bound(x: int) -> int:
 def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
     """The (start, step, top) progressions whose f-values cover those <= x.
 
-    For both f: the 15 odd residue classes mod 30, each up to its own
-    top (_class_top), x times a bound on n/phi(n) or n/sigma(n) over
-    the class.  Even n are not scanned: their values are odd n's values
+    sigma: the 15 odd residue classes mod 30.  phi: the 35 odd residue
+    classes r mod 90 with 3 not dividing r or 9 dividing r, so no odd n
+    with exactly one factor 3 is scanned (phi(3m) = 2 phi(m), added by
+    build_value_bitmap).  Each class runs up to its own top
+    (_class_top), x times a bound on n/phi(n) or n/sigma(n) over the
+    class.  Even n are not scanned: their values are odd n's values
     times 2^j (phi) or a Mersenne number 2^j - 1 (sigma), added by
-    build_value_bitmap.  n = 1 is left out (f(1) = 1): the class 1 mod
-    30 starts at 31.
+    build_value_bitmap.  n = 1 is left out (f(1) = 1): the class 1
+    starts at 1 + step.
     """
-    step = 2 * math.prod(_WHEEL)
-    return [(r if r > 1 else r + step, step, _class_top(f, x, r)) for r in range(1, step, 2)]
+    step = 2 * math.prod(_WHEEL) * (3 if f == "phi" else 1)
+    return [(r if r > 1 else r + step, step, _class_top(f, x, r)) for r in range(1, step, 2)
+            if f == "sigma" or r % 3 or r % 9 == 0]
 
 
 _SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)],
@@ -170,7 +177,10 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     f(m) <= f(n) <= x, lies in a scanned class at or below its top.
     Each M multiplies only the scan's own values, which misses nothing:
     phi's multipliers are closed under products, and for sigma M M' w is
-    in general no value.  With M_1 the least multiplier, the even w with
+    in general no value.  phi skips the odd n = 3m with 3 not dividing
+    m, as phi(3m) = 2 phi(m) with m = 1 or scanned, so phi(2^a 3m) =
+    2^(a+1) phi(m) is again a multiplier times a scanned value or 1.
+    With M_1 the least multiplier, the even w with
     M w <= x for some M are at most x/M_1, at u < (cap - 1)//M_1 + 1;
     the pass sets half[M u] |= half[u] for every M and every such u with
     M u < cap, by blocks [a, b) with b <= M_1 a, from the top block

@@ -78,11 +78,12 @@ def test_capture_census_at_cap(f_tag):
 
 
 @pytest.mark.slow
-def test_criterion_1_extended_1e8():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_criterion_1_extended_1e8(threads):
     t0 = time.time()
-    (row,) = values_table([10**8])
+    (row,) = values_table([10**8], threads=threads)
     assert (row.v_phi, row.v_sigma, row.v_common) == TABLE1_1E8
-    _report("criterion 1 extended (1e8, non-gating)", t0, 1800.0)
+    _report(f"criterion 1 extended (1e8, threads={threads}, non-gating)", t0, 1800.0)
 
 
 @pytest.mark.frontier

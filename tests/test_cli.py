@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -161,6 +162,18 @@ def test_resource_error_exit_2():
     assert "resource error" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("values-table", "--limits", "1e3,1e400"),
+    ("normal-primes", "--x", "1e400", "--S", "16"),
+], ids=["values-table", "normal-primes"])
+def test_flag_past_the_input_cap_exits_2(capsys, argv):
+    # parsed exactly, and refused by the input cap before anything is cut or sieved
+    code, out = _main(capsys, *argv)
+    assert code == 2
+    assert out.out == ""
+    assert "exceeds the 10^12 input cap" in out.err
+
+
 def test_thread_count_never_changes_bytes():
     pairs = [
         ("values-table", "--limits", "1000"),
@@ -300,6 +313,20 @@ def test_output_file_written_atomically(tmp_path):
     assert list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_output_file_mode_follows_umask(capsys, tmp_path, umask, mode):
+    # as a shell redirect would make it, not the private mode of the temporary file
+    out = tmp_path / "table.csv"
+    old = os.umask(umask)
+    try:
+        code, _ = _main(capsys, "values-table", "--limits", "100", "--output", str(out))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert out.stat().st_mode & 0o777 == mode
+
+
 @pytest.mark.parametrize("is_dir", [False, True], ids=["missing-dir", "a-dir"])
 def test_unwritable_output_exits_64_without_leftovers(capsys, tmp_path, is_dir):
     # a missing directory fails at the temporary file, a directory at the rename
@@ -326,12 +353,35 @@ def _main(capsys, *argv):
     return code, capsys.readouterr()
 
 
-@pytest.mark.parametrize("y", ["1e400", "inf", "nan"])
+@pytest.mark.parametrize("y", ["inf", "nan"])
 def test_non_finite_integer_flag_exits_64(capsys, y):
     code, out = _main(capsys, "smooth-count", "--x", "10", "--y", y)
     assert code == 64
     assert out.out == ""
     assert "usage error" in out.err
+
+
+@pytest.mark.parametrize("y", ["1.5", "1e-1", "12.5e-1", "4/2", "-inf", "1e", "abc", ".", "1e4300",
+                               "1e9999999999"])
+def test_non_integer_flag_exits_64(capsys, y):
+    code, out = _main(capsys, "smooth-count", "--x", "10", "--y", y)
+    assert code == 64
+    assert out.out == ""
+    assert "usage error" in out.err
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e23", 10**23), ("1e400", 10**400), ("1E9", 10**9), ("2.5e1", 25),
+    ("-3e2", -300), ("1.000e3", 1000), (" 7 ", 7), ("120e-1", 12), ("1.", 1),
+    ("-0.0e5", 0), ("1e4299", 10**4299),
+], ids=["1e23", "1e400", "1E9", "2.5e1", "-3e2", "1.000e3", "spaces", "120e-1", "1.",
+        "-0.0e5", "1e4299"])
+def test_integer_flag_parsed_exactly(text, value):
+    # exactly, not through float: 1e23 as a double is 99999999999999991611392
+    from phisigma import cli
+
+    assert cli._int_arg(text) == value
+    assert cli._limits_arg(f"{text},{text}") == [value, value]
 
 
 @pytest.mark.parametrize("limits", ["1e4,,1e5", ",", "1e4,", ""])

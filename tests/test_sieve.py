@@ -244,9 +244,13 @@ def test_deal_rejects_bad_progressions_before_any_charge(monkeypatch):
     for progressions in ([(2, 0, 10)], [(2, -1, 10)], [(1, 1, 10)], [(0, 2, 10)]):
         with pytest.raises(DomainError):
             deal_windows(progressions, 1, what="test scan", want_phi=True)
-    with pytest.raises(ResourceError):
-        deal_windows([(10**12 - 4, 2, 10**12 + 2)], 1, what="test scan", want_phi=True)
-    assert not charged
+    # the cap is checked before any window is cut, so a far top costs nothing
+    cut = []
+    monkeypatch.setattr(sieve, "cut_windows", lambda progressions: cut.append(progressions) or [])
+    for top in (10**12 + 2, 10**400):
+        with pytest.raises(ResourceError):
+            deal_windows([(10**12 - 4, 2, top)], 1, what="test scan", want_phi=True)
+    assert not charged and not cut
 
 
 @pytest.mark.parametrize("step", [1, 2, 4])
@@ -298,13 +302,13 @@ def test_dealt_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
 @pytest.mark.parametrize("size", [None, 97])
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_dealt_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode, size):
-    # the odd classes mod 30, an empty progression, and a short one after
+    # phi's classes mod 90, an empty progression, and a short one after
     # the long ones, on one workspace: each window against a one-window
     # deal of its range
     if size is not None:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     size = sieve.DEFAULT_SEGMENT_SIZE
-    progressions = scan_progressions("phi", 10**5) + [(50, 30, 10), (1000, 30, 1200)]
+    progressions = scan_progressions("phi", 10**5) + [(50, 90, 10), (1000, 90, 1200)]
     want = SCAN_MODES[mode]
     expect = [(lo, step, min(lo + step * size, top + 1)) for start, step, top in progressions
               for lo in range(start, top + 1, step * size)]
@@ -359,6 +363,9 @@ def test_input_cap_enforced():
 
     with pytest.raises(ResourceError):
         segment_map(10**12 + 10, 10**12 + 20, "phi")
+    for limit in (10**12 + 1, 10**400):  # refused before its count bound overflows a float
+        with pytest.raises(ResourceError, match="input cap"):
+            primes_up_to(limit)
 
 
 def test_memory_budget_env_var(monkeypatch):

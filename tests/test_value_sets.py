@@ -170,10 +170,11 @@ def _multiples_of(v: np.ndarray, found: np.ndarray, multipliers) -> np.ndarray:
 
 
 def _check_cutoffs(x: int) -> None:
-    """Every preimage of a value <= x is scanned, or is even and has a
-    value M w, w the value of a scanned n or w = 1: by the doubling lemma
-    (phi) M = 2^j, j >= 0; by the Mersenne lemma (sigma) M = 2^j - 1,
-    j >= 2."""
+    """Every preimage of a value <= x is scanned, or is even, or (phi) is
+    odd with exactly one factor 3, n = 3m, phi(n) = 2 phi(m), m = 1 or
+    scanned; and every unscanned value is M w, w the value of a scanned
+    n or w = 1: by the doubling lemma (phi) M = 2^j, j >= 0; by the
+    Mersenne lemma (sigma) M = 2^j - 1, j >= 2."""
     window = 1 << 20
     multipliers = {"phi": [1 << j for j in range(x.bit_length())],
                    "sigma": [(1 << j) - 1 for j in range(2, (x + 1).bit_length())]}
@@ -188,8 +189,19 @@ def _check_cutoffs(x: int) -> None:
             ok = _in_progressions(n, progressions)
             scanned[vals[n[ok] - lo]] = True
             unscanned[vals[n[~ok] - lo]] = True
-            ok |= n % 2 == 0
-            assert ok.all(), (f, x, n[~ok][:5])
+            odd = n[~ok & (n % 2 == 1)]
+            if f == "phi" and len(odd):
+                m = odd // 3
+                assert ((odd % 3 == 0) & (m % 3 != 0)).all(), (x, odd[:5])
+                assert ((m == 1) | _in_progressions(m, progressions)).all(), (x, odd[:5])
+                phi_m = np.ones(len(m), dtype=np.int64)  # phi(1) = 1
+                big = m > 1
+                if big.any():
+                    m_lo = int(m[big].min())
+                    phi_m[big] = segment_map(m_lo, int(m.max()) + 1, f)[m[big] - m_lo]
+                assert np.array_equal(vals[odd - lo], 2 * phi_m), (x, odd[:5])
+            else:
+                assert not len(odd), (f, x, odd[:5])
         v = np.flatnonzero(unscanned)
         hit = _multiples_of(v, scanned, multipliers[f])
         assert hit.all(), (f, x, v[~hit][:5])
@@ -205,22 +217,32 @@ def test_scan_cutoffs_sound_1e7():
     _check_cutoffs(10**7)
 
 
+def _classes(f: str) -> tuple[int, list[int]]:
+    """The modulus of f's classes and their residues: the odd residues
+    mod 30 (sigma), and mod 90 with 3 not dividing them or 9 dividing
+    them (phi)."""
+    if f == "sigma":
+        return 30, list(range(1, 30, 2))
+    return 90, [r for r in range(1, 90, 2) if r % 3 or r % 9 == 0]
+
+
 def _check_class_tops(f: str, x: int) -> None:
-    """The classes of f are the odd residues mod 30, and every n of a
-    class with f(n) <= x lies at or below its top."""
+    """The classes of f are _classes(f), and every n of a class with
+    f(n) <= x lies at or below its top."""
+    step, residues = _classes(f)
     progressions = scan_progressions(f, x)
-    assert sorted(start % step for start, step, _ in progressions) == list(range(1, 30, 2))
-    assert {step for _, step, _ in progressions} == {30}
-    top = np.zeros(30, dtype=np.int64)
+    assert sorted(start % s for start, s, _ in progressions) == residues
+    assert {s for _, s, _ in progressions} == {step}
+    top = np.zeros(step, dtype=np.int64)
     for start, _, t in progressions:
-        top[start % 30] = t
+        top[start % step] = t
     window = 1 << 20
     bound = phi_oracle_top(x) if f == "phi" else x
     for lo in range(2, bound + 1, window):
         vals = segment_map(lo, min(lo + window, bound + 1), f)
         n = np.flatnonzero(vals <= x) + lo
-        odd = n[n % 2 == 1]
-        over = odd[odd > top[odd % 30]]
+        odd = n[(n % 2 == 1) & np.isin(n % step, residues)]
+        over = odd[odd > top[odd % step]]
         assert not len(over), (f, x, over[:5])
 
 
@@ -246,16 +268,17 @@ def test_sigma_class_tops_sound_1e7():
 
 @pytest.mark.parametrize("x", [10**4, 10**5])
 def test_phi_progressions_partition_the_classes(x):
-    # each odd n > 1 lies in exactly one progression, and no even n: a
-    # duplicate class would only cost time, and the doubling pass finds
-    # every even n's value
+    # each odd n > 1 with 3 not dividing n or 9 dividing n lies in exactly
+    # one progression, and no even n or odd n with exactly one factor 3:
+    # a duplicate class would only cost time, and the closure finds the
+    # values of the others
     progressions = scan_progressions("phi", x)
     top = min(t for *_, t in progressions)
     cover = np.zeros(top + 1, dtype=np.int64)
     for start, step, _ in progressions:
         cover[start::step] += 1
     n = np.arange(top + 1)
-    want = (n % 2 == 1) & (n >= 2)
+    want = (n % 2 == 1) & (n >= 2) & ((n % 3 != 0) | (n % 9 == 0))
     assert np.array_equal(cover, want.astype(np.int64))
 
 
@@ -263,12 +286,13 @@ def test_scan_progressions_at_1e7():
     x = 10**7
     # tops by gcd(n, 15): the classes divisible by 15 keep the unsplit tops
     odd = {1: 16301094, 3: 24451642, 5: 19490439, 15: 29235658}
-    want = [(r if r > 1 else 31, 30, odd[math.gcd(r, 15)]) for r in range(1, 30, 2)]
+    _, residues = _classes("phi")
+    want = [(r if r > 1 else 91, 90, odd[math.gcd(r, 15)]) for r in residues]
     assert scan_progressions("phi", x) == want
     scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("phi", x))
-    assert scanned == 9881062
+    assert scanned == 7057902
     # against the 61,811,115 n of the step-1 scan to the former minimal-order bound
-    assert scanned / 61811115 < 0.16
+    assert scanned / 61811115 < 0.12
     assert phi_preimage_bound(x) == 58471316
     # sigma: x times prod p/(p + 1) over the wheel primes dividing the class
     odd = {1: 10000000, 3: 7500000, 5: 8333333, 15: 6250000}
