@@ -26,8 +26,21 @@ the factor each prime power adds (sigma trades 1 + ... + p^(j-1) for
 1 + ... + p^j by exact division), so neither needs a buffer beside its
 own array.
 
-All bulk arithmetic is carried in int64 arrays.  Inputs are capped at
-10**12 so that sigma(n) cannot overflow (sigma(n) < 7n in that range).
+Inputs are capped at 10**12.  A deal carries the remainder, phi and
+sigma in one lane dtype, chosen from the last integer it scans, top:
+np.uint32 when every value they can hold is below 2**32, np.int64
+otherwise.  Every such value is bounded: the remainder divides n <= top,
+and the sigma fold writes rem + 1 <= top + 1; phi holds phi(d) <= d for
+a divisor d of n, so at most top; sigma holds sigma(d) <= sigma(n) for
+a divisor d of n, and the factors it multiplies in and divides out are
+sigma(p^j) for prime powers p^j | n, so at most sigma(n) < 7n <= 7 top.
+sigma(n) < 7n for n <= 10**12: Robin's unconditional bound (J. Math.
+Pures Appl. 63 (1984) 187-213), sigma(n) < e^gamma n log log n +
+0.6483 n/log log n for n >= 3, over n is convex in log log n, so on
+[4, 10**12] it is at most its value at an end, 2.57 at n = 4 and 6.11
+at n = 10**12; and sigma(n)/n <= 3/2 for n <= 3.  The large-prime
+pass keeps its index, p^(j+1) and n mod p^(j+1) rows in int64 on both
+lanes: p^(j+1) can exceed the last n by a factor p.
 """
 
 from __future__ import annotations
@@ -227,7 +240,7 @@ def _multiples(lo: int, step: int, q: int) -> tuple[int, int] | None:
     return (-(lo // g)) * pow(step // g, -1, m) % m, m
 
 
-PAIR_BYTES = 33  # index, prime, p^(j+1), n mod p^(j+1) and its zero mask
+PAIR_BYTES = 25  # index, p^(j+1), n mod p^(j+1) and its zero mask; the prime is in the lane
 
 PRIME_BYTES = 120  # a window's first hit, hit count and their live and batch temporaries
 
@@ -236,22 +249,25 @@ INVERSE_BYTES = 8  # a prime's entry in the inverse table
 SCAN_OVERHEAD = 1 << 16  # numpy's casting buffers (8192 elements) and the window's objects
 
 
-def scan_bytes(size: int, large_primes: int, *, want_phi: bool = False,
+def scan_bytes(size: int, large_primes: int, lane, *, want_phi: bool = False,
                want_sigma: bool = False, want_omega: bool = False) -> int:
-    """Bytes a scan workspace of `size` elements, its inverse table and
-    one segment_scan window on it hold at their peak, with `large_primes`
-    base primes (an upper bound will do) in the large-prime pass.
+    """Bytes a scan workspace of `size` elements in the `lane` dtype, its
+    inverse table and one segment_scan window on it hold at their peak,
+    with `large_primes` base primes (an upper bound will do) in the
+    large-prime pass.
 
-    The workspace's buffers (_Workspace), per element: the remainder,
-    each wanted array and the fold's mask.  When any prime is large, its
-    batch of (index, p) pairs (_pair_batch) at PAIR_BYTES, and per large
-    prime a window's first-hit arrays at PRIME_BYTES and its inverse at
-    INVERSE_BYTES.  And SCAN_OVERHEAD once.
+    The workspace's buffers (_Workspace), per element: the remainder and
+    each wanted array, in the lane but Omega, and the fold's mask.  When
+    any prime is large, its batch of (index, p) pairs (_pair_batch) at
+    PAIR_BYTES plus the prime's lane, and per large prime a window's
+    first-hit arrays at PRIME_BYTES and its inverse at INVERSE_BYTES.
+    And SCAN_OVERHEAD once.
     """
-    per_entry = 8 + 8 * want_phi + 8 * want_sigma + 2 * want_omega + 1
+    b = np.dtype(lane).itemsize
+    per_entry = b + b * want_phi + b * want_sigma + 2 * want_omega + 1
     pairs = _pair_batch(size) if large_primes else 0
     per_prime = PRIME_BYTES + INVERSE_BYTES
-    return per_entry * size + PAIR_BYTES * pairs + per_prime * large_primes + SCAN_OVERHEAD
+    return per_entry * size + (PAIR_BYTES + b) * pairs + per_prime * large_primes + SCAN_OVERHEAD
 
 
 def _pair_batch(size: int) -> int:
@@ -267,29 +283,29 @@ def _pair_batch(size: int) -> int:
 
 class _Workspace:
     """The buffers segment_scan fills for windows of up to `size`
-    elements of one step: the remainder, the wanted phi, sigma and omega
-    (each updated in place, with no buffer beside it), the fold's
-    rem > 1 mask and one batch of _large_prime_pass's (index, p) pairs,
-    beside the step's table (n_small, inv), which it only reads: the
-    index of the first base prime above max(LARGE_PRIME_THRESHOLD,
-    step), where that pass starts, and step^-1 mod p for it and every
-    later one.
+    elements of one step: the remainder, the wanted phi and sigma, all
+    in the deal's `lane` dtype, and omega (each updated in place, with
+    no buffer beside it), the fold's rem > 1 mask and one batch of
+    _large_prime_pass's (index, p) pairs, beside the step's table
+    (n_small, inv), which it only reads: the index of the first base
+    prime above max(LARGE_PRIME_THRESHOLD, step), where that pass
+    starts, and step^-1 mod p for it and every later one.
 
     deal_windows builds one per worker, after charging its scan_bytes,
     so its windows allocate no array per element or per pair and fault
     no fresh pages.
     """
 
-    def __init__(self, size: int, table: tuple[int, np.ndarray], *, want_phi: bool,
+    def __init__(self, size: int, table: tuple[int, np.ndarray], lane, *, want_phi: bool,
                  want_sigma: bool, want_omega: bool):
         self.table = table
-        self.rem = np.empty(size, dtype=np.int64)
-        self.phi = np.empty(size, dtype=np.int64) if want_phi else None
-        self.sigma = np.empty(size, dtype=np.int64) if want_sigma else None
+        self.rem = np.empty(size, dtype=lane)
+        self.phi = np.empty(size, dtype=lane) if want_phi else None
+        self.sigma = np.empty(size, dtype=lane) if want_sigma else None
         self.omega = np.empty(size, dtype=np.int16) if want_omega else None
         self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
-        # one batch of (index, p) pairs: index, p^(j+1) and n mod p^(j+1),
-        # and n's zero mask
+        # one batch of (index, p) pairs: index, p^(j+1) and n mod p^(j+1)
+        # (int64 on every lane), and n's zero mask
         batch = _pair_batch(size) if len(table[1]) else 0
         self.pairs = np.empty((3, batch), dtype=np.int64)
         self.zero = np.empty(batch, dtype=bool)
@@ -337,9 +353,10 @@ def segment_scan(
     window.
 
     Returns a dict with any of:
-      'phi', 'sigma' : int64 arrays of exact values,
+      'phi', 'sigma' : arrays of exact values, in the workspace's lane
+                       dtype (np.uint32 or np.int64, see the module),
       'omega'        : int16 array of Omega(n) (with multiplicity),
-      'rem'          : int64 array of remainders after dividing out the
+      'rem'          : lane array of remainders after dividing out the
                        base primes (only when smooth_bound is set).
     Element k of each array belongs to lo + k*step.
     """
@@ -441,7 +458,8 @@ def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega, ws) -> None
     k0 *= inv[: len(primes)]
     k0 %= primes
     live = k0 < size
-    primes, k0 = primes[live], k0[live]
+    # a live p divides an n of the window, so it fits the lane
+    primes, k0 = primes[live].astype(rem.dtype, copy=False), k0[live]
     count = size - 1 - k0  # hits: (size - 1 - k0) // p + 1
     count //= primes
     count += 1
@@ -459,19 +477,24 @@ def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega, ws) -> None
         idx[first[0]] = first_k[0]
         idx[first[1:]] = first_k[1:] - (first_k[:-1] + (c[:-1] - 1) * primes[a : b - 1])
         np.cumsum(idx, out=idx)
-        np.multiply(p, p, out=power)  # p^(j+1) for the pairs of round j
+        np.copyto(power, p)
+        power *= power  # p^(j+1) for the pairs of round j, squared in int64
+        # the ufunc.at operands are in the lane; n's row, read as the lane,
+        # holds a round's factor p - 1 or p + 1 until n is computed
+        fac = ws.pairs[2].view(rem.dtype)
         k, j = idx, 1
         while True:
             if omega is not None:
                 np.add.at(omega, k, np.int16(1))
             np.floor_divide.at(rem, k, p)
             if phi is not None:
-                np.multiply.at(phi, k, np.subtract(p, 1, out=n) if j == 1 else p)
+                np.multiply.at(phi, k, np.subtract(p, 1, out=fac[: len(k)]) if j == 1 else p)
             if sigma is not None:
                 if j == 1:
-                    np.multiply.at(sigma, k, np.add(p, 1, out=n))
+                    np.multiply.at(sigma, k, np.add(p, 1, out=fac[: len(k)]))
                 else:
-                    s = (power // p - 1) // (p - 1)  # 1 + p + ... + p^(j-1)
+                    # 1 + p + ... + p^(j-1)
+                    s = ((power // p - 1) // (p - 1)).astype(rem.dtype)
                     np.floor_divide.at(sigma, k, s)
                     np.multiply.at(sigma, k, s * p + 1)
             n = np.multiply(k, step, out=ws.pairs[2, : len(k)])
@@ -505,11 +528,12 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     longest first, round robin to min(threads, windows, CPUs) workers
     (workers.worker_count), and charge them, before anything is
     allocated or any thread starts, in one check_allocation: per worker
-    a scan workspace for the longest window (scan_bytes) and
-    worker_bytes, and shared_bytes once.  Then sieve the base primes,
-    those <= sqrt of the last integer scanned or <= smooth_bound when
-    it is set, and build the step's inverse table (see _Workspace),
-    once for all workers.
+    a scan workspace for the longest window (scan_bytes), in the lane
+    dtype that the last integer scanned and the wants decide (see the
+    module), and worker_bytes, and shared_bytes once.  Then sieve the
+    base primes, those <= sqrt of the last integer scanned or
+    <= smooth_bound when it is set, and build the step's inverse table
+    (see _Workspace), once for all workers.
 
     Returns run(consume).  It runs the workers (workers.run_workers):
     worker w fills one workspace (_Workspace) with a segment_scan of
@@ -547,8 +571,10 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     bound = math.isqrt(top) if smooth_bound is None else smooth_bound
     large = min(max(0, bound - LARGE_PRIME_THRESHOLD), prime_count_bound(bound))
     wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
-    check_allocation(n_workers * (scan_bytes(size, large, **wants) + worker_bytes) + shared_bytes,
-                     f"{what} on {n_workers} workers")
+    # the lane: every value it holds is below top + 1, or 7 top with sigma (see the module)
+    lane = np.uint32 if max(top + 1, 7 * top * want_sigma) < 1 << 32 else np.int64
+    check_allocation(n_workers * (scan_bytes(size, large, lane, **wants) + worker_bytes)
+                     + shared_bytes, f"{what} on {n_workers} workers")
     base = primes_up_to(bound)
     n_small = int(np.searchsorted(base, max(LARGE_PRIME_THRESHOLD, step), "right"))
     # no such prime divides step, so every inverse exists
@@ -558,7 +584,7 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
         results = [[] for _ in range(n_workers)]
 
         def scan(w: int):
-            ws = _Workspace(size, table, **wants)
+            ws = _Workspace(size, table, lane, **wants)
             for lo, _, last in windows[w::n_workers]:
                 got = segment_scan(lo, last + 1, base, step=step, smooth_bound=smooth_bound,
                                    workspace=ws, **wants)

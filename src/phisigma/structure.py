@@ -44,6 +44,11 @@ MC_CHUNK = 1 << 14  # rows drawn at once: a chunk's L columns stay in cache
 
 MIN_MC_SAMPLES = 1000
 
+MC_SAMPLE_CAP = 10**9  # under a minute of draws at L <= 6 on one thread
+
+# the estimate divides by L!, and 171! exceeds the largest double
+MAX_L = 170
+
 RL_SCAN_CAP = 10**8
 
 RL_SLICE = 1 << 14  # integers of a window whose members r_l_sum finds at once
@@ -81,8 +86,7 @@ class SimplexSpec:
     l_formula: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.L < 2:
-            raise DomainError(f"need L >= 2, got {self.L}")
+        _check_dimension(self.L)
         if len(self.xi) != self.L - 1:
             raise DomainError(
                 f"need {self.L - 1} weights for L={self.L}, got {len(self.xi)}"
@@ -105,8 +109,15 @@ class VolumeEstimate:
     seed: int
 
 
+def _check_dimension(L: int) -> None:
+    """2 <= L <= MAX_L, checked before L - 1 weights are built."""
+    if not 2 <= L <= MAX_L:
+        raise DomainError(f"need 2 <= L <= {MAX_L}, got {L}")
+
+
 def unit_spec(L: int) -> SimplexSpec:
     """The fundamental simplex: every weight equal to 1."""
+    _check_dimension(L)
     return SimplexSpec(L=L, xi=(1.0,) * (L - 1))
 
 
@@ -171,6 +182,7 @@ def default_xi(x: float) -> SimplexSpec:
 
 def xi_weights(L: int, l0: int) -> tuple[float, ...]:
     """The L - 1 weights xi_i = 1 + 1/(10 (l0 - i)^3), i = 0..L-2."""
+    _check_dimension(L)
     return tuple(1.0 + 1.0 / (10.0 * (l0 - i) ** 3) for i in range(L - 1))
 
 
@@ -288,6 +300,8 @@ def simplex_volume_mc(
     """
     if samples < MIN_MC_SAMPLES:
         raise DomainError(f"need samples >= {MIN_MC_SAMPLES}, got {samples}")
+    if samples > MC_SAMPLE_CAP:
+        raise ResourceError(f"samples={samples} beyond the {MC_SAMPLE_CAP} draw budget")
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
     if not 0 <= seed < 1 << 128:

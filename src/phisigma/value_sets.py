@@ -20,14 +20,15 @@ values in a scratch array of x/2 + 2 bytes, one byte per even value
 (the odd values are 1 and sigma's few at odd squares n = m^2, with
 their Mersenne multiples), packed into the bitmap at the end, and keeps
 one scan workspace per worker thread for all of its windows
-(sieve.scan_bytes, 7.0 to 8.9 MB at the default window size for x from
-10^7 to 10^8).  Each window's values are clipped in place and marked by
-one fancy-index store, so no mask or filtered copy is made, and the
-closure runs in place.  All of it, with the pack's temporaries, is
-charged against the memory budget before anything is allocated or any
-thread starts: 0.69 x bytes plus the workspaces.  On a 2-vCPU VM,
+(sieve.scan_bytes, 4.4 to 4.6 MB at the default window size for x from
+10^7 to 10^8, on uint32 lanes; sigma's lane is int64 from x = 6.2e8 on,
+phi's from x = 1.36e9 on).  Each window's values are clipped in place
+and marked by one fancy-index store, so no mask or filtered copy is
+made, and the closure runs in place.  All of it, with the pack's
+temporaries, is charged against the memory budget before anything is
+allocated or any thread starts: 0.69 x bytes plus the workspaces.  On a 2-vCPU VM,
 values-table to 10^8 peaks at 96 MB of resident memory on one thread
-and 102.5 MB on two, and to 10^9 at 0.8 GB.
+and 100 MB on two, and to 10^9 at 0.7 GB.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
             odd_vals = vals[slots]
             kept = odd_vals[odd_vals <= x]
             vals[slots] = 2 * cap
-        np.minimum(vals, 2 * cap, out=vals)
+        np.minimum(vals, 2 * cap, out=vals)  # 2 cap <= x + 2 fits the lane, whose bound exceeds x
         vals >>= 1
         half[vals] = True
         return kept

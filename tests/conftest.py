@@ -1,7 +1,7 @@
 """Shared oracles: small, slow, obviously-correct reference code.
 
-Everything here but dealt_windows and joined_scan, test helpers, is
-deliberately independent of the library internals; these
+Everything here but dealt_windows, joined_scan and scan_dtype, test
+helpers, is deliberately independent of the library internals; these
 implementations are the ground truth the fast paths are tested against.
 """
 
@@ -187,3 +187,13 @@ def joined_scan(lo, hi, step=1, **want):
     workspace."""
     windows = dealt_windows([(lo, step, hi - 1)], **want)
     return {key: np.concatenate([scan[key] for *_, scan in windows]) for key in windows[0][2]}
+
+
+def scan_dtype(key, top, want):
+    """The dtype of a scan's `key` array in a deal whose last integer is
+    top: Omega is int16; rem, phi and sigma share the lane, uint32 when
+    top + 1 and, with sigma, 7 top (sigma(n) < 7n) are below 2^32."""
+    if key == "omega":
+        return np.dtype(np.int16)
+    bound = 7 * top if want.get("want_sigma") else top + 1
+    return np.dtype(np.uint32 if bound < 2**32 else np.int64)

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -351,6 +353,29 @@ def _main(capsys, *argv):
 
     code = cli.main(list(argv))
     return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simplex-volume", "--L", "1e400"),
+    ("simplex-volume", "--L", "1e13"),
+    ("simplex-volume", "--L", "171"),
+    ("simplex-volume", "--L", "1e13", "--xi", "default"),
+    ("simplex-volume", "--L", "3", "--samples", "1e13"),
+    ("rl-sum", "--f", "phi", "--x", "1000", "--L", "1e13"),
+], ids=["L-1e400", "L-1e13", "L-171", "L-1e13-default-xi", "samples-1e13", "rl-sum-L-1e13"])
+def test_unbounded_simplex_flags_refused_at_once(monkeypatch, capsys, tmp_path, argv):
+    # refused before anything is built, drawn or started: L past MAX_L
+    # (1/L! must be a double) and samples past MC_SAMPLE_CAP
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    code, got = _main(capsys, *argv, "--output", str(out))
+    assert time.monotonic() - t0 < 5.0
+    assert code in (1, 2, 64)
+    assert got.out == "" and "Traceback" not in got.err
+    assert ("resource error" if "--samples" in argv else "domain error") in got.err
+    assert not out.exists() and not started
 
 
 @pytest.mark.parametrize("y", ["inf", "nan"])

@@ -17,7 +17,8 @@ from phisigma import ResourceError, anatomy, sieve, structure, value_sets
 from phisigma.errors import MEMORY_BUDGET_ENV
 from phisigma.sieve import LARGE_PRIME_THRESHOLD, deal_windows, primes_up_to
 
-from conftest import big_omega_trial, dealt_windows, joined_scan, phi_trial, sigma_trial
+from conftest import (big_omega_trial, dealt_windows, joined_scan, phi_trial, scan_dtype,
+                      sigma_trial)
 from reference_loops import segment_scan_strided
 
 MODES = {
@@ -43,7 +44,7 @@ def assert_scan_equal(lo, hi, step, want, base=None):
     ref = segment_scan_strided(lo, hi, base, step=step, **want)
     assert got.keys() == ref.keys()
     for key, arr in ref.items():
-        assert got[key].dtype == arr.dtype
+        assert got[key].dtype == scan_dtype(key, lo + (size - 1) * step, want)
         assert np.array_equal(got[key], arr), (lo, hi, step, key)
     return got
 
@@ -195,7 +196,73 @@ def test_fold_returns_smooth_remainder_intact():
                                           smooth_bound=5000)["rem"]).all()
 
 
+# --- lanes: uint32 exactly while every value fits, exact on both sides ------
+
+LANE_MODES = {"phi": MODES["phi"], "omega": MODES["omega"], "smooth": {"smooth_bound": 5000}}
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("last", [2**32 - 2, 2**32 - 1, 2**32])
+@pytest.mark.parametrize("mode", sorted(LANE_MODES))
+def test_lane_boundary_at_2_32(mode, last, step):
+    # rem and phi reach top + 1: the last window on the narrow lane ends
+    # at 2^32 - 2
+    want = LANE_MODES[mode]
+    lo = last - 300 * step
+    base = primes_up_to(5000) if mode == "smooth" else None
+    got = assert_scan_equal(lo, last + 1, step, want, base)
+    if mode != "omega":  # Omega is int16 on both lanes
+        key = "rem" if mode == "smooth" else mode
+        assert got[key].dtype == (np.uint32 if last < 2**32 - 1 else np.int64)
+
+
+SIGMA_TOP = (2**32 - 1) // 7  # sigma(n) < 7n: the last top of sigma's narrow lane
+
+
+@pytest.mark.parametrize("last", [SIGMA_TOP - 1, SIGMA_TOP, SIGMA_TOP + 1])
+@pytest.mark.parametrize("mode", ["sigma", "phi+sigma+omega"])
+def test_lane_boundary_for_sigma(mode, last):
+    for step in (1, 2, 30):
+        got = assert_scan_equal(last - 300 * step, last + 1, step, MODES[mode])
+        assert got["sigma"].dtype == (np.uint32 if last <= SIGMA_TOP else np.int64)
+
+
+@pytest.mark.parametrize("n", [4 * 521**3, 30 * 521**3])
+@pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
+def test_prime_power_row_past_the_narrow_lane(mode, n):
+    # 521 is in the pass, and at n = c 521^3 < 2^32 its round 3 reads
+    # 521^4 > 2^32 from the power row, to test n mod 521^4 and to find
+    # sigma's divisor 1 + 521 + 521^2: that row must not wrap.  Every
+    # window here is narrow but sigma's at 30 521^3 > (2^32 - 1)/7.
+    assert P_NEXT <= 521 and 521**4 > 2**32 > n
+    want = MODES.get(mode, {"smooth_bound": 5000})
+    base = primes_up_to(5000) if mode == "smooth" else None
+    for step in (1, 2, 30):
+        lo = n - 40 * step
+        got = assert_scan_equal(lo, lo + 81 * step, step, want, base)
+        if "phi" in got:
+            assert got["phi"][40] == phi_trial(n)
+        if "sigma" in got:
+            assert got["sigma"][40] == sigma_trial(n)
+        if "omega" in got:
+            assert got["omega"][40] == big_omega_trial(n)
+        if "rem" in got:
+            assert got["rem"][40] == 1
+
+
+@pytest.mark.parametrize("y", [2**32 - 1, 2**32, 2**40])
+def test_smooth_count_with_y_past_the_narrow_lane(y):
+    # x < 2^32 scans on the narrow lane; every remainder is <= x <= y
+    x = 10**5
+    assert anatomy.psi_smooth_count(x, y).psi_exact == x
+
+
 # --- memory: the traced peak stays within what was charged -----------------
+
+LANES = {"narrow": 10**7 + 1, "wide": 5 * 10**9 + 1}  # starts of uint32 and int64 deals
+# every mode on both lanes; a narrow case keeps the mode as its id
+LANE_CASES = [pytest.param(mode, lo, id=mode if lane == "narrow" else f"{mode}-{lane}")
+              for lane, lo in LANES.items() for mode in sorted(MODES) + ["smooth"]]
 
 
 @pytest.fixture
@@ -223,24 +290,28 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
-def test_segment_scan_peak_within_charge(monkeypatch, charges, mode):
+@pytest.mark.parametrize("mode, lo", LANE_CASES)
+def test_segment_scan_peak_within_charge(monkeypatch, charges, mode, lo):
     # one full window on a fresh workspace, within the deal's charge
     want = MODES.get(mode, {"smooth_bound": 5000})
-    lo, size = 10**7 + 1, sieve.DEFAULT_SEGMENT_SIZE
+    size = sieve.DEFAULT_SEGMENT_SIZE
     scan = deal_windows([(lo, 2, lo + 2 * (size - 1))], 1, what="test scan", **want)
     peak = traced_peak(lambda: scan(lambda *window: None))
     assert len(charges) == 2 and peak <= charges[0]  # the deal, then its base primes
 
 
-@pytest.mark.parametrize("which", ["phi", "sigma", "both"])
-def test_segment_map_charged_once_by_its_deal(monkeypatch, which):
-    # 3e6 is 12 windows; the deal's one charge covers them and the output
+@pytest.mark.parametrize("which, lo, hi", [
+    pytest.param(which, lo, hi, id=which if lo == 2 else f"{which}-wide")
+    for lo, hi in ((2, 3 * 10**6), (10**12 - 10**6, 10**12 + 1))
+    for which in ("phi", "sigma", "both")])
+def test_segment_map_charged_once_by_its_deal(monkeypatch, which, lo, hi):
+    # 3e6 is 12 windows, the 10^6 below the cap 4 on the wide lane; the
+    # deal's one charge covers them and the output
     seen = []
     real = sieve.check_allocation
     monkeypatch.setattr(sieve, "check_allocation",
                         lambda nbytes, what: (seen.append((nbytes, what)), real(nbytes, what)))
-    peak = traced_peak(lambda: sieve.segment_map(2, 3 * 10**6, which))
+    peak = traced_peak(lambda: sieve.segment_map(lo, hi, which))
     (deal,) = [(nbytes, what) for nbytes, what in seen if not what.startswith("prime sieve")]
     assert deal[1].endswith("on 1 workers")
     assert peak <= deal[0]
@@ -263,14 +334,13 @@ def test_sieve_peak_within_charge(charges, name):
     assert peak <= max(charges)
 
 
-@pytest.mark.parametrize("mode", sorted(MODES) + ["smooth"])
-def test_deal_charged_once_per_run(monkeypatch, charges, mode):
+@pytest.mark.parametrize("mode, lo", LANE_CASES)
+def test_deal_charged_once_per_run(monkeypatch, charges, mode, lo):
     # one charge, the deal's, made first, covers every window of the run;
     # the second run's progressions are three wheel classes of one step
     want = MODES.get(mode, {"smooth_bound": 5000})
     size = 1 << 16
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
-    lo = 10**7 + 1
     one_class = [(lo, 2, lo + 2 * (4 * size - 1))]
     wheel_classes = [(31, 30, 1559235), (15, 30, 2769694), (29, 30, 1559235)]
     for progressions in (one_class, wheel_classes):

@@ -21,7 +21,8 @@ from phisigma import sieve
 from phisigma.sieve import SPF_PRIME_SENTINEL, composite_mask, deal_windows
 from phisigma.value_sets import scan_progressions
 
-from conftest import dealt_windows, factor_pairs_naive, joined_scan, phi_trial, sigma_trial
+from conftest import (dealt_windows, factor_pairs_naive, joined_scan, phi_trial, scan_dtype,
+                      sigma_trial)
 
 
 def test_primes_up_to_small():
@@ -222,7 +223,8 @@ def test_segment_scan_progression_matches_full_window(mode, lo, step):
         prog = joined_scan(lo, hi, step, **SCAN_MODES[mode])
         assert full.keys() == prog.keys()
         for key, want in full.items():
-            assert prog[key].dtype == want.dtype
+            last = lo + (hi - 1 - lo) // step * step
+            assert prog[key].dtype == scan_dtype(key, last, SCAN_MODES[mode])
             assert np.array_equal(prog[key], want[::step]), (key, hi)
 
 
@@ -295,7 +297,8 @@ def test_dealt_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
         fresh = joined_scan(lo, min(lo + 97 * step, top + 1), step, **want)
         assert got.keys() == fresh.keys()
         for key, arr in fresh.items():
-            assert got[key].dtype == arr.dtype
+            last = start + (top - start) // step * step  # the deal's last integer
+            assert got[key].dtype == scan_dtype(key, last, want)
             assert np.array_equal(got[key], arr), (lo, key)
 
 
