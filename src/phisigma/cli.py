@@ -14,14 +14,13 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 
 import numpy as np
 
 from . import anatomy, classifier, constants, sieve, structure, value_sets
-from .errors import DomainError, PhiSigmaError, ResourceError
+from .errors import DomainError, PhiSigmaError, ResourceError, memory_budget, parse_int
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -40,33 +39,12 @@ class _UsageError(Exception):
     pass
 
 
-# an exponent of ten digits or more is past any flag's range
-_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d{1,9}))?")
-_MAX_DIGITS = 4300  # the default limit of int() on the digits of a string
-
-
 def _int_arg(s: str) -> int:
-    """Integer flag accepting scientific notation (1e9), parsed exactly:
-    1e23 is 10**23, not the nearest double."""
+    """Integer flag, 1e9 accepted, parsed exactly by errors.parse_int."""
     try:
-        return int(s)
-    except ValueError:
-        pass
-    m = _DECIMAL.fullmatch(s.strip())
-    if m is None or not (m[2] or m[3]):  # nan and inf too
-        raise argparse.ArgumentTypeError(f"not a finite number: {s!r}")
-    frac = m[3] or ""
-    digits = (m[2] + frac).lstrip("0")
-    if not digits:
-        return 0
-    # the value is int(mantissa) * 10**exp, the mantissa without trailing zeros
-    mantissa = digits.rstrip("0")
-    exp = int(m[4] or 0) - len(frac) + len(digits) - len(mantissa)
-    if exp < 0:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
-    if len(mantissa) + exp > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits: {s!r}")
-    return (-1 if m[1] == "-" else 1) * int(mantissa) * 10**exp
+        return parse_int(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _limits_arg(s: str) -> list[int]:
@@ -339,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
+        memory_budget()  # a bad budget fails every subcommand, charged or not
         text = args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

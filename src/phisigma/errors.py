@@ -3,10 +3,11 @@
 Every operation raises DomainError for inputs outside its mathematical
 domain and ResourceError when a computation would exceed the memory
 budget.  The budget is read from the PHISIGMA_MEMORY_BUDGET environment
-variable (bytes) and defaults to 4 GiB.
+variable (bytes, read by parse_int) and defaults to 4 GiB.
 """
 
 import os
+import re
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
@@ -31,13 +32,42 @@ class BudgetExceededError(ResourceError):
     """Enumeration cap hit; the result is undetermined, never guessed."""
 
 
+# an exponent of ten digits or more is past any value's range
+_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d{1,9}))?")
+_MAX_DIGITS = 4300  # the default limit of int() on the digits of a string
+
+
+def parse_int(s: str) -> int:
+    """An integer, plain or as 1e9, exactly (1e23 is 10**23, not the nearest
+    double); ValueError for anything else, nan and inf included."""
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    m = _DECIMAL.fullmatch(s.strip())
+    if m is None or not (m[2] or m[3]):  # nan and inf too
+        raise ValueError(f"not a finite number: {s!r}")
+    frac = m[3] or ""
+    digits = (m[2] + frac).lstrip("0")
+    if not digits:
+        return 0
+    # the value is int(mantissa) * 10**exp, the mantissa without trailing zeros
+    mantissa = digits.rstrip("0")
+    exp = int(m[4] or 0) - len(frac) + len(digits) - len(mantissa)
+    if exp < 0:
+        raise ValueError(f"not an integer: {s!r}")
+    if len(mantissa) + exp > _MAX_DIGITS:
+        raise ValueError(f"more than {_MAX_DIGITS} digits: {s!r}")
+    return (-1 if m[1] == "-" else 1) * int(mantissa) * 10**exp
+
+
 def memory_budget() -> int:
     """Current memory budget in bytes."""
     raw = os.environ.get(MEMORY_BUDGET_ENV)
     if not raw:
         return DEFAULT_MEMORY_BUDGET
     try:
-        value = int(float(raw))
+        value = parse_int(raw)
     except ValueError as exc:
         raise ResourceError(f"unparseable {MEMORY_BUDGET_ENV}={raw!r}") from exc
     if value <= 0:

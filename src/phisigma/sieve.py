@@ -9,11 +9,14 @@ FactorSieve's spf table while the cofactor lies in the window, and
 finds it by trial division otherwise, or when no sieve is given.
 
 The bulk scan (segment_scan) covers an arithmetic progression
-lo, lo+step, ... < hi.  A base prime p <= LARGE_PRIME_THRESHOLD is
-sliced by its powers: for each p^j, the scanned integers divisible by
-p^j form one strided slice, located by a modular inverse, so every
-array operation touches only integers it changes.  The larger primes
-share one vectorized pass per window (_large_prime_pass).
+lo, lo+step, ... < hi, its base primes in three bands.  A tiny prime,
+p <= TINY_PRIME_THRESHOLD or p <= the largest prime factor of step, is
+sliced at every power p^j, and a mid one, up to
+max(LARGE_PRIME_THRESHOLD, step), at its first power only: each slice
+touches only integers it changes.  The other prime powers share one
+pair pass per window (_large_prime_pass).  No prime above the tiny band
+divides step: one inverse table gives its first hit, and that of
+p^(j+1) is lifted from that of p^j (Hensel).
 deal_windows is the one window loop and segment_scan's one caller: it
 cuts a list of progressions into windows of DEFAULT_SEGMENT_SIZE
 elements (cut_windows), charges them once, sieves the base primes and
@@ -38,9 +41,10 @@ sigma(n) < 7n for n <= 10**12: Robin's unconditional bound (J. Math.
 Pures Appl. 63 (1984) 187-213), sigma(n) < e^gamma n log log n +
 0.6483 n/log log n for n >= 3, over n is convex in log log n, so on
 [4, 10**12] it is at most its value at an end, 2.57 at n = 4 and 6.11
-at n = 10**12; and sigma(n)/n <= 3/2 for n <= 3.  The large-prime
-pass keeps its index, p^(j+1) and n mod p^(j+1) rows in int64 on both
-lanes: p^(j+1) can exceed the last n by a factor p.
+at n = 10**12; and sigma(n)/n <= 3/2 for n <= 3.  The hits are int64
+on both lanes: a base prime is at most 10**6 (callers keep smooth_bound
+there), so (c mod p) * inv < p^2 <= 10**12 in a first hit, and a lift
+adds t p^j < p^(j+1) <= last, the window's last integer.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ INPUT_CAP = 10**12
 
 DEFAULT_SEGMENT_SIZE = 1 << 18
 
-LARGE_PRIME_THRESHOLD = 512  # base primes above it go through _large_prime_pass
+TINY_PRIME_THRESHOLD = 23  # base primes up to it, and up to step's largest factor, slice every power
+
+LARGE_PRIME_THRESHOLD = 512  # base primes above it, and above step, go through _large_prime_pass
 
 SPF_PRIME_SENTINEL = 0  # spf entry meaning "no base prime divides; n is prime"
 
@@ -240,43 +246,44 @@ def _multiples(lo: int, step: int, q: int) -> tuple[int, int] | None:
     return (-(lo // g)) * pow(step // g, -1, m) % m, m
 
 
-PAIR_BYTES = 25  # index, p^(j+1), n mod p^(j+1) and its zero mask; the prime is in the lane
+PAIR_BYTES = 8  # a pair's index; its prime and factor are in the lane
 
-PRIME_BYTES = 120  # a window's first hit, hit count and their live and batch temporaries
+PRIME_BYTES = 120  # a window's first and lifted hit, p, p^j, inverse, counts and temporaries
 
 INVERSE_BYTES = 8  # a prime's entry in the inverse table
 
 SCAN_OVERHEAD = 1 << 16  # numpy's casting buffers (8192 elements) and the window's objects
 
 
-def scan_bytes(size: int, large_primes: int, lane, *, want_phi: bool = False,
+def scan_bytes(size: int, primes: int, lane, *, want_phi: bool = False,
                want_sigma: bool = False, want_omega: bool = False) -> int:
     """Bytes a scan workspace of `size` elements in the `lane` dtype, its
     inverse table and one segment_scan window on it hold at their peak,
-    with `large_primes` base primes (an upper bound will do) in the
-    large-prime pass.
+    with `primes` base primes (an upper bound will do) above the tiny
+    band, the ones with an entry in the inverse table.
 
     The workspace's buffers (_Workspace), per element: the remainder and
     each wanted array, in the lane but Omega, and the fold's mask.  When
-    any prime is large, its batch of (index, p) pairs (_pair_batch) at
-    PAIR_BYTES plus the prime's lane, and per large prime a window's
-    first-hit arrays at PRIME_BYTES and its inverse at INVERSE_BYTES.
-    And SCAN_OVERHEAD once.
+    any prime is above the tiny band, one batch of (index, p) pairs
+    (_pair_batch) at PAIR_BYTES plus the prime's and the factor's lane,
+    and per such prime its inverse at INVERSE_BYTES and a window's hit,
+    p^j and Hensel arrays at PRIME_BYTES, int64 for (c mod p) * inv <
+    p^2 and t p^j < p^(j+1) (see the module).  And SCAN_OVERHEAD once.
     """
     b = np.dtype(lane).itemsize
     per_entry = b + b * want_phi + b * want_sigma + 2 * want_omega + 1
-    pairs = _pair_batch(size) if large_primes else 0
+    pairs = _pair_batch(size) if primes else 0
     per_prime = PRIME_BYTES + INVERSE_BYTES
-    return per_entry * size + (PAIR_BYTES + b) * pairs + per_prime * large_primes + SCAN_OVERHEAD
+    return per_entry * size + (PAIR_BYTES + 2 * b) * pairs + per_prime * primes + SCAN_OVERHEAD
 
 
 def _pair_batch(size: int) -> int:
     """Most (index, p) pairs expanded at once in a window of `size`.
 
     A prime p > 4 hits the window at most ceil(size/p) <= size//4 + 1
-    times, so every batch holds at least one prime.  The large primes
-    make 0.2 to 0.5 pairs per element at x = 1e7..1e8, one or two
-    batches.
+    times at any power, so every batch holds at least one prime.  The
+    large primes make 0.2 to 0.5 pairs per element at x = 1e7..1e8, one
+    or two batches, the higher powers under 0.01.
     """
     return size // 4 + 1
 
@@ -285,30 +292,28 @@ class _Workspace:
     """The buffers segment_scan fills for windows of up to `size`
     elements of one step: the remainder, the wanted phi and sigma, all
     in the deal's `lane` dtype, and omega (each updated in place, with
-    no buffer beside it), the fold's rem > 1 mask and one batch of
-    _large_prime_pass's (index, p) pairs, beside the step's table
-    (n_small, inv), which it only reads: the index of the first base
-    prime above max(LARGE_PRIME_THRESHOLD, step), where that pass
-    starts, and step^-1 mod p for it and every later one.
+    no buffer beside it), the fold's rem > 1 mask and the index and
+    factor rows of one batch of _large_prime_pass's pairs, beside the
+    step's table (n_tiny, n_mid, inv), which it only reads: the index
+    of the first base prime above the tiny and above the mid band, and
+    (-step)^-1 mod p for every base prime from n_tiny on.
 
     deal_windows builds one per worker, after charging its scan_bytes,
-    so its windows allocate no array per element or per pair and fault
-    no fresh pages.
+    so its windows allocate no array per element and fault no fresh
+    pages.
     """
 
-    def __init__(self, size: int, table: tuple[int, np.ndarray], lane, *, want_phi: bool,
-                 want_sigma: bool, want_omega: bool):
+    def __init__(self, size: int, table: tuple[int, int, np.ndarray], lane, *,
+                 want_phi: bool, want_sigma: bool, want_omega: bool):
         self.table = table
         self.rem = np.empty(size, dtype=lane)
         self.phi = np.empty(size, dtype=lane) if want_phi else None
         self.sigma = np.empty(size, dtype=lane) if want_sigma else None
         self.omega = np.empty(size, dtype=np.int16) if want_omega else None
         self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
-        # one batch of (index, p) pairs: index, p^(j+1) and n mod p^(j+1)
-        # (int64 on every lane), and n's zero mask
-        batch = _pair_batch(size) if len(table[1]) else 0
-        self.pairs = np.empty((3, batch), dtype=np.int64)
-        self.zero = np.empty(batch, dtype=bool)
+        batch = _pair_batch(size) if len(table[2]) else 0
+        self.index = np.empty(batch, dtype=np.int64)
+        self.factor = np.empty(batch, dtype=lane)
 
 
 def segment_scan(
@@ -332,18 +337,22 @@ def segment_scan(
     divided remainder matters, e.g. smoothness tests with smooth_bound
     set).
 
-    A base prime p <= max(LARGE_PRIME_THRESHOLD, step) is sliced: each
-    prime power p^j up to the last element is visited once, on the
-    strided slice of indices k with p^j | lo + k*step (found by one
-    modular inverse, see _multiples).  The slice for p^j divides the
-    remainder by p and adds 1 to Omega.  phi and sigma are built in
-    place as products over the prime powers p^e || n: phi multiplies by
-    p - 1 on the p-slice and by p on each p^j-slice (j >= 2), giving
-    p^(e-1) (p - 1); sigma, on each p^j-slice, divides out
-    1 + p + ... + p^(j-1), exactly (nothing for j = 1), and multiplies
-    in 1 + p + ... + p^j, giving 1 + p + ... + p^e.
+    The base primes fall into the module's three bands.  A tiny prime
+    is sliced at every power p^j up to the last element, on the strided
+    slice of indices k with p^j | lo + k*step (_multiples).  A mid prime
+    is sliced at its first power only, from its first hit
+    k = (lo mod p) * inv mod p, inv = (-step)^-1 mod p, one int64
+    expression for every prime above the tiny band (products < p^2).
+    The other prime powers above the tiny band share one pair pass
+    (_large_prime_pass), which Hensel-lifts the first hits.
 
-    The larger base primes share one pass (_large_prime_pass).
+    The slice for p^j divides the remainder by p and adds 1 to Omega.
+    phi and sigma are built in place as products over the prime powers
+    p^e || n: phi multiplies by p - 1 on the p-slice and by p on each
+    p^j-slice (j >= 2), giving p^(e-1) (p - 1); sigma, on each
+    p^j-slice, divides out 1 + p + ... + p^(j-1), exactly (nothing for
+    j = 1), and multiplies in 1 + p + ... + p^j, giving
+    1 + p + ... + p^e.
 
     Whatever remains above 1 after the base primes is a single prime
     factor (for exact modes) and is folded in last.
@@ -363,8 +372,8 @@ def segment_scan(
     size = (hi - lo + step - 1) // step
     last = lo + (size - 1) * step
     top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    n_small, inv = workspace.table
-    n_large = max(0, int(np.searchsorted(base_primes, top, "right")) - n_small)
+    n_tiny, n_mid, inv = workspace.table
+    n_top = int(np.searchsorted(base_primes, top, "right"))
 
     rem, phi, sigma, omega = (None if a is None else a[:size] for a in
                               (workspace.rem, workspace.phi, workspace.sigma, workspace.omega))
@@ -380,34 +389,41 @@ def segment_scan(
     if want_omega:
         omega.fill(0)
 
-    for p in base_primes[:n_small].tolist():
-        if p > top:
-            break
+    def divide(sl, p, q, s):
+        """Divide p out of the slice of p^j = q, with s = 1 + ... + p^(j-1)."""
+        r = rem[sl]  # a shift takes a third of a division's time
+        np.right_shift(r, 1, out=r) if p == 2 else np.floor_divide(r, p, out=r)
+        if want_omega:
+            o = omega[sl]
+            o += 1
+        if want_phi:
+            ph = phi[sl]
+            ph *= p - 1 if q == p else p
+        if want_sigma:
+            sg = sigma[sl]
+            if q > p:
+                sg //= s
+            sg *= s * p + 1
+
+    for p in base_primes[: min(n_tiny, n_top)].tolist():
         q, s = p, 1  # q = p^j, s = 1 + p + ... + p^(j-1)
         while q <= last:
             hit = _multiples(lo, step, q)
             if hit is None or hit[0] >= size:
                 break
-            sl = slice(hit[0], size, hit[1])
-            r = rem[sl]
-            r //= p
-            if want_omega:
-                o = omega[sl]
-                o += 1
-            if want_phi:
-                ph = phi[sl]
-                ph *= p - 1 if q == p else p
-            if want_sigma:
-                sg = sigma[sl]
-                if q > p:
-                    sg //= s
-                s = s * p + 1
-                sg *= s
+            divide(slice(hit[0], size, hit[1]), p, q, s)
+            s = s * p + 1
             q *= p
 
-    if n_large:
-        _large_prime_pass(lo, step, base_primes[n_small : n_small + n_large], inv,
-                          rem, phi, sigma, omega, workspace)
+    if n_top > n_tiny:
+        primes, inv = base_primes[n_tiny:n_top], inv[: n_top - n_tiny]
+        first = lo % primes * inv % primes
+        n_sliced = min(n_mid, n_top) - n_tiny
+        for p, k in zip(primes[:n_sliced].tolist(), first[:n_sliced].tolist()):
+            if k < size:
+                divide(slice(k, size, p), p, p, 1)
+        _large_prime_pass(lo, step, primes, first, inv, n_sliced, rem, phi, sigma, omega,
+                          workspace)
 
     # branch-free: rem + big and rem - big are p + 1 and p - 1 where a
     # prime p is left and 1 where rem = 1, sigma's and phi's factors with
@@ -429,83 +445,84 @@ def segment_scan(
     return {key: arr for key, arr in out.items() if arr is not None}
 
 
-def _large_prime_pass(lo, step, primes, inv, rem, phi, sigma, omega, ws) -> None:
-    """Divide the base primes above max(LARGE_PRIME_THRESHOLD, step) out
-    of the window lo, lo+step, ... that rem covers, updating phi, sigma
-    and omega (those not None).
+def _large_prime_pass(lo, step, primes, first, inv, n_sliced, rem, phi, sigma, omega,
+                      ws) -> None:
+    """Divide the first power of primes[n_sliced:], the large band, and
+    every higher power of all the primes out of the window lo, lo+step,
+    ... that rem covers, updating phi, sigma and omega (those not None).
+    first[i] is the least k with primes[i] | lo + k*step, and inv[i]
+    (-step)^-1 mod primes[i].
 
-    Such a prime p hits a window of `size` elements only size/p times,
-    too few to pay for its own numpy calls, so all of them share one
-    vectorized pass per window, as in the bucket sieve of T. Oliveira e
-    Silva, S. Herzog and S. Pardi (Math. Comp. 83 (2014) 2033-2060).
-    The k with p | lo + k*step are k0, k0 + p, ... for
-    k0 = (-lo) * inv mod p, inv = step^-1 mod p from the workspace's
-    table, which starts at primes[0].  The primes with k0 >= size miss
-    the window and are dropped once; the rest are cut into batches of
-    whole primes with at most _pair_batch pairs each, by searchsorted on
-    the cumulative hit counts.  A batch is expanded into (index, p)
-    pairs in the rows of ws.pairs, and its round j covers the pairs with
-    p^j | n = lo + k*step: rem is divided by p, Omega gains 1, phi gains
-    p - 1 (j = 1) or p, and sigma gains p + 1 (j = 1) or trades
-    1 + p + ... + p^(j-1) for 1 + p + ... + p^j by exact division, as in
-    the slices.  ufunc.at applies every pair even where two primes share
-    an index, and each round keeps only the pairs whose n/p^j is still
-    divisible by p.
+    Such a prime power q hits a window of `size` elements only size/q
+    times, too few to pay for its own numpy calls, so all of them share
+    one vectorized pass per window, as in the bucket sieve of T. Oliveira
+    e Silva, S. Herzog and S. Pardi (Math. Comp. 83 (2014) 2033-2060):
+    one round (_apply_pairs) per exponent j, over k_j, k_j + p^j, ...
+    < size.  Hensel: k_(j+1) = k_j + p^j t, t = c * inv mod p for
+    c = (lo + k_j*step)/p^j, as c + t*step = 0 mod p.  A prime leaves
+    once k_j >= size (k_j only grows) or p^(j+1) > last, the last
+    element.  In int64, lo + k_j*step <= last,
+    (c mod p) * inv < p^2 <= 10**12 and t p^j < p^(j+1) <= last.
     """
     size = len(rem)
-    batch = _pair_batch(size)
-    k0 = (-lo) % primes
-    k0 *= inv[: len(primes)]
-    k0 %= primes
-    live = k0 < size
-    # a live p divides an n of the window, so it fits the lane
-    primes, k0 = primes[live].astype(rem.dtype, copy=False), k0[live]
-    count = size - 1 - k0  # hits: (size - 1 - k0) // p + 1
-    count //= primes
-    count += 1
+    last = lo + (size - 1) * step
+    hit = first < size  # a prime that misses the window misses it at every power
+    p, k, inv = primes[hit], first[hit], inv[hit]
+    q, j, mid = p, 1, int(np.count_nonzero(hit[:n_sliced]))  # q = p^j; mid: sliced at j = 1
+    while len(p):
+        _apply_pairs(j, k[mid:], q[mid:], p[mid:], rem, phi, sigma, omega, ws)
+        n = int(np.count_nonzero(q <= last // p))  # p^(j+1) <= last: a prefix of the primes
+        p, k, q, inv = p[:n], k[:n], q[:n], inv[:n]
+        k += (lo + k * step) // q % p * inv % p * q
+        q, j, mid = q * p, j + 1, 0
+        hit = k < size
+        p, k, q, inv = p[hit], k[hit], q[hit], inv[hit]
+
+
+def _apply_pairs(j, first, stride, primes, rem, phi, sigma, omega, ws) -> None:
+    """Divide primes[i] out of rem at first[i], first[i] + stride[i], ...
+    < size, stride[i] = primes[i]^j, and update phi, sigma and omega
+    (those not None) as segment_scan's slices for p^j do.
+
+    Every first[i] is below size.  Batches of whole primes, with at most
+    _pair_batch pairs each, are expanded into (index, p) pairs, the index
+    by one cumsum over the strides, and applied by ufunc.at, which
+    applies every pair even where two primes share an index.
+    """
+    size = len(rem)
+    primes = primes.astype(rem.dtype, copy=False)
+    count = (size - 1 - first) // stride + 1  # hits
     ends = np.cumsum(count)
+    batch = len(ws.index)
     a = 0
     while a < len(primes):
         done = int(ends[a - 1]) if a else 0
         b = int(np.searchsorted(ends, done + batch, "right"))
-        first_k, c = k0[a:b], count[a:b]
+        first_k, c, q = first[a:b], count[a:b], stride[a:b]
         p = np.repeat(primes[a:b], c)
-        idx, power, n = (row[: len(p)] for row in ws.pairs)
-        # idx by one cumsum: step p inside a group, the jump to k0 at its start
-        np.copyto(idx, p)
-        first = ends[a:b] - c - done
-        idx[first[0]] = first_k[0]
-        idx[first[1:]] = first_k[1:] - (first_k[:-1] + (c[:-1] - 1) * primes[a : b - 1])
+        idx, fac = ws.index[: len(p)], ws.factor[: len(p)]
+        # idx by one cumsum: the stride inside a group, the jump to first_k at its start
+        np.power(p, j, out=idx)
+        starts = ends[a:b] - c - done
+        idx[starts[0]] = first_k[0]
+        idx[starts[1:]] = first_k[1:] - (first_k[:-1] + (c[:-1] - 1) * q[:-1])
         np.cumsum(idx, out=idx)
-        np.copyto(power, p)
-        power *= power  # p^(j+1) for the pairs of round j, squared in int64
-        # the ufunc.at operands are in the lane; n's row, read as the lane,
-        # holds a round's factor p - 1 or p + 1 until n is computed
-        fac = ws.pairs[2].view(rem.dtype)
-        k, j = idx, 1
-        while True:
-            if omega is not None:
-                np.add.at(omega, k, np.int16(1))
-            np.floor_divide.at(rem, k, p)
-            if phi is not None:
-                np.multiply.at(phi, k, np.subtract(p, 1, out=fac[: len(k)]) if j == 1 else p)
-            if sigma is not None:
-                if j == 1:
-                    np.multiply.at(sigma, k, np.add(p, 1, out=fac[: len(k)]))
-                else:
-                    # 1 + p + ... + p^(j-1)
-                    s = ((power // p - 1) // (p - 1)).astype(rem.dtype)
-                    np.floor_divide.at(sigma, k, s)
-                    np.multiply.at(sigma, k, s * p + 1)
-            n = np.multiply(k, step, out=ws.pairs[2, : len(k)])
-            n += lo
-            n %= power
-            deeper = np.flatnonzero(np.equal(n, 0, out=ws.zero[: len(k)]))
-            if not len(deeper):
-                break
-            k, p, power = k[deeper], p[deeper], power[deeper]
-            power *= p
-            j += 1
+        if omega is not None:
+            np.add.at(omega, idx, np.int16(1))
+        np.floor_divide.at(rem, idx, p)
+        if phi is not None:
+            np.multiply.at(phi, idx, np.subtract(p, 1, out=fac) if j == 1 else p)
+        if sigma is not None:
+            fac.fill(1)
+            for _ in range(j - 1):  # 1 + p + ... + p^(j-1)
+                fac *= p
+                fac += 1
+            if j > 1:
+                np.floor_divide.at(sigma, idx, fac)
+            fac *= p
+            fac += 1
+            np.multiply.at(sigma, idx, fac)
+        del p  # before the next batch's repeat, so one batch of primes is alive at a time
         a = b
 
 
@@ -567,18 +584,20 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
     size = max(((last - lo) // step + 1 for lo, _, last in windows), default=0)
-    # the large base primes lie above the threshold and below this bound
+    # the base primes above the tiny band lie above `tiny` and below this bound
     bound = math.isqrt(top) if smooth_bound is None else smooth_bound
-    large = min(max(0, bound - LARGE_PRIME_THRESHOLD), prime_count_bound(bound))
+    tiny = max([TINY_PRIME_THRESHOLD, *(p for p, _ in factorize(step).pairs)])
+    inverses = min(max(0, bound - tiny), prime_count_bound(bound))
     wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
     # the lane: every value it holds is below top + 1, or 7 top with sigma (see the module)
     lane = np.uint32 if max(top + 1, 7 * top * want_sigma) < 1 << 32 else np.int64
-    check_allocation(n_workers * (scan_bytes(size, large, lane, **wants) + worker_bytes)
+    check_allocation(n_workers * (scan_bytes(size, inverses, lane, **wants) + worker_bytes)
                      + shared_bytes, f"{what} on {n_workers} workers")
     base = primes_up_to(bound)
-    n_small = int(np.searchsorted(base, max(LARGE_PRIME_THRESHOLD, step), "right"))
-    # no such prime divides step, so every inverse exists
-    table = n_small, np.array([pow(step, -1, p) for p in base[n_small:].tolist()], dtype=np.int64)
+    n_tiny, n_mid = np.searchsorted(base, [tiny, max(LARGE_PRIME_THRESHOLD, step)], "right")
+    # no prime above the tiny band divides step, so every inverse exists
+    table = (int(n_tiny), int(n_mid),
+             np.array([pow(-step, -1, p) for p in base[n_tiny:].tolist()], dtype=np.int64))
 
     def run(consume) -> list:
         results = [[] for _ in range(n_workers)]

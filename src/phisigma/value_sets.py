@@ -20,7 +20,7 @@ values in a scratch array of x/2 + 2 bytes, one byte per even value
 (the odd values are 1 and sigma's few at odd squares n = m^2, with
 their Mersenne multiples), packed into the bitmap at the end, and keeps
 one scan workspace per worker thread for all of its windows
-(sieve.scan_bytes, 4.4 to 4.6 MB at the default window size for x from
+(sieve.scan_bytes, 3.5 to 3.8 MB at the default window size for x from
 10^7 to 10^8, on uint32 lanes; sigma's lane is int64 from x = 6.2e8 on,
 phi's from x = 1.36e9 on).  Each window's values are clipped in place
 and marked by one fancy-index store, so no mask or filtered copy is
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .sieve import deal_windows, primes_up_to
+from .sieve import deal_windows
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ class ValueBitmap:
 
 
 _WHEEL = (3, 5)  # odd primes whose divisibility splits the classes mod 30 and 90
-_ODD_PRIMES = primes_up_to(127)[1:].tolist()  # prod (q - 1) > 1e46 exceeds any x
+# prod (q - 1) > 1e46 exceeds any x; by trial division: a sieve charges the budget
+_ODD_PRIMES = [q for q in range(3, 128, 2) if all(q % d for d in range(3, math.isqrt(q) + 1, 2))]
 
 
 def _class_top(f: str, x: int, r: int) -> int:

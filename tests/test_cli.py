@@ -378,6 +378,71 @@ def test_unbounded_simplex_flags_refused_at_once(monkeypatch, capsys, tmp_path, 
     assert not out.exists() and not started
 
 
+# every subcommand with small, valid values for its required flags, and
+# its integer and real flags, which FLAG_CASES set one at a time
+SUBCOMMANDS = {
+    "values-table": (["--limits=100"], ["--limits"]),
+    "constants": ([], ["--tol"]),
+    "simplex-volume": (["--L=3", "--samples=1000"], ["--L", "--samples", "--xi"]),
+    "normal-primes": (["--x=100", "--S=20", "--sample=5"], ["--x", "--S", "--sample"]),
+    "smooth-count": (["--x=1000", "--y=10"], ["--x", "--y"]),
+    "omega-census": (["--x=1000", "--alpha=1.5"], ["--x", "--alpha"]),
+    "classify": (["--n=1000", "--f=phi", "--x=1e4"], ["--n", "--x", "--epsilon", "--S-override"]),
+    "capture-census": (["--f=phi", "--x=1000"], ["--x", "--epsilon", "--S-override"]),
+    "rl-sum": (["--f=phi", "--x=1000", "--L=3"], ["--x", "--L", "--xi"]),
+}
+EXTREMES = ["1e13", "1e400", "-1", "0", "nan", "inf"]
+FLAG_CASES = [(cmd, flag, value) for cmd, (_, flags) in SUBCOMMANDS.items()
+              for flag in [*flags, "--threads", "--seed"] for value in EXTREMES]
+# the extremes inside a flag's domain, which run to completion
+IN_DOMAIN = {
+    *((cmd, "--threads", v) for cmd in SUBCOMMANDS for v in ("1e13", "1e400")),
+    *((cmd, "--seed", v) for cmd in ("simplex-volume", "normal-primes") for v in ("1e13", "0")),
+    ("constants", "--tol", "1e13"),
+    ("simplex-volume", "--xi", "1e13"),
+    ("rl-sum", "--xi", "1e13"),
+    ("normal-primes", "--S", "1e13"),
+    *(("normal-primes", "--sample", v) for v in ("1e13", "1e400", "0")),
+    *(("smooth-count", "--y", v) for v in ("1e13", "1e400")),
+    ("omega-census", "--alpha", "1e13"),
+    *(("classify", "--n", v) for v in ("1e13", "1e400")),
+    *((cmd, "--S-override", "1e13") for cmd in ("classify", "capture-census")),
+    ("classify", "--x", "1e13"),
+}
+
+
+@pytest.mark.parametrize("cmd, flag, value", FLAG_CASES,
+                         ids=[f"{cmd}{flag}={value}" for cmd, flag, value in FLAG_CASES])
+def test_every_flag_at_its_extremes(monkeypatch, capsys, tmp_path, cmd, flag, value):
+    # an extreme outside the flag's domain is refused at once, with a
+    # message, no traceback and no output file; one inside it runs.
+    # --threads 1e400 runs no more workers than there are CPUs
+    # (workers.worker_count), and a budget of 256 MB bounds what a case
+    # may allocate
+    from phisigma import workers
+
+    monkeypatch.setenv("PHISIGMA_MEMORY_BUDGET", str(256 << 20))
+    runs = []
+    real_run = workers.run_workers
+    monkeypatch.setattr(workers, "run_workers", lambda n, task: (runs.append(n), real_run(n, task)))
+    required, _ = SUBCOMMANDS[cmd]
+    xi = flag == "--xi"  # L = 3 takes two weights
+    argv = [cmd, *(a for a in required if not a.startswith(flag + "=")),
+            f"{flag}={value},{value}" if xi else f"{flag}={value}"]
+    out = tmp_path / "out.txt"
+    t0 = time.monotonic()
+    code, got = _main(capsys, *argv, "--output", str(out))
+    assert time.monotonic() - t0 < 5.0
+    assert "Traceback" not in got.err and got.out == ""
+    assert all(n <= (os.cpu_count() or 1) for n in runs)
+    if (cmd, flag, value) in IN_DOMAIN:
+        assert code == 0 and out.exists(), got.err
+    else:
+        assert code in (1, 2, 64) and got.err.split(":")[0] in (
+            "domain error", "resource error", "usage error")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("y", ["inf", "nan"])
 def test_non_finite_integer_flag_exits_64(capsys, y):
     code, out = _main(capsys, "smooth-count", "--x", "10", "--y", y)

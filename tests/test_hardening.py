@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -159,6 +160,30 @@ def test_memory_budget_unparseable(monkeypatch):
     monkeypatch.setenv(MEMORY_BUDGET_ENV, "-3")
     with pytest.raises(ResourceError):
         memory_budget()
+    # parsed exactly, as an integer flag is: not through a double
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1e23")
+    assert memory_budget() == 10**23
+
+
+@pytest.mark.parametrize("raw", ["100", "nan", "abc", "-5", "inf", "0"])
+def test_cli_bad_memory_budget_exits_2_without_traceback(monkeypatch, capsys, raw):
+    # importing the package charges nothing, so --help works under any
+    # budget; a subcommand refuses a bad one, or a tiny one at its charge
+    from phisigma import cli
+    from phisigma.errors import MEMORY_BUDGET_ENV
+
+    r = subprocess.run(CLI + ["--help"], env={**os.environ, MEMORY_BUDGET_ENV: raw},
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0 and r.stdout.startswith("usage: phisigma") and r.stderr == ""
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, raw)
+    for argv in (["values-table", "--limits", "1e3"], ["constants"]):
+        code = cli.main(argv)
+        got = capsys.readouterr()
+        if raw == "100" and argv == ["constants"]:  # a valid budget, and nothing to charge
+            assert code == 0
+            continue
+        assert code == 2 and got.out == ""
+        assert got.err.startswith("resource error:") and "Traceback" not in got.err
 
 
 def test_iterated_log_domain():

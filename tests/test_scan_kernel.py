@@ -1,7 +1,9 @@
 """segment_scan against the all-strided oracle, and its memory charge.
 
-The base primes above LARGE_PRIME_THRESHOLD go through one vectorized
-pass per window; segment_scan_strided (reference_loops.py) slices every
+segment_scan slices the tiny base primes at every power and the mid
+ones at their first power, and sends the large ones' first powers and
+every higher power above the tiny band through one vectorized pair pass
+per window; segment_scan_strided (reference_loops.py) slices every
 prime on its own.  Both must agree exactly (==) in every mode.
 """
 
@@ -69,12 +71,13 @@ def test_pass_equals_strided_to_1e6(monkeypatch, mode, step):
 
 # the phi scan's wheel steps: starts divisible by 3, by 5, by 15 and by neither
 WHEEL_STARTS = {30: {"3": 3, "5": 5, "15": 15, "coprime": 7},
-                60: {"3": 12, "5": 20, "15": 60, "coprime": 4}}
+                60: {"3": 12, "5": 20, "15": 60, "coprime": 4},
+                90: {"3": 9, "5": 5, "15": 45, "coprime": 7}}
 
 
 @pytest.mark.parametrize("size", [4096, 1 << 18])
 @pytest.mark.parametrize("divisor", ["3", "5", "15", "coprime"])
-@pytest.mark.parametrize("step", [30, 60])
+@pytest.mark.parametrize("step", [30, 60, 90])
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_pass_equals_strided_wheel_steps(monkeypatch, mode, step, divisor, size):
     _windows_equal_oracle(monkeypatch, 10**6, size, step, MODES[mode],
@@ -165,6 +168,60 @@ def test_primes_at_and_above_threshold(mode, step):
             assert_scan_equal(lo, lo + 17 * step, step, MODES[mode])
     lo = 4 * P_AT * P_NEXT
     assert_scan_equal(lo, lo + 1000 * step, step, MODES[mode])
+
+
+def assert_values_at(n, step, want, base=None):
+    """n as element `back` of a window of up to 81 elements of step
+    `step`, equal to the oracle, and phi, sigma and Omega of n by trial
+    division."""
+    back = min(40, (n - 2) // step)
+    lo = n - back * step
+    got = assert_scan_equal(lo, lo + 81 * step, step, want, base)
+    for key, value in (("phi", phi_trial), ("sigma", sigma_trial), ("omega", big_omega_trial)):
+        if key in got:
+            assert got[key][back] == value(n), (n, step, key)
+
+
+# the last tiny prime, the first and last mid ones, the first two large ones
+BAND_EDGES = [sieve.TINY_PRIME_THRESHOLD, 29, P_AT, P_NEXT, P_AFTER]
+
+
+@pytest.mark.parametrize("step", [1, 2, 30, 90])
+@pytest.mark.parametrize("mode", ["phi", "phi+sigma+omega"])
+def test_band_edges_to_the_fourth_power(mode, step):
+    # p^j || n for j up to 4, alone and beside a square or cube of another
+    # band; the narrow lane below (2^32 - 1)/7, the wide one above
+    assert BAND_EDGES[:2] == [23, 29] and BAND_EDGES[2:] == [509, 521, 523]
+    for p in BAND_EDGES:
+        for j in range(1, 5):
+            for n in (p**j, 4 * p**j, 29**2 * p**j, 23**3 * p**j, 7 * 521**2 * p**j):
+                if n <= 10**12:
+                    assert_values_at(n, step, MODES[mode])
+
+
+@pytest.mark.parametrize("step", [1, 2, 30, 90])
+def test_sigma_two_higher_powers_on_one_index(step):
+    # sigma's exact divisions by 1 + ... + p^(j-1) and 1 + ... + q^(i-1)
+    # land on one index, for p and q in one band and in two
+    pairs = [(23, 29), (29, 31), (29, 509), (509, P_NEXT), (29, P_NEXT), (P_NEXT, P_AFTER)]
+    for p, q in pairs:
+        for a in (2, 3, 4):
+            for b in (2, 3):
+                if p**a * q**b <= 10**12:
+                    assert_values_at(p**a * q**b, step, MODES["sigma"])
+
+
+@pytest.mark.parametrize("step", [1, 2, 30, 90])
+def test_higher_powers_near_the_cap_past_2_32(step):
+    # on the wide lane, p^j with p^2 > 2^32, and the squares and the third
+    # and fourth powers of primes that reach 10^12
+    base = primes_up_to(10**6)
+    big = PRIMES[-1]  # the largest prime below 1e6
+    assert big**2 > 2**32
+    half = max(p for p in PRIMES if 2 * p * p <= 10**12)
+    for n in (big**2, 2 * half**2, 9973**3, 997**4, 997**2 * 991**2, 29**2 * 33301**2):
+        assert n <= 10**12
+        assert_values_at(n, step, MODES["phi+sigma+omega"], base)
 
 
 def test_window_ending_at_the_input_cap():
