@@ -12,6 +12,7 @@ import itertools
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from phisigma import (
     ResourceError,
     SimplexSpec,
     sample_simplex,
+    series_coefficient,
     simplex_volume_mc,
     unit_spec,
 )
+from phisigma import structure
 from phisigma.errors import MEMORY_BUDGET_ENV
 from phisigma.structure import (
     MC_BATCH,
@@ -38,6 +41,7 @@ from reference_loops import (
     accept_mask_matmul,
     ordered_batch_sort,
     sample_simplex_loop,
+    simplex_contains_loop,
     simplex_volume_mc_loop,
 )
 
@@ -101,6 +105,94 @@ def test_simplex_mask_equals_matmul_acceptance_rowwise(L, profile):
     X = ordered_batch_sort(SEEDS[L % len(SEEDS)], 0, MC_BATCH, L)
     cols = [np.ascontiguousarray(X[:, j]) for j in range(L)]
     assert np.array_equal(simplex_mask(cols, spec), accept_mask_matmul(X, spec))
+
+
+def _i0_lhs(X: np.ndarray) -> np.ndarray:
+    """(I_0)'s left side of each row, left to right as simplex_mask builds it."""
+    a = [series_coefficient(i) for i in range(1, X.shape[1] + 1)]
+    lhs = a[0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        lhs += a[j] * X[:, j]
+    return lhs
+
+
+def _stage_rows(L: int, n: int, rng) -> np.ndarray:
+    """n rows of which a quarter each are ordered rows in [0, 1), unsorted
+    rows, ordered rows with a NaN (in every column position in turn) and
+    ordered rows with one end pushed above 1 or below 0."""
+    X = -np.sort(-rng.random((n, L)), axis=1)
+    q = n // 4
+    X[q : 2 * q] = rng.random((q, L))
+    X[2 * q + np.arange(q), np.arange(q) % L] = np.nan
+    above = rng.random(n - 3 * q) < 0.5
+    X[3 * q :][above, 0] += 1e-9 + rng.random(above.sum())
+    X[3 * q :][~above, -1] -= 1e-9 + rng.random((~above).sum())
+    return X
+
+
+def _assert_mask_equals_oracles(X: np.ndarray, spec: SimplexSpec) -> np.ndarray:
+    got = simplex_mask([np.ascontiguousarray(c) for c in X.T], spec)
+    want = [simplex_contains_loop(tuple(row.tolist()), spec) for row in X]
+    assert got.dtype == bool and got.tolist() == want
+    # the @ path tests (I_k) only, on ordered finite rows inside [0, 1]
+    ordered = ~np.isnan(X).any(axis=1) & (X[:, 0] <= 1.0) & (X[:, -1] >= 0.0)
+    ordered &= (np.diff(X, axis=1) <= 0.0).all(axis=1)
+    assert np.array_equal(got[ordered], accept_mask_matmul(X[ordered], spec))
+    return got
+
+
+@pytest.mark.parametrize("L", (2, 3, 4, 6, 8, 12))
+def test_simplex_mask_stages_equal_scalar_loop_and_matmul(L):
+    # mixed rows under weights that keep few, some and every row in (I_0)
+    rng = np.random.default_rng(L)
+    X = _stage_rows(L, 4000, rng)
+    lhs = _i0_lhs(X)
+    finite = lhs[~np.isnan(lhs)]
+    for xi0 in (1.0, max(1.0, float(np.quantile(finite, 0.1))),
+                max(1.0, float(np.quantile(finite, 0.6))), 1e3):
+        for rest in (1.0, 1.1, 100.0):
+            _assert_mask_equals_oracles(X, SimplexSpec(L, (xi0,) + (rest,) * (L - 2)))
+
+
+@pytest.mark.parametrize("L", (2, 12))
+def test_simplex_mask_no_row_or_every_row_passes_i0(L):
+    rng = np.random.default_rng(100 + L)
+    X = _stage_rows(L, 2000, rng)
+    # every coordinate 1 puts sum(a) > 1 on the left of (I_0): no row passes
+    ones = np.ones((MC_CHUNK, L))
+    assert not _assert_mask_equals_oracles(ones, unit_spec(L)).any()
+    X[np.isnan(X)] = 1.0
+    assert not _assert_mask_equals_oracles(np.maximum(X, 1.0), unit_spec(L)).any()
+    # at xi_0 = 1e3 every row passes (I_0); the rest decide on their own
+    spec = SimplexSpec(L, (1e3,) + (1.0,) * (L - 2))
+    X = _stage_rows(L, 2000, rng)
+    assert not (_i0_lhs(X) > 1e3).any()
+    got = _assert_mask_equals_oracles(X, spec)
+    assert 0 < got.sum() < len(got)
+
+
+@pytest.mark.parametrize("L", (2, 3, 6, 12))
+def test_simplex_mask_around_a_quarter_passing_i0(L):
+    # the rows (I_0) keeps are taken out while they are fewer than a
+    # quarter, else tested in place: both sides of the switch, one row apart
+    rng = np.random.default_rng(200 + L)
+    n = 4096
+    for kept in (n // 4 - 1, n // 4, n // 4 + 1):
+        K = _stage_rows(L, kept, rng)
+        xi0 = max(1.0, float(np.nanmax(_i0_lhs(K))))
+        # constant rows with (I_0)'s left side at 2 xi_0 fill the rest
+        a_sum = sum(series_coefficient(i) for i in range(1, L + 1))
+        Y = np.concatenate([K, np.full((n - kept, L), 2.0 * xi0 / a_sum)])
+        Y = Y[rng.permutation(n)]
+        spec = SimplexSpec(L, (xi0,) + (1.05,) * (L - 2))
+        assert np.count_nonzero(~(_i0_lhs(Y) > xi0)) == kept
+        assert 0 < _assert_mask_equals_oracles(Y, spec).sum() < kept
+
+
+def test_simplex_mask_zero_length_columns():
+    for L in (2, 6):
+        got = simplex_mask([np.empty(0)] * L, unit_spec(L))
+        assert got.dtype == bool and got.shape == (0,)
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -208,7 +300,6 @@ def test_mc_pinned_l3_1e7(threads):
     assert est.mean == PINNED_1E7[3]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("threads", (1, 2))
 def test_mc_pinned_l6_1e7(threads):
     est = simplex_volume_mc(unit_spec(6), 10**7, 42, threads=threads)
@@ -223,7 +314,9 @@ def test_mc_rejects_thread_count_below_one():
 def test_mc_charges_workers_times_chunk_bytes(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     L = 3
-    one_worker = 8 * MC_CHUNK * (2 * L + 4)
+    # rows, columns, spare column, three kernel temporaries per row and a
+    # quarter row of L + 1 taken words
+    one_worker = MC_CHUNK * (8 * (2 * L + 4) + 2 * (L + 1))
     monkeypatch.setenv(MEMORY_BUDGET_ENV, str(one_worker))
     samples = 2 * MC_BATCH
     assert simplex_volume_mc(unit_spec(L), samples, 1, threads=1) == \
@@ -244,3 +337,64 @@ def test_mc_huge_request_refused_before_any_thread_starts(monkeypatch):
         simplex_volume_mc(unit_spec(3), 10**10, 1, threads=100000)
     assert threading.active_count() == before
 
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _quarter_spec(L: int) -> SimplexSpec:
+    """Weights under which (I_0) keeps just under a quarter of a chunk
+    (L >= 4): the most rows simplex_mask takes out."""
+    [buffers] = _chunk_buffers(L, 1)
+    X = np.column_stack(next(_ordered_chunks(1, 0, MC_CHUNK, buffers)))
+    return SimplexSpec(L, (float(np.quantile(_i0_lhs(X), 0.24)),) + (100.0,) * (L - 2))
+
+
+@pytest.mark.parametrize("L", (2, 3, 6, 12))
+def test_mc_peak_within_charge(monkeypatch, L):
+    # the charge, made first, covers every worker's chunk working set and
+    # for sample_simplex the points; unit weights, xi = 100 (every row
+    # passes (I_0), so the kernel tests whole columns) and, from L = 4,
+    # weights that leave it the most rows to take
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    charges = []
+    real = structure.check_allocation
+    monkeypatch.setattr(structure, "check_allocation",
+                        lambda nbytes, what: (charges.append(nbytes), real(nbytes, what)))
+    simplex_volume_mc(unit_spec(3), 2 * MC_BATCH, 1, threads=2)  # warm-up
+    specs = [unit_spec(L), SimplexSpec(L, (100.0,) * (L - 1))]
+    if L >= 4:
+        specs.append(_quarter_spec(L))
+    for spec in specs:
+        for threads in (1, 2):
+            charges.clear()
+            peak = _traced_peak(lambda: simplex_volume_mc(spec, 2 * MC_BATCH, 1, threads=threads))
+            assert peak <= charges[0], (spec, threads)
+
+        def sample():
+            try:
+                sample_simplex(spec, 3000, 1, max_draws=MC_BATCH)
+            except ResourceError:  # unit L = 12: no point in one batch
+                pass
+
+        charges.clear()
+        peak = _traced_peak(sample)
+        assert len(charges) == 1 and peak <= charges[0], spec
+
+
+def test_sample_simplex_stops_at_the_chunk_that_completes_it(monkeypatch):
+    # 100 points of the L = 6 simplex at xi = 100 are in the first chunk
+    calls = []
+    real = structure.simplex_mask
+    monkeypatch.setattr(structure, "simplex_mask",
+                        lambda cols, spec: (calls.append(len(cols[0])), real(cols, spec))[1])
+    spec = SimplexSpec(6, (100.0,) * 5)
+    got = sample_simplex(spec, 100, 1)
+    assert calls == [MC_CHUNK]
+    assert np.array_equal(got, sample_simplex_loop(spec, 100, 1))
