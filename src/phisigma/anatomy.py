@@ -24,6 +24,7 @@ from .sieve import (
     composite_mask,
     deal_windows,
     factorize,
+    power_of_2_prefixes,
 )
 
 SIEVE_CENSUS_CAP = 10**8
@@ -217,12 +218,12 @@ class SmoothCount:
 def psi_smooth_count(x: int, y: int, *, threads: int = 1) -> SmoothCount:
     """Count the y-smooth integers up to x exactly.
 
-    Each window of DEFAULT_SEGMENT_SIZE integers of [2, x] is divided by
-    all primes <= min(y, sqrt(x)); n is y-smooth exactly when the
-    remainder is <= y.  n = 1 always counts.  The windows are dealt round
-    robin to min(threads, windows, CPUs) workers (deal_windows), each
-    counting its own windows; the counts are integers, so the sum never
-    depends on the thread count.
+    The odd m of [3, x] are scanned in windows of DEFAULT_SEGMENT_SIZE, each
+    divided by all primes <= min(y, sqrt(x)); m is y-smooth exactly when the
+    remainder is <= y, and, as y >= 2, exactly when 2^a m is: each window adds
+    its smooth m <= x >> a for every a (power_of_2_prefixes), the n = 2^a add
+    x.bit_length().  The windows are dealt round robin to min(threads, windows,
+    CPUs) workers (deal_windows), and integer counts sum the same on any.
     """
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
@@ -230,9 +231,14 @@ def psi_smooth_count(x: int, y: int, *, threads: int = 1) -> SmoothCount:
         raise DomainError(f"need y >= 2, got {y}")
     if x > SIEVE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
-    scan = deal_windows([(2, 1, x)], threads, smooth_bound=min(y, math.isqrt(x)),
+    scan = deal_windows([(3, 2, x)], threads, smooth_bound=min(y, math.isqrt(x)),
                         what=f"smooth count to {x}")
-    count = 1 + sum(scan(lambda _lo, _step, got: int(np.count_nonzero(got["rem"] <= y))))
+
+    def smooth(lo, step, got):
+        ok = got["rem"] <= y
+        return sum(int(np.count_nonzero(ok[:k])) for _, k in power_of_2_prefixes(lo, step, len(ok), x))
+
+    count = x.bit_length() + sum(scan(smooth))
     u = math.log(x) / math.log(y)
     cep = float(x) if u == 0.0 else x * u**-u
     return SmoothCount(x=x, y=y, psi_exact=count, u=u, cep_estimate=cep)
@@ -241,10 +247,10 @@ def psi_smooth_count(x: int, y: int, *, threads: int = 1) -> SmoothCount:
 def omega_tail_census(x: int, alpha: float, *, threads: int = 1) -> tuple[int, float]:
     """Count n <= x with Omega(n) >= alpha*loglog x; report the bound shape.
 
-    [2, x] is scanned in windows of DEFAULT_SEGMENT_SIZE integers, dealt
-    round robin to min(threads, windows, CPUs) workers (deal_windows),
-    each counting its own windows; the counts are integers, so the sum
-    never depends on the thread count.
+    The odd m of [3, x] are scanned as in psi_smooth_count.  With
+    T = ceil(alpha*loglog x) >= 2 and Omega(2^a m) = a + Omega(m), each
+    window adds its m <= x >> a with Omega(m) >= T - a for every a (all of
+    them once a >= T), and m = 1 the a >= T with 2^a <= x.
 
     The comparator is x (log x)^(-Q(alpha)) for alpha < 2 and
     x (log x)^(1 - alpha log 2) loglog x for alpha >= 2 (constant
@@ -256,9 +262,11 @@ def omega_tail_census(x: int, alpha: float, *, threads: int = 1) -> tuple[int, f
         raise DomainError(f"need x >= e^e, got {x}")
     if x > SIEVE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
-    threshold = alpha * _loglog(x)
-    scan = deal_windows([(2, 1, x)], threads, want_omega=True, what=f"Omega census to {x}")
-    observed = sum(scan(lambda _lo, _step, got: int(np.count_nonzero(got["omega"] >= threshold))))
+    T = math.ceil(alpha * _loglog(x))
+    scan = deal_windows([(3, 2, x)], threads, want_omega=True, what=f"Omega census to {x}")
+    observed = max(0, x.bit_length() - T) + sum(scan(lambda lo, step, got: sum(
+        k if a >= T else int(np.count_nonzero(got["omega"][:k] >= T - a))
+        for a, k in power_of_2_prefixes(lo, step, len(got["omega"]), x))))
     if alpha < 2.0:
         shape = x * math.log(x) ** -q_function(alpha)
     else:

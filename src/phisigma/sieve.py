@@ -537,6 +537,15 @@ def cut_windows(progressions) -> list[tuple[int, int, int]]:
             for lo in range(start, top + 1, step * size)]
 
 
+def power_of_2_prefixes(lo: int, step: int, size: int, x: int):
+    """(a, k_a) for a = 0, 1, ... while k_a > 0: the m <= x >> a, 2^a m <= x, of the
+    window lo, lo+step, ... of `size` elements are its first k_a elements."""
+    a = 0
+    while x >> a >= lo:
+        yield a, min(size, ((x >> a) - lo) // step + 1)
+        a += 1
+
+
 def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_bytes: int = 0,
                  what: str, want_phi: bool = False, want_sigma: bool = False,
                  want_omega: bool = False, smooth_bound: int | None = None):

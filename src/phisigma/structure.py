@@ -35,6 +35,7 @@ from .sieve import (
     build_factor_sieve,
     deal_windows,
     factorize,
+    power_of_2_prefixes,
     primes_up_to,
 )
 
@@ -443,39 +444,48 @@ def check_comparison_lemma(spec: SimplexSpec, trials: int, seed: int) -> bool:
     return True
 
 
-def _member_reciprocals(lo, omega, fn, spec, start, tab, scaled) -> list[np.ndarray]:
-    """1/f(n) for the members among the n = lo, lo + 1, ... of one
-    r_l_sum window, given Omega(n) and f(n) as the window's arrays.
+def _member_reciprocals(lo, x, omega, fn, spec, start, tab, scaled, f2) -> list[np.ndarray]:
+    """1/f(n) for the members n = 2^a m <= x, m = lo, lo + 2, ... the odd
+    m of one r_l_sum window, given Omega(m), f(m) and f2[a] = f(2^a).
 
-    The window is walked in slices of RL_SLICE integers, and each slice's
-    members come back as one array.  A slice's survivors Omega(n) <= L
+    The window is walked in slices of RL_SLICE odd m, and each slice's
+    terms come back as one array.  A slice's survivors Omega(m) <= L
     have their prime factors peeled off, smallest first, in L rounds
     through tab, and each factor's scaled entry lands in the survivor's
-    column of X; simplex_mask selects the members.  All of it is sized
-    by the slice, not the window: what a worker holds beside its
-    workspace and the kept terms is at most RL_SLICE * (8 (L + start) +
-    2 L + RL_SLICE_BYTES) bytes, whatever the window size: X, at most a
-    quarter of its columns taken by simplex_mask, and the rest.
+    column of X; simplex_mask selects the members.  The factors 2 of
+    2^a m, its smallest, map to 0.0, an unfilled row's value, so its
+    column is m's, bit for bit, and each member m adds 1.0 / (f2[a] f(m)),
+    with f(2^a m) exact in int64, for the a <= L - Omega(m) with
+    m <= x >> a (power_of_2_prefixes).
+    All of it is sized by the slice: beside its workspace and the kept
+    terms a worker holds at most RL_SLICE * (8 (L + start) + 2 L +
+    RL_SLICE_BYTES) bytes: X, at most a quarter of its columns taken by
+    simplex_mask, and the rest; the lift's temporaries take X's place.
     """
     L = spec.L
+    lifts = [(a, k) for a, k in power_of_2_prefixes(lo, 2, len(omega), x) if a < L]
     out = []
-    for a in range(0, len(omega), RL_SLICE):
-        idx = np.flatnonzero(omega[a : a + RL_SLICE] <= L)
-        idx += a
+    for b in range(0, len(omega), RL_SLICE):
+        idx = np.flatnonzero(omega[b : b + RL_SLICE] <= L)
+        idx += b
         om = omega[idx]
-        m = idx + lo
+        m = 2 * idx + lo
         # row i holds x_i, from the i-th largest prime factor p_i; rows past
-        # Omega(n) stay 0, and Omega(n) <= L fills rows 0..L-1 only
+        # Omega(m) stay 0, and Omega(m) <= L fills rows 0..L-1 only
         X = np.zeros((L + start, len(m)))
         for r in range(L):
             live = np.flatnonzero(om > r)
             q = m[live]
-            t = tab[q - 2]
+            t = tab[(q >> 1) - 1]  # every cofactor of an odd m is odd
             p = np.where(t > 0, t, q)
             m[live] = q // p
             # the r-th smallest of Omega factors is p_(Omega-1-r)
-            X[om[live] - 1 - r, live] = scaled[-tab[p - 2]]
-        out.append(1.0 / fn[idx[simplex_mask(X[start:], spec)]])
+            X[om[live] - 1 - r, live] = scaled[-tab[(p >> 1) - 1]]
+        members = idx[simplex_mask(X[start:], spec)]
+        del X
+        om, fm = omega[members], fn[members].astype(np.int64)
+        out.append(np.concatenate([1.0 / (fm[(members < k) & (om <= L - a)] * f2[a])
+                                   for a, k in lifts]))  # Omega(2^a m) <= L, 2^a m <= x
     return out
 
 
@@ -490,28 +500,29 @@ def r_l_sum(
     """Sum of 1/f(n) over n <= x with Omega(n) <= L and renormalized
     vector (starting at the given offset) inside S_L(xi).
 
-    The scan is exhaustive over [1, x], in windows of DEFAULT_SEGMENT_SIZE
-    integers, dealt round robin to min(threads, windows, CPUs) workers
+    The odd m of [3, x] are scanned in windows of DEFAULT_SEGMENT_SIZE,
+    dealt round robin to min(threads, windows, CPUs) workers
     (deal_windows).  Each window is one segment_scan for Omega and f;
-    _member_reciprocals walks it in slices of RL_SLICE integers, peels
-    the prime factors of the integers with Omega(n) <= L, smallest
-    first, in L rounds through a smallest-prime-factor table over
-    [2, x] that also holds the index of each prime, and maps each factor
-    to loglog(p)/loglog(x) through a table over the primes <= x,
-    computed once with math.log (p = 2 and a missing factor give 0).
-    simplex_mask selects the members and each worker keeps their 1/f(n)
-    as float64 arrays; no Python float is made per integer.  math.fsum
-    is correctly rounded, so the result does not depend on the window
-    size, the slice size, the thread count or the order of the terms.
+    _member_reciprocals walks it in slices of RL_SLICE, peels the prime
+    factors of the m with Omega(m) <= L, smallest first, in L rounds
+    through a smallest-prime-factor table over the odd n of [3, x] that
+    also holds the index of each prime, and maps each factor to
+    loglog(p)/loglog(x) through a table over the primes <= x, computed
+    once with math.log (p = 2 and a missing factor give 0).
+    simplex_mask selects the members m, and each worker keeps the 1/f(n)
+    of their 2^a m <= x with Omega <= L, which share m's vector, as
+    float64 arrays, bit for bit the floats 1.0 / f(n); no Python float is
+    made per integer.  math.fsum is correctly rounded, so the result does
+    not depend on the window or slice size, thread count or term order.
 
     One charge, made before anything is allocated, covers the whole
-    sum: the factor table (4 bytes per n), at most one kept term per n
-    (8 bytes, and an array header per slice), the tables over the primes
-    and their temporaries (32 bytes per prime, pi(x) bounded by
+    sum: the factor table (4 bytes per odd n), at most one kept term per
+    n (8 bytes, and an array header per slice), the tables over the
+    primes and their temporaries (32 bytes per prime, pi(x) bounded by
     sieve.prime_count_bound), and per worker its scan workspace and one
     slice (_member_reciprocals: 1.8 MB at L = 3 from_p0, 2.4 MB at
-    L = 6 from_p1).  The transients of the prime and factor sieves fit
-    in the terms' share, which is not yet taken while they live.
+    L = 6 from_p1).  The transients of the prime and factor sieves (this
+    one over [3, x]) fit in the terms' share, not yet taken while they live.
     """
     if f not in ("phi", "sigma"):
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
@@ -526,11 +537,11 @@ def r_l_sum(
 
     start = 0 if offset == "from_p0" else 1
     pi_bound = sieve.prime_count_bound(x)
-    slices = x // RL_SLICE + x // sieve.DEFAULT_SEGMENT_SIZE + 2
-    scan = deal_windows([(2, 1, x)], threads, want_omega=True, want_phi=f == "phi",
+    slices = x // 2 // RL_SLICE + x // 2 // sieve.DEFAULT_SEGMENT_SIZE + 2  # of the odd n
+    scan = deal_windows([(3, 2, x)], threads, want_omega=True, want_phi=f == "phi",
                         want_sigma=f == "sigma",
                         worker_bytes=RL_SLICE * (10 * spec.L + 8 * start + RL_SLICE_BYTES),
-                        shared_bytes=12 * x + ARRAY_BYTES * slices + 32 * pi_bound,
+                        shared_bytes=10 * x + ARRAY_BYTES * slices + 32 * pi_bound,
                         what=f"R_L sum to {x}")
     llx = math.log(math.log(x))
     primes = primes_up_to(x)
@@ -540,12 +551,14 @@ def r_l_sum(
     scaled[1:] = np.fromiter(map(math.log, map(math.log, primes[1:].astype(np.float64))),
                              dtype=np.float64, count=len(primes) - 1)
     scaled[1:] /= llx
-    # tab[n - 2] is the smallest prime factor of a composite n and minus
-    # the index in primes of a prime n (spf values fit int32)
-    tab = build_factor_sieve(2, x + 1).spf.view(np.int32)
-    tab[primes - 2] = -np.arange(len(primes), dtype=np.int32)
+    # tab[i], for the odd n = 2i + 3, is the smallest prime factor of a composite
+    # n and minus the index in primes of a prime n (spf values fit int32)
+    tab = build_factor_sieve(3, x + 1).spf[::2].view(np.int32).copy()
+    tab[(primes[1:] >> 1) - 1] = -np.arange(1, len(primes), dtype=np.int32)
+    fn_of = sieve.phi_of if f == "phi" else sieve.sigma_of
+    f2 = [fn_of(factorize(1 << a)) for a in range(min(spec.L, x.bit_length() - 1) + 1)]
 
-    terms = scan(lambda lo, _, got: _member_reciprocals(lo, got["omega"], got[f], spec, start,
-                                                         tab, scaled))
-    # n = 1: zero vector, always a member
-    return math.fsum(itertools.chain([1.0], *itertools.chain.from_iterable(terms)))
+    terms = scan(lambda lo, _, got: _member_reciprocals(lo, x, got["omega"], got[f], spec,
+                                                         start, tab, scaled, f2))
+    # n = 2^a, a <= L, 1 included: the zero vector, always a member, f2 their f
+    return math.fsum(itertools.chain([1.0 / v for v in f2], *itertools.chain.from_iterable(terms)))

@@ -189,12 +189,18 @@ def test_psi_all_pairs_small_rectangle():
             assert psi_smooth_count(x, y).psi_exact == counts[x - 1], (x, y)
 
 
-def test_psi_full_y_sweep_at_1e4():
-    N = 10**4
-    lpf = np.zeros(N + 1, dtype=np.int64)
+@pytest.fixture(scope="module")
+def lpf_to_1e4():
+    """The largest prime factor of each n <= 10^4 (1 at n = 1)."""
+    lpf = np.zeros(10**4 + 1, dtype=np.int64)
     lpf[1] = 1
-    for p in primes_up_to(N):
+    for p in primes_up_to(10**4):
         lpf[p::p] = p
+    return lpf
+
+
+def test_psi_full_y_sweep_at_1e4(lpf_to_1e4):
+    lpf = lpf_to_1e4
     xs = [1, 2, 3, 5, 10, 31, 100, 316, 1000, 3162, 9999, 10**4]
     sorted_prefix = {x: np.sort(lpf[1 : x + 1]) for x in xs}
     for y in range(2, 101):
@@ -230,6 +236,14 @@ def test_omega_tail_census_near_one():
     assert observed / shape > 0  # ratio recorded, constant unknown
 
 
+# pinned from a scan of every n of [2, x], before the lift by powers of 2
+@pytest.mark.parametrize("threads", [1, 2])
+def test_censuses_pinned_1e8(threads):
+    assert omega_tail_census(10**8, 1.5, threads=threads)[0] == 32_124_659
+    assert psi_smooth_count(10**8, 100, threads=threads).psi_exact == 924_573
+    assert psi_smooth_count(10**8, 10**4, threads=threads).psi_exact == 33_268_090
+
+
 def test_omega_tail_census_domain():
     with pytest.raises(DomainError):
         omega_tail_census(10**4, 1.0)
@@ -239,7 +253,7 @@ def test_omega_tail_census_domain():
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_censuses_same_for_every_thread_count(monkeypatch, threads):
-    # 2^10-integer windows make 98 at 1e5, so every thread is a worker
+    # 2^10-integer windows make 49 of the odd n to 1e5, so every thread is a worker
     import os
 
     from phisigma import sieve, workers
@@ -256,6 +270,53 @@ def test_censuses_same_for_every_thread_count(monkeypatch, threads):
     monkeypatch.setattr(workers, "run_workers", lambda n, task: (ran.append(n), real(n, task)))
     assert censuses() == want
     assert ran == [threads] * 5
+
+
+# x around every power of 2 up to 2^16, where x >> a crosses from one
+# odd m to the next; with 16-integer windows x >> a also falls inside a
+# window and on both its edges
+_EDGES = sorted({2**k + d for k in range(4, 17) for d in (-1, 0, 1)})
+
+
+@pytest.fixture(scope="module")
+def omega_to_edges():
+    return np.array([0, 0] + [big_omega_trial(n) for n in range(2, _EDGES[-1] + 1)])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_omega_census_lift_matches_trial_division(monkeypatch, omega_to_edges, threads):
+    # every x in 16..1100 and around each 2^k, each on one of the three
+    # thread counts, against Omega by trial division
+    import os
+
+    from phisigma import sieve
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 16)
+    xs = [x for x in sorted({*range(16, 1101), *_EDGES}) if x >= 16 and x % 3 == threads - 1]
+    for alpha in (1.05, 1.5, 2.0, 2.9):
+        for x in xs:
+            threshold = alpha * math.log(math.log(x))
+            want = int(np.count_nonzero(omega_to_edges[2 : x + 1] >= threshold))
+            assert omega_tail_census(x, alpha, threads=threads)[0] == want, (x, alpha)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_psi_lift_matches_prefix_oracle(monkeypatch, lpf_to_1e4, threads):
+    # y = 2 counts the powers of 2 alone, y = x every n
+    import os
+
+    from phisigma import sieve
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 16)
+    xs = sorted({1, 2, 3, *range(1, 301, 7), 5, 10, 31, 100, 316, 1000, 3162, 9999, 10**4,
+                 *(x for x in _EDGES if x <= 10**4)})
+    for x in xs:
+        lpf_x = np.sort(lpf_to_1e4[1 : x + 1])
+        for y in sorted({2, 3, 5, 7, 100, max(x, 2)}):
+            want = int(np.searchsorted(lpf_x, y, side="right"))
+            assert psi_smooth_count(x, y, threads=threads).psi_exact == want, (x, y)
 
 
 def test_poisson_tail_examples():

@@ -478,7 +478,7 @@ CENSUSES = {
     "rl-sum": lambda threads: structure.r_l_sum("phi", structure.unit_spec(3), 10**6,
                                                 threads=threads),
     "rl-sum-wide": lambda threads: structure.r_l_sum(
-        "sigma", structure.SimplexSpec(L=6, xi=(100.0,) * 5), 3 * 10**5, "from_p1",
+        "sigma", structure.SimplexSpec(L=6, xi=(100.0,) * 5), 6 * 10**5, "from_p1",
         threads=threads),
 }
 
@@ -488,7 +488,7 @@ CENSUSES = {
 def test_census_threads_peak_within_charge(monkeypatch, charges, census, threads):
     # the census's one charge, made first, covers every worker's workspace
     # and, for r_l_sum, every slice, table and kept term (94% of the n are
-    # members at L = 6, xi = 100); 1e6 is 4 windows, 3e5 two
+    # members at L = 6, xi = 100); the odd n of 1e6 are 2 windows, of 6e5 two
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     peak = traced_peak(lambda: CENSUSES[census](threads))
     assert peak <= charges[0]

@@ -429,7 +429,7 @@ def test_r_l_sum_bits_independent_of_window(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_r_l_sum_bits_independent_of_thread_count(monkeypatch, threads):
-    # 2^10-integer windows make 98 at 1e5, so every thread is a worker
+    # 2^10-integer windows make 49 of the odd n to 1e5, so every thread is a worker
     import os
 
     from phisigma import sieve, workers
@@ -448,6 +448,39 @@ def test_r_l_sum_bits_independent_of_thread_count(monkeypatch, threads):
 
 def test_r_l_sum_pinned_1e6():
     assert r_l_sum("phi", unit_spec(3), 10**6) == 16.489674913713863
+
+
+# pinned from a scan of every n of [2, x], before the lift by powers of 2
+_RL_PINS_1E7 = {
+    "phi": (("phi", unit_spec(3), 10**7), 18.039930778547273),
+    "sigma": (("sigma", unit_spec(6), 10**7, "from_p1"), 11.052602739273558),
+}
+
+
+@pytest.mark.parametrize("pin, threads", [
+    ("phi", 1), ("phi", 2), ("sigma", 2), pytest.param("sigma", 1, marks=pytest.mark.slow)])
+def test_r_l_sum_pinned_1e7(pin, threads):
+    args, want = _RL_PINS_1E7[pin]
+    assert r_l_sum(*args, threads=threads) == want
+
+
+@pytest.mark.parametrize("f", ["phi", "sigma"])
+@pytest.mark.parametrize("offset", ["from_p0", "from_p1"])
+def test_r_l_sum_lift_cut_by_omega(monkeypatch, f, offset):
+    # at L = 2 and weight 100 every n with Omega(n) <= 2 is a member: an odd
+    # prime p lifts to 2p only, 4p, 8p, ... and every 2^a m with Omega(m) = 2
+    # and a >= 1 are cut, and 1, 2, 4 are the powers of 2 that count; at
+    # x = 2^14 - 1, 2^14 and 2^14 + 1, 97-integer windows put x >> a inside
+    # windows and on their edges, and at x = 2 * 8209 - 1 the first odd m
+    # past x >> 1 is the prime 8209, whose 2m is one past x
+    from phisigma import sieve
+
+    spec = SimplexSpec(L=2, xi=(100.0,))
+    for x in (2**14 - 1, 2**14, 2**14 + 1, 2 * 8209 - 1):
+        want = r_l_sum_loop(f, spec, x, offset)
+        for size in (97, 1 << 18):
+            monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
+            assert r_l_sum(f, spec, x, offset) == want, (x, size)
 
 
 def test_r_l_bound_shape_census():
