@@ -9,14 +9,13 @@ FactorSieve's spf table while the cofactor lies in the window, and
 finds it by trial division otherwise, or when no sieve is given.
 
 The bulk scan (segment_scan) covers an arithmetic progression
-lo, lo+step, ... < hi, its base primes in three bands.  A tiny prime,
+lo, lo+step, ... < hi, its base primes in two bands.  A tiny prime,
 p <= TINY_PRIME_THRESHOLD or p <= the largest prime factor of step, is
-sliced at every power p^j, and a mid one, up to
-max(LARGE_PRIME_THRESHOLD, step), at its first power only: each slice
-touches only integers it changes.  The other prime powers share one
-pair pass per window (_large_prime_pass).  No prime above the tiny band
-divides step: one inverse table gives its first hit, and that of
-p^(j+1) is lifted from that of p^j (Hensel).
+sliced at every power p^j.  No other prime divides step: one inverse
+table gives its first hit, and that of p^(j+1) is lifted from that of
+p^j (Hensel), in one loop over j (_slice_or_pair): a power that hits
+the window at least SLICE_HITS times is sliced, the rarer ones share
+one pair pass (_apply_pairs).
 deal_windows is the one window loop and segment_scan's one caller: it
 cuts a list of progressions into windows of DEFAULT_SEGMENT_SIZE
 elements (cut_windows), charges them once, sieves the base primes and
@@ -64,7 +63,7 @@ DEFAULT_SEGMENT_SIZE = 1 << 18
 
 TINY_PRIME_THRESHOLD = 23  # base primes up to it, and up to step's largest factor, slice every power
 
-LARGE_PRIME_THRESHOLD = 512  # base primes above it, and above step, go through _large_prime_pass
+SLICE_HITS = 512  # a lifted power p^j <= size // SLICE_HITS is sliced, a larger one paired
 
 SPF_PRIME_SENTINEL = 0  # spf entry meaning "no base prime divides; n is prime"
 
@@ -281,9 +280,10 @@ def _pair_batch(size: int) -> int:
     """Most (index, p) pairs expanded at once in a window of `size`.
 
     A prime p > 4 hits the window at most ceil(size/p) <= size//4 + 1
-    times at any power, so every batch holds at least one prime.  The
-    large primes make 0.2 to 0.5 pairs per element at x = 1e7..1e8, one
-    or two batches, the higher powers under 0.01.
+    times at any power, so every batch holds at least one prime.  In a
+    full window the paired first powers make 0.2 to 0.5 pairs per
+    element at x = 1e7..1e8, one or two batches, the higher powers under
+    0.01.
     """
     return size // 4 + 1
 
@@ -293,17 +293,17 @@ class _Workspace:
     elements of one step: the remainder, the wanted phi and sigma, all
     in the deal's `lane` dtype, and omega (each updated in place, with
     no buffer beside it), the fold's rem > 1 mask and the index and
-    factor rows of one batch of _large_prime_pass's pairs, beside the
-    step's table (n_tiny, n_mid, inv), which it only reads: the index
-    of the first base prime above the tiny and above the mid band, and
-    (-step)^-1 mod p for every base prime from n_tiny on.
+    factor rows of one batch of _apply_pairs's pairs, beside the step's
+    table (n_tiny, inv), which it only reads: the index of the first
+    base prime above the tiny band, and (-step)^-1 mod p for every base
+    prime from n_tiny on.
 
     deal_windows builds one per worker, after charging its scan_bytes,
     so its windows allocate no array per element and fault no fresh
     pages.
     """
 
-    def __init__(self, size: int, table: tuple[int, int, np.ndarray], lane, *,
+    def __init__(self, size: int, table: tuple[int, np.ndarray], lane, *,
                  want_phi: bool, want_sigma: bool, want_omega: bool):
         self.table = table
         self.rem = np.empty(size, dtype=lane)
@@ -311,7 +311,7 @@ class _Workspace:
         self.sigma = np.empty(size, dtype=lane) if want_sigma else None
         self.omega = np.empty(size, dtype=np.int16) if want_omega else None
         self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
-        batch = _pair_batch(size) if len(table[2]) else 0
+        batch = _pair_batch(size) if len(table[1]) else 0
         self.index = np.empty(batch, dtype=np.int64)
         self.factor = np.empty(batch, dtype=lane)
 
@@ -337,14 +337,12 @@ def segment_scan(
     divided remainder matters, e.g. smoothness tests with smooth_bound
     set).
 
-    The base primes fall into the module's three bands.  A tiny prime
-    is sliced at every power p^j up to the last element, on the strided
-    slice of indices k with p^j | lo + k*step (_multiples).  A mid prime
-    is sliced at its first power only, from its first hit
-    k = (lo mod p) * inv mod p, inv = (-step)^-1 mod p, one int64
-    expression for every prime above the tiny band (products < p^2).
-    The other prime powers above the tiny band share one pair pass
-    (_large_prime_pass), which Hensel-lifts the first hits.
+    The base primes fall into the module's two bands.  A tiny prime is
+    sliced at every power p^j up to the last element, on the strided
+    slice of indices k with p^j | lo + k*step (_multiples).  The powers
+    of the other primes are found and divided out by _slice_or_pair,
+    each on a slice when it hits the window at least SLICE_HITS times,
+    in one pair pass per exponent otherwise.
 
     The slice for p^j divides the remainder by p and adds 1 to Omega.
     phi and sigma are built in place as products over the prime powers
@@ -372,7 +370,7 @@ def segment_scan(
     size = (hi - lo + step - 1) // step
     last = lo + (size - 1) * step
     top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    n_tiny, n_mid, inv = workspace.table
+    n_tiny, inv = workspace.table
     n_top = int(np.searchsorted(base_primes, top, "right"))
 
     rem, phi, sigma, omega = (None if a is None else a[:size] for a in
@@ -391,8 +389,8 @@ def segment_scan(
 
     def divide(sl, p, q, s):
         """Divide p out of the slice of p^j = q, with s = 1 + ... + p^(j-1)."""
-        r = rem[sl]  # a shift takes a third of a division's time
-        np.right_shift(r, 1, out=r) if p == 2 else np.floor_divide(r, p, out=r)
+        r = rem[sl]
+        r //= p
         if want_omega:
             o = omega[sl]
             o += 1
@@ -416,14 +414,8 @@ def segment_scan(
             q *= p
 
     if n_top > n_tiny:
-        primes, inv = base_primes[n_tiny:n_top], inv[: n_top - n_tiny]
-        first = lo % primes * inv % primes
-        n_sliced = min(n_mid, n_top) - n_tiny
-        for p, k in zip(primes[:n_sliced].tolist(), first[:n_sliced].tolist()):
-            if k < size:
-                divide(slice(k, size, p), p, p, 1)
-        _large_prime_pass(lo, step, primes, first, inv, n_sliced, rem, phi, sigma, omega,
-                          workspace)
+        _slice_or_pair(lo, step, base_primes[n_tiny:n_top], inv[: n_top - n_tiny], divide,
+                       rem, phi, sigma, omega, workspace)
 
     # branch-free: rem + big and rem - big are p + 1 and p - 1 where a
     # prime p is left and 1 where rem = 1, sigma's and phi's factors with
@@ -445,36 +437,42 @@ def segment_scan(
     return {key: arr for key, arr in out.items() if arr is not None}
 
 
-def _large_prime_pass(lo, step, primes, first, inv, n_sliced, rem, phi, sigma, omega,
-                      ws) -> None:
-    """Divide the first power of primes[n_sliced:], the large band, and
-    every higher power of all the primes out of the window lo, lo+step,
-    ... that rem covers, updating phi, sigma and omega (those not None).
-    first[i] is the least k with primes[i] | lo + k*step, and inv[i]
-    (-step)^-1 mod primes[i].
+def _slice_or_pair(lo, step, primes, inv, divide, rem, phi, sigma, omega, ws) -> None:
+    """Divide every power of the primes, ascending and prime to step,
+    out of the window lo, lo+step, ... that rem covers, updating phi,
+    sigma and omega (those not None).  inv[i] is (-step)^-1 mod
+    primes[i].
 
-    Such a prime power q hits a window of `size` elements only size/q
-    times, too few to pay for its own numpy calls, so all of them share
-    one vectorized pass per window, as in the bucket sieve of T. Oliveira
-    e Silva, S. Herzog and S. Pardi (Math. Comp. 83 (2014) 2033-2060):
-    one round (_apply_pairs) per exponent j, over k_j, k_j + p^j, ...
-    < size.  Hensel: k_(j+1) = k_j + p^j t, t = c * inv mod p for
-    c = (lo + k_j*step)/p^j, as c + t*step = 0 mod p.  A prime leaves
-    once k_j >= size (k_j only grows) or p^(j+1) > last, the last
-    element.  In int64, lo + k_j*step <= last,
-    (c mod p) * inv < p^2 <= 10**12 and t p^j < p^(j+1) <= last.
+    One round per exponent j, over the indices k_j, k_j + p^j, ... <
+    size with p^j | lo + k*step.  The first hit is k_1 = (lo mod p) *
+    inv mod p, and Hensel gives k_(j+1) = k_j + p^j t, t = c * inv mod p
+    for c = (lo + k_j*step)/p^j, as c + t*step = 0 mod p.  A prime
+    leaves once k_j >= size (k_j only grows) or p^(j+1) > last, the last
+    element.  In int64, lo + k_j*step <= last, (c mod p) * inv < p^2 <=
+    10**12 and t p^j < p^(j+1) <= last.
+
+    A power q = p^j <= size // SLICE_HITS, a prefix of the round's
+    powers, hits the window at least SLICE_HITS times and is sliced by
+    segment_scan's divide.  The rarer ones hit it too seldom to pay for
+    numpy calls of their own, so they share one vectorized pass
+    (_apply_pairs), as in the bucket sieve of T. Oliveira e Silva,
+    S. Herzog and S. Pardi (Math. Comp. 83 (2014) 2033-2060).
     """
     size = len(rem)
     last = lo + (size - 1) * step
-    hit = first < size  # a prime that misses the window misses it at every power
-    p, k, inv = primes[hit], first[hit], inv[hit]
-    q, j, mid = p, 1, int(np.count_nonzero(hit[:n_sliced]))  # q = p^j; mid: sliced at j = 1
+    k = lo % primes * inv % primes
+    hit = k < size  # a prime that misses the window misses it at every power
+    p, k, inv = primes[hit], k[hit], inv[hit]
+    q, j = p, 1  # q = p^j
     while len(p):
-        _apply_pairs(j, k[mid:], q[mid:], p[mid:], rem, phi, sigma, omega, ws)
+        cut = int(np.searchsorted(q, size // SLICE_HITS, "right"))  # the sliced prefix
+        for pi, qi, ki in zip(p[:cut].tolist(), q[:cut].tolist(), k[:cut].tolist()):
+            divide(slice(ki, size, qi), pi, qi, (qi - 1) // (pi - 1))
+        _apply_pairs(j, k[cut:], q[cut:], p[cut:], rem, phi, sigma, omega, ws)
         n = int(np.count_nonzero(q <= last // p))  # p^(j+1) <= last: a prefix of the primes
         p, k, q, inv = p[:n], k[:n], q[:n], inv[:n]
         k += (lo + k * step) // q % p * inv % p * q
-        q, j, mid = q * p, j + 1, 0
+        q, j = q * p, j + 1
         hit = k < size
         p, k, q, inv = p[hit], k[hit], q[hit], inv[hit]
 
@@ -593,7 +591,7 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
     size = max(((last - lo) // step + 1 for lo, _, last in windows), default=0)
-    # the base primes above the tiny band lie above `tiny` and below this bound
+    # each base prime above the tiny band, p <= max(23, step's primes), and <= this has an inverse
     bound = math.isqrt(top) if smooth_bound is None else smooth_bound
     tiny = max([TINY_PRIME_THRESHOLD, *(p for p, _ in factorize(step).pairs)])
     inverses = min(max(0, bound - tiny), prime_count_bound(bound))
@@ -603,10 +601,9 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     check_allocation(n_workers * (scan_bytes(size, inverses, lane, **wants) + worker_bytes)
                      + shared_bytes, f"{what} on {n_workers} workers")
     base = primes_up_to(bound)
-    n_tiny, n_mid = np.searchsorted(base, [tiny, max(LARGE_PRIME_THRESHOLD, step)], "right")
+    n_tiny = int(np.searchsorted(base, tiny, "right"))
     # no prime above the tiny band divides step, so every inverse exists
-    table = (int(n_tiny), int(n_mid),
-             np.array([pow(-step, -1, p) for p in base[n_tiny:].tolist()], dtype=np.int64))
+    table = (n_tiny, np.array([pow(-step, -1, p) for p in base[n_tiny:].tolist()], dtype=np.int64))
 
     def run(consume) -> list:
         results = [[] for _ in range(n_workers)]

@@ -4,12 +4,12 @@ These are the scalar implementations that r_l_sum and simplex_contains
 had before they became array pipelines, the whole-batch Monte Carlo path
 (u.sort and an @-based acceptance test) that simplex_volume_mc and
 sample_simplex had before they were chunked, and the all-strided
-segment_scan that the large-prime pass replaced for the primes above
-LARGE_PRIME_THRESHOLD.  capture_census_loop classifies every preimage
-with classify; it is the oracle for capture_census, which counts the
-value bitmap instead because no n passes condition (7).  They are kept
-here, unchanged in arithmetic, as oracles: the pipelines must agree with
-them exactly (==), not approximately.
+segment_scan that the pair pass replaced for the prime powers that hit
+a window fewer than SLICE_HITS times.  capture_census_loop classifies
+every preimage with classify; it is the oracle for capture_census, which
+counts the value bitmap instead because no n passes condition (7).  They
+are kept here, unchanged in arithmetic, as oracles: the pipelines must
+agree with them exactly (==), not approximately.
 """
 
 import math

@@ -1,10 +1,10 @@
 """segment_scan against the all-strided oracle, and its memory charge.
 
-segment_scan slices the tiny base primes at every power and the mid
-ones at their first power, and sends the large ones' first powers and
-every higher power above the tiny band through one vectorized pair pass
-per window; segment_scan_strided (reference_loops.py) slices every
-prime on its own.  Both must agree exactly (==) in every mode.
+segment_scan slices the tiny base primes at every power; every power
+of the others is sliced when it hits the window at least SLICE_HITS
+times and goes through one vectorized pair pass per exponent otherwise.
+segment_scan_strided (reference_loops.py) slices every prime on its
+own.  Both must agree exactly (==) in every mode.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 
 from phisigma import ResourceError, anatomy, sieve, structure, value_sets
 from phisigma.errors import MEMORY_BUDGET_ENV
-from phisigma.sieve import LARGE_PRIME_THRESHOLD, deal_windows, primes_up_to
+from phisigma.sieve import DEFAULT_SEGMENT_SIZE, SLICE_HITS, deal_windows, primes_up_to
 
 from conftest import (big_omega_trial, dealt_windows, joined_scan, phi_trial, scan_dtype,
                       sigma_trial)
@@ -31,8 +31,9 @@ MODES = {
 }
 
 PRIMES = primes_up_to(10**6).tolist()
-P_AT = max(p for p in PRIMES if p <= LARGE_PRIME_THRESHOLD)  # last sliced prime
-P_NEXT = PRIMES[PRIMES.index(P_AT) + 1]  # first prime in the pass
+# the last prime sliced in a full window, and the first paired there
+P_AT = max(p for p in PRIMES if p <= DEFAULT_SEGMENT_SIZE // SLICE_HITS)
+P_NEXT = PRIMES[PRIMES.index(P_AT) + 1]
 P_AFTER = PRIMES[PRIMES.index(P_AT) + 2]
 
 
@@ -109,6 +110,32 @@ def test_pass_equals_strided_small_windows(mode, step, size):
         assert_scan_equal(lo, lo + size * step, step, MODES[mode])
 
 
+@pytest.mark.parametrize("step", [1, 2, 30, 90])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_pass_equals_strided_64_element_windows(mode, step):
+    # a window of 64 elements near 1e8 pairs every power above the tiny
+    # band: none hits it SLICE_HITS times
+    assert 64 // SLICE_HITS < 29
+    rng = np.random.default_rng(64 + step)
+    for lo in rng.integers(10**8 - 10**7, 10**8, 20).tolist():
+        assert_scan_equal(lo, lo + 64 * step, step, MODES[mode])
+
+
+@pytest.mark.parametrize("hits", [512, 8])
+@pytest.mark.parametrize("step", [1, 2, 30, 90])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_lifted_powers_sliced_in_long_windows(monkeypatch, mode, step, hits):
+    # in 2^20-element windows the squares of 29..43 hit SLICE_HITS = 512
+    # times or more, and at 8 hits the cubes too: they are sliced from the
+    # lifted loop, sigma dividing out 1 + p (+ p^2) on a slice
+    size = 1 << 20
+    monkeypatch.setattr(sieve, "SLICE_HITS", hits)
+    assert 43**2 <= size // 512 < 47**2 and 43**3 <= size // 8
+    start = {1: 2, 2: 3}.get(step, 7)
+    _windows_equal_oracle(monkeypatch, start + step * (size - 1), size, step, MODES[mode],
+                          start=start)
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_prime_square_above_threshold(mode):
     # p^2, p^3 and p^2 * q with p, q in the pass; the values by trial division
@@ -160,8 +187,10 @@ def test_two_squared_large_primes_on_one_index(mode, step):
 @pytest.mark.parametrize("step", [1, 2, 4])
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_primes_at_and_above_threshold(mode, step):
-    # P_AT is the last prime sliced, P_NEXT the first in the pass; each
-    # must be divided out exactly once, including as squares
+    # windows too short to slice any prime above the tiny band, around
+    # the primes on either side of a full window's edge (see
+    # test_band_edges_in_full_windows); each must be divided out exactly
+    # once, including as squares
     for p in (P_AT, P_NEXT):
         for n in (p * p, 4 * p * p, p * 1031 * 4):
             lo = n - 8 * step
@@ -170,19 +199,21 @@ def test_primes_at_and_above_threshold(mode, step):
     assert_scan_equal(lo, lo + 1000 * step, step, MODES[mode])
 
 
-def assert_values_at(n, step, want, base=None):
-    """n as element `back` of a window of up to 81 elements of step
-    `step`, equal to the oracle, and phi, sigma and Omega of n by trial
-    division."""
-    back = min(40, (n - 2) // step)
+def assert_values_at(n, step, want, base=None, size=81):
+    """n as element `back` of a window of `size` elements of step `step`
+    (up to size // 2 of them before n), equal to the oracle, and phi,
+    sigma and Omega of n by trial division."""
+    back = min(size // 2, (n - 2) // step)
     lo = n - back * step
-    got = assert_scan_equal(lo, lo + 81 * step, step, want, base)
+    got = assert_scan_equal(lo, lo + size * step, step, want, base)
     for key, value in (("phi", phi_trial), ("sigma", sigma_trial), ("omega", big_omega_trial)):
         if key in got:
             assert got[key][back] == value(n), (n, step, key)
 
 
-# the last tiny prime, the first and last mid ones, the first two large ones
+# the last tiny prime, the first and last prime a full window slices at
+# their first power, the first two it pairs; an 81-element window pairs all
+# but the first
 BAND_EDGES = [sieve.TINY_PRIME_THRESHOLD, 29, P_AT, P_NEXT, P_AFTER]
 
 
@@ -197,6 +228,17 @@ def test_band_edges_to_the_fourth_power(mode, step):
             for n in (p**j, 4 * p**j, 29**2 * p**j, 23**3 * p**j, 7 * 521**2 * p**j):
                 if n <= 10**12:
                     assert_values_at(n, step, MODES[mode])
+
+
+@pytest.mark.parametrize("step", [1, 2, 30, 90])
+def test_band_edges_in_full_windows(step):
+    # a full window slices P_AT and pairs P_NEXT at j = 1, and pairs both
+    # from j = 2 on (29^2 > DEFAULT_SEGMENT_SIZE // SLICE_HITS)
+    assert 29**2 > DEFAULT_SEGMENT_SIZE // SLICE_HITS >= P_AT
+    for p in (P_AT, P_NEXT):
+        for j in (1, 2, 3):
+            for n in (p**j, 29**2 * p**j):
+                assert_values_at(n, step, MODES["phi+sigma+omega"], size=DEFAULT_SEGMENT_SIZE)
 
 
 @pytest.mark.parametrize("step", [1, 2, 30, 90])
