@@ -1,10 +1,10 @@
 """The fundamental simplex and its surroundings.
 
 Renormalized prime-factor vectors on the doubly-logarithmic scale,
-membership in the weighted simplex S_L(xi), Monte Carlo and exact
-small-L volumes, the geometric comparison inequalities, and the
-reciprocal sums R_L over integers whose renormalized vector lands in
-the simplex.
+membership in the weighted simplex S_L(xi), Monte Carlo volumes and
+exact ones as a convex polytope (L <= 9), the geometric comparison
+inequalities, and the reciprocal sums R_L over integers whose
+renormalized vector lands in the simplex.
 
 Conventions: x_i = loglog(p_i)/loglog(x) where p_0 >= p_1 >= ... are
 the prime factors with multiplicity, and x_i = 0 once i >= Omega(n) or
@@ -110,6 +110,12 @@ class VolumeEstimate:
     seed: int
 
 
+def _check_seed(seed: int) -> None:
+    """A Monte Carlo seed is a Philox key: 0 <= seed < 2^128."""
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {seed}")
+
+
 def _check_dimension(L: int) -> None:
     """2 <= L <= MAX_L, checked before L - 1 weights are built."""
     if not 2 <= L <= MAX_L:
@@ -132,12 +138,12 @@ def renormalize(
     """The L renormalized exponents of n starting at p_0 or p_1.
 
     offset 'from_p0' yields (x_0, ..., x_{L-1}); 'from_p1' yields
-    (x_1, ..., x_L).  Requires x >= e^e so loglog x >= 1.
+    (x_1, ..., x_L).  Requires finite x >= e^e so loglog x >= 1.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if x < E_TO_E:
-        raise DomainError(f"need x >= e^e, got {x}")
+    if not E_TO_E <= x < math.inf:
+        raise DomainError(f"need finite x >= e^e, got {x}")
     if L < 1:
         raise DomainError(f"need L >= 1, got {L}")
     if offset not in OFFSETS:
@@ -321,8 +327,7 @@ def simplex_volume_mc(
         raise ResourceError(f"samples={samples} beyond the {MC_SAMPLE_CAP} draw budget")
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
-    if not 0 <= seed < 1 << 128:
-        raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {seed}")
+    _check_seed(seed)
     batches = -(-samples // MC_BATCH)
     n_workers = workers.worker_count(threads, batches, os.cpu_count())
     # allocated by the calling thread: worker threads allocate only the
@@ -349,39 +354,39 @@ def simplex_volume_mc(
     )
 
 
-EXACT_VOLUME_ABS_TOL = 1e-9  # absolute error asked of simplex_volume_exact
+EXACT_MAX_L = 9  # Qhull takes 0.25 s at L = 9, 5 s at L = 10, and fails at L = 11
 
 
 def simplex_volume_exact(spec: SimplexSpec) -> float:
-    """Exact volume for L in {2, 3} by nested adaptive integration."""
-    from scipy.integrate import dblquad, quad
+    """Volume of S_L(xi), 2 <= L <= EXACT_MAX_L, as a convex polytope.
 
-    a1 = series_coefficient(1)
-    a2 = series_coefficient(2)
-    if spec.L == 2:
-        xi0 = spec.xi[0]
+    Its 2L facets w.x <= c are x_1 <= 1, the orderings x_{i+1} <= x_i,
+    x_L >= 0, (I_0) with c = xi_0, and (I_k) with c = 0 and -xi_k at x_k.
+    It is thin (x_j < 3 rho^j, the comparison lemma), so Qhull takes it in
+    y_j = x_j / rho^j: linprog finds a Chebyshev centre, HalfspaceIntersection
+    the vertices and ConvexHull their volume, times rho^(L(L+1)/2).  Qhull's
+    time grows with the vertices (4 at L = 2, 143 at L = 9), hence the cap.
+    """
+    L = spec.L
+    if L > EXACT_MAX_L:
+        raise DomainError(f"exact volume supports L <= {EXACT_MAX_L}, got L={L}")
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-        def inner2(x1: float) -> float:
-            return max(0.0, min(x1, (xi0 - a1 * x1) / a2))
-
-        breaks = sorted(
-            t for t in (xi0 / (a1 + a2), xi0 / a1) if 0.0 < t < 1.0
-        )
-        val, _ = quad(inner2, 0.0, 1.0, points=breaks or None, limit=400,
-                      epsabs=EXACT_VOLUME_ABS_TOL / 10, epsrel=1e-12)
-        return val
-    if spec.L == 3:
-        a3 = series_coefficient(3)
-        xi0, xi1 = spec.xi
-
-        def inner3(x2: float, x1: float) -> float:
-            ub = min(x2, (xi0 - a1 * x1 - a2 * x2) / a3, (xi1 * x1 - a1 * x2) / a2)
-            return max(0.0, ub)
-
-        val, _ = dblquad(inner3, 0.0, 1.0, 0.0, lambda x1: x1,
-                         epsabs=EXACT_VOLUME_ABS_TOL / 10, epsrel=1e-11)
-        return val
-    raise DomainError(f"exact volume supports L in {{2, 3}}, got L={spec.L}")
+    # rows [w | -c]; the last column is x_0 = 1: rows 0..L are x_{r+1} <= x_r and x_L >= 0
+    facets = np.zeros((2 * L, L + 1))
+    facets[: L + 1, :L] = np.eye(L + 1, L) - np.eye(L + 1, L, -1)
+    facets[0, L] = -1.0
+    for k, xi in enumerate(spec.xi):  # (I_k): -xi_k at x_k, column k - 1
+        facets[L + 1 + k, k:L] = [series_coefficient(i) for i in range(1, L - k + 1)]
+        facets[L + 1 + k, k - 1] = -xi
+    scale = structure_constants().rho ** np.arange(1, L + 1)
+    facets[:, :L] *= scale
+    norms = np.linalg.norm(facets[:, :L], axis=1, keepdims=True)
+    centre = linprog(-np.eye(L + 1)[L], A_ub=np.hstack([facets[:, :L], norms]),
+                     b_ub=-facets[:, L], bounds=(None, None)).x[:L]
+    hull = ConvexHull(HalfspaceIntersection(facets, centre).intersections)
+    return float(hull.volume * scale.prod())
 
 
 def sample_simplex(
@@ -394,6 +399,7 @@ def sample_simplex(
     """
     if count < 1:
         raise DomainError(f"need count >= 1, got {count}")
+    _check_seed(seed)
     if max_draws is None:
         max_draws = max(4000 * count, 1 << 22)
     L = spec.L

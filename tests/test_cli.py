@@ -16,6 +16,15 @@ def run_cli(*args, **kw):
     )
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # importing scipy takes ~0.3 s, several times the CLI's own start-up;
+    # simplex_volume_exact, its only user, imports it when called
+    code = "import sys, phisigma.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_values_table_csv_first_row():
     r = run_cli("values-table", "--limits", "1e4")
     assert r.returncode == 0

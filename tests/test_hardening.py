@@ -15,6 +15,7 @@ from phisigma import (
     af_params,
     build_factor_sieve,
     build_value_bitmap,
+    check_comparison_lemma,
     count_values,
     eval_F,
     intersect_count,
@@ -23,6 +24,8 @@ from phisigma import (
     omega_tail_census,
     primes_up_to,
     psi_smooth_count,
+    renormalize,
+    sample_simplex,
     segment_map,
     simplex_volume_mc,
     unit_spec,
@@ -211,6 +214,10 @@ NOT_IN_DOMAIN = {
     "l0-nan": lambda: l0_of(math.nan),
     "map-hi-0": lambda: segment_map(2, 0),
     "seed-negative": lambda: simplex_volume_mc(unit_spec(2), 1000, -1),
+    "sample-seed-negative": lambda: sample_simplex(unit_spec(2), 5, -1),
+    "lemma-seed-2^128": lambda: check_comparison_lemma(unit_spec(3), 10, 1 << 128),
+    "renormalize-x-nan": lambda: renormalize(10, math.nan, 2),
+    "renormalize-x-inf": lambda: renormalize(10, math.inf, 2),
 }
 
 

@@ -9,6 +9,7 @@ for every thread count.
 """
 
 import itertools
+import math
 import os
 import sys
 import threading
@@ -23,6 +24,7 @@ from phisigma import (
     SimplexSpec,
     sample_simplex,
     series_coefficient,
+    simplex_volume_exact,
     simplex_volume_mc,
     unit_spec,
 )
@@ -304,6 +306,13 @@ def test_mc_pinned_l3_1e7(threads):
 def test_mc_pinned_l6_1e7(threads):
     est = simplex_volume_mc(unit_spec(6), 10**7, 42, threads=threads)
     assert est.mean == PINNED_1E7[6]
+
+
+def test_mc_pinned_l6_1e7_within_ci_of_polytope():
+    # the pin's binomial standard error; it lies 0.80 of it below the polytope
+    rate = PINNED_1E7[6] * math.factorial(6)
+    std_error = math.sqrt(rate * (1.0 - rate) / 10**7) / math.factorial(6)
+    assert abs(PINNED_1E7[6] - simplex_volume_exact(unit_spec(6))) <= 3 * std_error
 
 
 def test_mc_rejects_thread_count_below_one():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from phisigma import (
     unit_spec,
 )
 
-from phisigma.structure import simplex_mask, xi_weights
+from phisigma.structure import EXACT_MAX_L, simplex_mask, xi_weights
 
 from conftest import factor_pairs_naive, phi_trial, sigma_trial
 from reference_loops import r_l_sum_loop, simplex_contains_loop
@@ -214,9 +215,20 @@ def test_contains_monotone_in_xi():
             assert simplex_contains(v, loose)
 
 
-# pinned after first computation; quad and grid count agree to 1e-9
+# pinned after first computation (by quadrature, 2.6e-11 low at L = 3);
+# the polytope volume and the grid counts agree to 1e-9
 V2_EXACT = 0.46287202527121724
 V3_EXACT = 0.07892087143938899
+# unit volumes by the polytope, pinned after first computation; L = 2..6
+# agree with a 40-digit vertex enumeration to 1e-15 relative
+VOL_EXACT = {
+    4: 0.0052352010710781305,
+    5: 0.00015053863351090178,
+    6: 1.970940565923567e-06,
+    7: 1.2058290328864442e-08,
+    8: 3.5115698051544825e-11,
+    9: 4.938234988759459e-14,
+}
 
 
 def test_exact_volume_l2_pinned_and_cross_checked():
@@ -265,9 +277,74 @@ def test_exact_volume_l3_grid_richardson():
     assert extrapolated == pytest.approx(V3_EXACT, abs=5e-6)
 
 
+@pytest.mark.parametrize("L", sorted(VOL_EXACT))
+def test_exact_volume_pinned_to_the_cap(L):
+    assert simplex_volume_exact(unit_spec(L)) == pytest.approx(VOL_EXACT[L], rel=1e-12, abs=0)
+
+
+def _unit_volume_mp(L, mp):
+    """Volume of S_L(1) in mp's arithmetic, Qhull-free: the vertices are
+    the feasible solutions of every L of the 2L facets taken as equations,
+    and a pulling triangulation of their hull (cone one vertex of each
+    face over a triangulation of its facets not holding it) sums |det|/L!.
+    """
+    a = [(n + 1) * mp.log(n + 1) - n * mp.log(n) - 1 for n in map(mp.mpf, range(1, L + 1))]
+
+    def e(j):  # the coefficients of x_j
+        return [int(i == j) for i in range(1, L + 1)]
+
+    # (w, c) for w.x <= c
+    facets = [(e(1), 1)]  # x_1 <= 1
+    facets += [([p - q for p, q in zip(e(i + 1), e(i))], 0) for i in range(1, L)]  # x_{i+1} <= x_i
+    facets += [([-p for p in e(L)], 0)]  # x_L >= 0
+    facets += [(a, 1)]  # (I_0): a_1 x_1 + ... + a_L x_L <= 1
+    # (I_k): a_1 x_{k+1} + ... + a_{L-k} x_L <= x_k
+    facets += [([0] * (k - 1) + [-1] + a[: L - k], 0) for k in range(1, L - 1)]
+    tiny = mp.mpf(10) ** -30
+    vertices, tight = {}, {}
+    for chosen in itertools.combinations(facets, L):
+        if np.linalg.matrix_rank(np.array([[float(c) for c in w] for w, _ in chosen])) < L:
+            continue
+        v = mp.lu_solve(mp.matrix([w for w, _ in chosen]), mp.matrix([c for _, c in chosen]))
+        slack = [c - mp.fsum(wi * vi for wi, vi in zip(w, v)) for w, c in facets]
+        if min(slack) > -tiny:
+            key = tuple(int(mp.nint(c / tiny)) for c in v)
+            vertices[key] = v
+            tight[key] = frozenset(i for i, gap in enumerate(slack) if gap < tiny)
+
+    def dim(face):
+        base = np.array([float(c) for c in vertices[face[0]]])
+        return np.linalg.matrix_rank(
+            np.array([[float(c) for c in vertices[k]] for k in face]) - base)
+
+    def simplices(face, d):
+        if d == 0:
+            return [[face[0]]]
+        apex = face[0]
+        subfaces = {tuple(k for k in face if i in tight[k]) for i in range(len(facets))}
+        return [[apex] + s for sub in subfaces
+                if sub and apex not in sub and dim(sub) == d - 1
+                for s in simplices(sub, d - 1)]
+
+    total = mp.mpf(0)
+    for s in simplices(tuple(sorted(vertices)), L):
+        apex = vertices[s[0]]
+        total += abs(mp.det(mp.matrix([[c - o for c, o in zip(vertices[k], apex)]
+                                       for k in s[1:]])))
+    return total / mp.factorial(L)
+
+
+@pytest.mark.parametrize("L", (2, 3, 4, 5))
+def test_exact_volume_matches_40_digit_oracle(L):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        want = _unit_volume_mp(L, mp)
+    assert simplex_volume_exact(unit_spec(L)) == pytest.approx(float(want), rel=1e-14, abs=0)
+
+
 def test_exact_volume_unsupported_L():
     with pytest.raises(DomainError):
-        simplex_volume_exact(unit_spec(4))
+        simplex_volume_exact(unit_spec(EXACT_MAX_L + 1))
 
 
 def test_mc_within_ci_of_exact():
@@ -275,6 +352,12 @@ def test_mc_within_ci_of_exact():
         est = simplex_volume_mc(unit_spec(L), 10**6, seed=123)
         assert abs(est.mean - exact) <= 3 * est.std_error
         assert est.mean <= 1 / math.factorial(L) + 6 * est.std_error
+
+
+@pytest.mark.parametrize("L", (4, 5, 6))
+def test_mc_within_ci_of_polytope(L):
+    est = simplex_volume_mc(unit_spec(L), 10**6, seed=123)
+    assert abs(est.mean - simplex_volume_exact(unit_spec(L))) <= 3 * est.std_error
 
 
 def test_mc_reproducible_and_seed_sensitive():
@@ -484,13 +567,16 @@ def test_r_l_sum_lift_cut_by_omega(monkeypatch, f, offset):
 
 
 def test_r_l_bound_shape_census():
-    # R_L / ((loglog x)^L T_L) stays bounded on the desk grid
-    for L in (2, 3):
+    # R_L / ((loglog x)^L T_L) stays bounded on the desk grid: it falls
+    # from 1e4 to 1e5, and stays below 60 at L = 2, 3; its size grows
+    # with L (3.9, 14.8 and 118.9 at 1e4 for L = 2, 3, 4)
+    for L in (2, 3, 4):
         tl = simplex_volume_exact(unit_spec(L))
-        for x in (10**4, 10**5):
-            val = r_l_sum("phi", unit_spec(L), x)
-            ratio = val / (math.log(math.log(x)) ** L * tl)
-            assert ratio < 60.0, (L, x, ratio)
+        ratios = [r_l_sum("phi", unit_spec(L), x) / (math.log(math.log(x)) ** L * tl)
+                  for x in (10**4, 10**5)]
+        assert ratios[1] < ratios[0], (L, ratios)
+        if L < 4:
+            assert max(ratios) < 60.0, (L, ratios)
 
 
 @pytest.mark.slow
