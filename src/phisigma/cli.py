@@ -123,8 +123,7 @@ def _cmd_normal_primes(args) -> str:
         raise DomainError(f"need sample >= 0, got {args.sample}")
     if not constants.E_TO_E <= args.S < math.inf:  # checked before any prime is drawn
         raise DomainError(f"need finite S >= e^e = {constants.E_TO_E:.4f}, got {args.S}")
-    if not 0 <= args.seed < 1 << 128:
-        raise DomainError(f"need 0 <= seed < 2^128 (a Philox key), got {args.seed}")
+    structure._check_seed(args.seed)
     primes = sieve.primes_up_to(args.x)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     if args.sample < len(primes):

@@ -265,46 +265,141 @@ def _sorting_network(L: int) -> list[tuple[int, int]]:
     return pairs
 
 
+MC_POOL = MC_CHUNK // 4  # rows of prefilter survivors sorted and masked at once
+
+
+def _sum_cut(spec: SimplexSpec) -> float | None:
+    """The cut on a drawn row's float sum above which the row fails (I_0),
+    or None where the prefilter would keep a quarter of the rows or more.
+
+    The bound.  For the row's values sorted descending, x_(1) >= ... >=
+    x_(L) >= 0 with x_(1) < 1 (Philox doubles lie in [0, 1)), and the
+    float coefficients a_1 <= a_2 <= ... <= a_MAX_L (tested), (I_0)'s
+    left side is sum a_i x_(i) >= a_1 x_(1) + a_2 (S - x_(1)) >= a_2 S -
+    (a_2 - a_1), S the row sum.  So a row with S > (xi_0 + a_2 - a_1)/a_2
+    fails (I_0), and the test needs no sort.
+
+    The rounding.  simplex_mask rejects a row iff fl(lhs) > xi_0, where
+    fl(lhs), L products and L - 1 additions of nonnegative terms, is at
+    least lhs (1 - gamma_2L), gamma_n = n u / (1 - n u), u = 2^-53.  The
+    float sum of _sum_survivors, L - 1 additions, is fl(S) <= S (1 +
+    gamma_(L-1)).  So fl(lhs) > xi_0 once fl(S) > (1 + gamma_(L-1))
+    (xi_0 / (1 - gamma_2L) + a_2 - a_1) / a_2, and the cut is above that:
+    it is (xi_0 + (a_2 - a_1)) / a_2 in three roundings, times 1 + 4L
+    2^-52 twice in two more, and (1 + 8Lu)^2 (1 - u)^5 >= 1 + (16L - 5)u
+    - 80L u^2 exceeds (1 + gamma_(L-1)) / (1 - gamma_2L) < 1 + (3L + 1)u
+    for every L <= MAX_L.
+
+    The rule.  The prefilter pays where it drops most rows: it engages
+    when the exact Irwin-Hall share P(U_1 + ... + U_L <= cut) is below a
+    quarter, simplex_mask's own rule for taking rows.  For unit weights
+    that is L >= 5 (63% of the rows are kept at L = 3, 29% at L = 4, 10%
+    at L = 5 and 3% at L = 6); at xi = 100 it never engages, nor, by the
+    symmetry of the share about L/2, wherever cut >= L/2 (an infinite
+    cut included).
+    """
+    L = spec.L
+    a1, a2 = series_coefficient(1), series_coefficient(2)
+    margin = 1.0 + 4 * L * 2.0**-52
+    cut = (spec.xi[0] + (a2 - a1)) / a2 * margin * margin
+    if cut >= L / 2:
+        return None
+    # the share is sum_k (-1)^k C(L, k) (cut - k)^L / L! over k <= cut, in
+    # integers over cut = p / q
+    p, q = cut.as_integer_ratio()
+    below = sum((-1) ** k * math.comb(L, k) * (p - k * q) ** L for k in range(p // q + 1))
+    return cut if 4 * below < math.factorial(L) * q**L else None
+
+
+def _sum_survivors(rows, cut, sums):
+    """Indices of the rows whose float sum, built left to right into
+    `sums` by L - 1 np.add on the strided columns, is at most cut."""
+    x = rows.T
+    np.add(x[0], x[1], out=sums)
+    for column in x[2:]:
+        np.add(sums, column, out=sums)
+    return np.flatnonzero(sums <= cut)
+
+
 def _chunk_buffers(L: int, workers: int, held: int = 0) -> list[tuple[np.ndarray, ...]]:
-    """Per worker: the drawn rows, their L columns and the sorting
-    network's spare column.
+    """Per worker: the drawn rows, a buffer for their L columns and the
+    sorting network's spare column.
 
     Charges, in one request, the whole in-flight working set: these
     buffers, three simplex_mask temporaries per row and, for the rows it
     takes, at most a quarter row of L + 1 words (their columns and
     indices), per worker, and the `held` bytes the caller keeps beside.
+    Under the sum prefilter, the pool of survivors is the column
+    buffer's last quarter, and the prefilter's own temporaries, a bool
+    and an index per row at most, live between the draw and the yield,
+    while simplex_mask's do not; a chunk whose survivors span a flush
+    keeps its indices through that yield, but simplex_mask then sees
+    only MC_POOL rows.
     """
     check_allocation(workers * MC_CHUNK * (8 * (2 * L + 4) + 2 * (L + 1)) + held,
                      f"{workers} Monte Carlo chunk working sets")
-    return [(np.empty((MC_CHUNK, L)), np.empty((L, MC_CHUNK)), np.empty(MC_CHUNK))
+    return [(np.empty((MC_CHUNK, L)), np.empty(L * MC_CHUNK), np.empty(MC_CHUNK))
             for _ in range(workers)]
 
 
-def _ordered_chunks(seed: int, index: int, m: int, buffers):
-    """The m rows of Philox batch `index`, MC_CHUNK rows at a time, each
-    chunk yielded as L columns x_1 >= ... >= x_L held in `buffers`
-    (from _chunk_buffers), which the next chunk overwrites.
+def _ordered_chunks(seed: int, index: int, m: int, buffers, cut=None):
+    """The m rows of Philox batch `index`, MC_CHUNK rows drawn at a time,
+    yielded as L columns x_1 >= ... >= x_L held in `buffers` (from
+    _chunk_buffers), which the next yield overwrites.
+
+    Without a cut, each chunk is yielded whole.  With one (_sum_cut), the
+    rows whose sum exceeds it, which fail (I_0), are dropped before any
+    transpose: the survivors of each chunk are gathered by one np.take
+    into the pool of MC_POOL rows, and the pool is sorted and yielded
+    when it is full and at the end of the batch; survivors that
+    outnumber the room left are split across flushes.  A flush fills
+    the column buffer's first quarter at most, so the pool, its last
+    quarter, is free from the moment it is copied out.
 
     Consecutive rng.random calls continue the stream, so the chunks hold
-    the rows of one rng.random((m, L)) call; the network's np.minimum and
-    np.maximum are exact, so the columns are that call's rows sorted in
+    the rows of one rng.random((m, L)) call, and the pool keeps them in
+    that order; the network's np.minimum and np.maximum are exact, so
+    the columns are that call's rows (less the dropped ones) sorted in
     descending order, bit for bit.
     """
     rows, by_column, spare_column = buffers
     L = rows.shape[1]
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
     network = _sorting_network(L)
-    for lo in range(0, m, MC_CHUNK):
-        c = min(MC_CHUNK, m - lo)
-        rng.random(out=rows[:c])
-        np.copyto(by_column[:, :c], rows[:c].T)
-        cols = list(by_column[:, :c])
-        spare = spare_column[:c]
+    pool = by_column[-L * MC_POOL :].reshape(MC_POOL, L)
+
+    def ordered(block):
+        n = len(block)
+        cols = by_column[: L * n].reshape(L, n)
+        np.copyto(cols, block.T)
+        cols, spare = list(cols), spare_column[:n]
         for i, j in network:
             np.minimum(cols[i], cols[j], out=spare)
             np.maximum(cols[i], cols[j], out=cols[i])
             cols[j], spare = spare, cols[j]
-        yield cols
+        return cols
+
+    held = 0  # rows in the pool
+    for lo in range(0, m, MC_CHUNK):
+        c = min(MC_CHUNK, m - lo)
+        rng.random(out=rows[:c])
+        if cut is None:
+            yield ordered(rows[:c])
+            continue
+        keep = _sum_survivors(rows[:c], cut, spare_column[:c])
+        while held + len(keep) > MC_POOL:
+            room = MC_POOL - held
+            np.take(rows, keep[:room], axis=0, out=pool[held:], mode="clip")
+            keep, held = keep[room:], 0
+            yield ordered(pool)
+        np.take(rows, keep, axis=0, out=pool[held : held + len(keep)], mode="clip")
+        held += len(keep)
+        del keep
+        if held == MC_POOL:
+            held = 0
+            yield ordered(pool)
+    if held:
+        yield ordered(pool[:held])
 
 
 def simplex_volume_mc(
@@ -316,7 +411,12 @@ def simplex_volume_mc(
     1/L!, so the estimate is (acceptance rate)/L!.  Batches of fixed
     size MC_BATCH each use the counter-based Philox stream jumped to
     the batch index; each is drawn in chunks of MC_CHUNK rows, ordered
-    by a sorting network and counted by simplex_mask.  Up to `threads`
+    by a sorting network and counted by simplex_mask.  Where fewer than
+    a quarter of the rows have a sum at most _sum_cut's cut (unit
+    weights from L = 5), the others fail (I_0) for sure and are dropped
+    before any sort, and the survivors are pooled, sorted and counted
+    MC_POOL rows at a time (_ordered_chunks); no member is dropped, so
+    the count is the same.  Up to `threads`
     worker threads (worker_count, run_workers) take every workers-th
     batch; hit counts are integers, so the result is bit-reproducible
     and the same for every thread count.
@@ -333,13 +433,14 @@ def simplex_volume_mc(
     # allocated by the calling thread: worker threads allocate only the
     # kernel's temporaries, so their malloc arenas keep little memory
     buffers = _chunk_buffers(spec.L, n_workers)
+    cut = _sum_cut(spec)
 
     counts = [0] * n_workers
 
     def count_batches(w: int):
         for index in range(w, batches, n_workers):
             m = min(MC_BATCH, samples - index * MC_BATCH)
-            for cols in _ordered_chunks(seed, index, m, buffers[w]):
+            for cols in _ordered_chunks(seed, index, m, buffers[w], cut):
                 counts[w] += int(np.count_nonzero(simplex_mask(cols, spec)))
             yield
 
@@ -395,7 +496,10 @@ def sample_simplex(
     """Exactly `count` uniform points of S_L(xi), by rejection.
 
     Raises ResourceError if the acceptance rate is too low to reach
-    `count` within max_draws (default 4000 draws per requested point).
+    `count` within max_draws draws, by default max(4000 count, 2^22).
+    The points are the first `count` members in stream order; the sum
+    prefilter (_ordered_chunks) keeps that order, so they are the same
+    with and without it.
     """
     if count < 1:
         raise DomainError(f"need count >= 1, got {count}")
@@ -405,6 +509,7 @@ def sample_simplex(
     L = spec.L
     # the points and, on their way in, at most one chunk of members
     [buffers] = _chunk_buffers(L, 1, held=8 * L * (count + MC_CHUNK))
+    cut = _sum_cut(spec)
     points = np.empty((count, L))
     have = 0
     drawn = 0
@@ -414,7 +519,7 @@ def sample_simplex(
             raise ResourceError(
                 f"acceptance too low: {have}/{count} points after {drawn} draws"
             )
-        for cols in _ordered_chunks(seed, index, MC_BATCH, buffers):
+        for cols in _ordered_chunks(seed, index, MC_BATCH, buffers, cut):
             rows = np.flatnonzero(simplex_mask(cols, spec))[: count - have]
             for j, c in enumerate(cols):
                 points[have : have + len(rows), j] = c[rows]

@@ -495,6 +495,7 @@ def test_empty_limits_item_exits_64(capsys, limits):
 @pytest.mark.parametrize("argv", [
     ("normal-primes", "--x", "100", "--S", "16", "--sample", "-1"),
     ("normal-primes", "--x", "100", "--S", "16", "--seed", "-1"),
+    ("normal-primes", "--x", "100", "--S", "16", "--seed", str(1 << 128)),
     ("simplex-volume", "--L", "2", "--samples", "1e3", "--seed", "-1"),
     ("simplex-volume", "--L", "2", "--samples", "1e3", "--seed", str(1 << 128)),
     ("simplex-volume", "--L", "3", "--xi", "nan,1", "--samples", "1e3"),
@@ -509,7 +510,7 @@ def test_empty_limits_item_exits_64(capsys, limits):
     ("constants", "--tol", "nan"),
     ("normal-primes", "--x", "100", "--S", "nan", "--sample", "0"),
     ("normal-primes", "--x", "100", "--S", "10", "--sample", "0"),
-], ids=["sample", "np-seed", "mc-seed", "mc-seed-2^128", "xi-nan", "xi-inf",
+], ids=["sample", "np-seed", "np-seed-2^128", "mc-seed", "mc-seed-2^128", "xi-nan", "xi-inf",
         "alpha-nan", "S-nan", "x-inf", "S-override-nan", "S-inf", "S-override-inf",
         "tol-inf", "tol-nan", "S-nan-no-sample", "S-below-e^e-no-sample"])
 def test_bad_values_exit_1_without_output(capsys, argv):

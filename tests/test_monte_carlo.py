@@ -1,8 +1,9 @@
 """The chunked Monte Carlo path against the whole-batch path it replaced.
 
 simplex_volume_mc and sample_simplex draw each Philox batch in chunks of
-MC_CHUNK rows, order the columns by a sorting network and count members
-with simplex_mask.  The oracle (tests/reference_loops.py) draws whole
+MC_CHUNK rows, drop the rows whose sum alone fails (I_0) where that drops
+most of them (_sum_cut), order the columns by a sorting network and count
+members with simplex_mask.  The oracle (tests/reference_loops.py) draws whole
 batches, sorts them with u.sort and accepts rows by @.  Hit counts,
 estimates and sampled points must be equal, and so must the estimates
 for every thread count.
@@ -14,6 +15,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,11 +33,15 @@ from phisigma import (
 from phisigma import structure
 from phisigma.errors import MEMORY_BUDGET_ENV
 from phisigma.structure import (
+    MAX_L,
     MC_BATCH,
     MC_CHUNK,
+    MC_POOL,
     _chunk_buffers,
     _ordered_chunks,
     _sorting_network,
+    _sum_cut,
+    _sum_survivors,
     simplex_mask,
 )
 
@@ -290,6 +296,132 @@ def test_mc_worker_failure_reaches_the_caller(monkeypatch):
         simplex_volume_mc(unit_spec(3), 8 * MC_BATCH, 1, threads=4)
     assert threading.active_count() == before
     assert len(calls) < 8 * MC_BATCH // MC_CHUNK  # the others stopped early
+
+
+def _xi0_spec(L: int, xi0: float) -> SimplexSpec:
+    return SimplexSpec(L, (xi0,) + (1.0,) * (L - 2))
+
+
+def _edge_xi0(L: int) -> float:
+    """The largest xi_0 at which the sum prefilter engages (unit xi_1..):
+    its share is just under a quarter there, and one ulp up just over."""
+    lo, hi = 1.0, 1e3
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        if _sum_cut(_xi0_spec(L, mid)) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _irwin_hall(L: int, t: float) -> Fraction:
+    """P(U_1 + ... + U_L <= t) for independent uniforms, exactly."""
+    t = Fraction(t)
+    return sum((-1) ** k * math.comb(L, k) * (t - k) ** L
+               for k in range(min(L, math.floor(t)) + 1)) / math.factorial(L)
+
+
+def test_series_coefficients_nondecreasing():
+    # the sum bound rests on a_1 <= a_2 <= ... <= a_L for every L <= MAX_L
+    a = [series_coefficient(i) for i in range(1, MAX_L + 1)]
+    assert a[0] < a[1] and all(x <= y for x, y in zip(a, a[1:]))
+
+
+def test_sum_prefilter_engages_below_a_quarter():
+    assert [_sum_cut(unit_spec(L)) is not None for L in range(2, 13)] == [False] * 3 + [True] * 8
+    assert _sum_cut(unit_spec(MAX_L)) is not None
+    for L in (2, 3, 5, 6, 12, MAX_L):
+        assert _sum_cut(SimplexSpec(L, (100.0,) * (L - 1))) is None
+        assert _sum_cut(_xi0_spec(L, 1.7e308)) is None  # the cut overflows to inf
+    for L in (5, 6, 8, 12):
+        edge = _edge_xi0(L)
+        assert _irwin_hall(L, _sum_cut(_xi0_spec(L, edge))) < Fraction(1, 4)
+        assert _sum_cut(_xi0_spec(L, math.nextafter(edge, 2 * edge))) is None
+
+
+@pytest.mark.parametrize("L", (5, 6, 8))
+def test_sum_prefilter_keeps_the_irwin_hall_share(L):
+    # the kept share of 2^20 Philox rows, against the exact share below the
+    # cut, at unit weights and at the edge of engagement
+    for spec in (unit_spec(L), _xi0_spec(L, _edge_xi0(L))):
+        cut = _sum_cut(spec)
+        rng = np.random.Generator(np.random.Philox(key=L))
+        kept = sum(len(_sum_survivors(rng.random((MC_CHUNK, L)), cut, np.empty(MC_CHUNK)))
+                   for _ in range((1 << 20) // MC_CHUNK))
+        p = float(_irwin_hall(L, cut))
+        assert abs(kept - p * (1 << 20)) <= 3 * math.sqrt(p * (1 - p) * (1 << 20)), spec
+
+
+@pytest.mark.parametrize("L", (5, 6, 8, 12))
+def test_sum_prefilter_keeps_every_i0_row_in_order(L):
+    # several full batches and a partial one, through the filtered and
+    # the unfiltered chunks: the same rows pass (I_0), in the same order,
+    # and the same of them are members, at unit weights and at xi_0 whose
+    # share is just under and just over a quarter
+    edge = _edge_xi0(L)
+    for spec in (unit_spec(L), _xi0_spec(L, edge), _xi0_spec(L, math.nextafter(edge, 2 * edge))):
+        [buffers] = _chunk_buffers(L, 1)
+
+        def i0_rows(index, m, cut):
+            X = [np.empty((0, L + 1))]
+            for cols in _ordered_chunks(7, index, m, buffers, cut):
+                Y = np.column_stack(cols + [simplex_mask(cols, spec)])
+                X.append(Y[~(_i0_lhs(Y[:, :L]) > spec.xi[0])])
+            return np.concatenate(X)
+
+        for index, m in ((0, MC_BATCH), (1, MC_BATCH), (2, MC_BATCH), (3, 5 * MC_CHUNK + 11)):
+            want = i0_rows(index, m, None)
+            assert len(want) > 0 or spec.xi[0] == 1.0
+            assert np.array_equal(i0_rows(index, m, _sum_cut(spec)), want), (spec, index)
+
+
+def _near_cut_rows(L: int, xi0: float, cut: float, rng) -> np.ndarray:
+    """Rows on which the sum bound is nearly tight, x_(1) within 4 ulps of 1
+    and x_(2) a few ulps around where (I_0) holds with equality, the rest 0;
+    and random rows scaled to a sum within a few ulps of the cut.  Only
+    rows inside [0, 1), as drawn rows are, each shuffled."""
+    a1, a2 = series_coefficient(1), series_coefficient(2)
+    tight = []
+    for k in range(1, 5):
+        x1 = 1.0 - k * 2.0**-53
+        y = (xi0 - a1 * x1) / a2
+        for j in range(-8, 9):
+            row = np.zeros(L)
+            row[:2] = x1, y + j * np.spacing(y)
+            tight.append(row)
+    scaled = rng.random((200, L))
+    scaled *= (cut / scaled.sum(axis=1))[:, None]
+    scaled += np.spacing(scaled) * rng.integers(-4, 5, scaled.shape)
+    X = np.concatenate([tight, scaled])
+    return rng.permuted(X[(X < 1.0).all(axis=1)], axis=1)
+
+
+@pytest.mark.parametrize("L", (5, 6, 8, 12))
+def test_sum_prefilter_rejects_only_rows_that_fail_i0(L):
+    # synthetic rows whose float sum lies within a few ulps of the cut: a
+    # row the prefilter drops is one simplex_mask rejects once sorted
+    rng = np.random.default_rng(300 + L)
+    edge = _edge_xi0(L)
+    for xi0 in [1.0, edge] + list(1.0 + (edge - 1.0) * rng.random(400)):
+        spec = _xi0_spec(L, xi0)
+        cut = _sum_cut(spec)
+        X = _near_cut_rows(L, xi0, cut, rng)
+        kept = np.zeros(len(X), dtype=bool)
+        kept[_sum_survivors(X, cut, np.empty(len(X)))] = True
+        ordered = -np.sort(-X, axis=1)
+        assert not simplex_mask(list(ordered.T.copy()), spec)[~kept].any(), xi0
+
+
+def test_sample_simplex_across_pools_and_batches():
+    # unit L = 6: a batch's survivors fill several pools, and 1000 points
+    # outrun the first batch
+    spec = unit_spec(6)
+    X = ordered_batch_sort(3, 0, MC_BATCH, 6)
+    assert len(_sum_survivors(X, _sum_cut(spec), np.empty(MC_BATCH))) > 3 * MC_POOL
+    assert 0 < accept_mask_matmul(X, spec).sum() < 1000
+    del X
+    assert np.array_equal(sample_simplex(spec, 1000, 3), sample_simplex_loop(spec, 1000, 3))
 
 
 # the benchmark's two simplex-volume steps: seed 42, 1e7 samples
