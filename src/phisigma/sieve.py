@@ -15,18 +15,20 @@ sliced at every power p^j.  No other prime divides step: one inverse
 table gives its first hit, and that of p^(j+1) is lifted from that of
 p^j (Hensel), in one loop over j (_slice_or_pair): a power that hits
 the window at least SLICE_HITS times is sliced, the rarer ones share
-one pair pass (_apply_pairs).
+one pair pass per exponent (_apply_pairs), expanded at once into rows
+that a proven bound sizes.
 deal_windows is the one window loop and segment_scan's one caller: it
 cuts a list of progressions into windows of DEFAULT_SEGMENT_SIZE
-elements (cut_windows), charges them once, sieves the base primes and
-builds the inverse table once, and deals the windows round robin to
-worker threads.  Each worker fills one workspace (_Workspace) in place
-at every window, as the bucket sieve reuses its fixed window buffers:
-freed and allocated afresh, arrays of this size would fault their
-pages back in at every window.  phi and sigma are updated in place, by
-the factor each prime power adds (sigma trades 1 + ... + p^(j-1) for
-1 + ... + p^j by exact division), so neither needs a buffer beside its
-own array.
+elements (cut_windows), sieves the base primes under their own charge,
+charges the rest once, builds the inverse table and, on the calling
+thread, every worker's workspace (_Workspace), which carries the deal,
+and deals the windows round robin to worker threads.  Each worker fills
+its workspace in place at every window, as the bucket sieve reuses its
+fixed window buffers: freed and allocated afresh, arrays of this size
+would fault their pages back in at every window.  phi and sigma are
+updated in place, by the factor each prime power adds (sigma trades
+1 + ... + p^(j-1) for 1 + ... + p^j by exact division), so neither
+needs a buffer beside its own array.
 
 Inputs are capped at 10**12.  A deal carries the remainder, phi and
 sigma in one lane dtype, chosen from the last integer it scans, top:
@@ -254,88 +256,69 @@ INVERSE_BYTES = 8  # a prime's entry in the inverse table
 SCAN_OVERHEAD = 1 << 16  # numpy's casting buffers (8192 elements) and the window's objects
 
 
-def scan_bytes(size: int, primes: int, lane, *, want_phi: bool = False,
+def scan_bytes(size: int, rows: int, primes: int, lane, *, want_phi: bool = False,
                want_sigma: bool = False, want_omega: bool = False) -> int:
-    """Bytes a scan workspace of `size` elements in the `lane` dtype, its
-    inverse table and one segment_scan window on it hold at their peak,
-    with `primes` base primes (an upper bound will do) above the tiny
-    band, the ones with an entry in the inverse table.
+    """Bytes a scan workspace of `size` elements and `rows` pair rows in
+    the `lane` dtype, its inverse table and one segment_scan window on
+    it hold at their peak, with `primes` base primes above the tiny band,
+    the ones with an entry in the inverse table.
 
     The workspace's buffers (_Workspace), per element: the remainder and
-    each wanted array, in the lane but Omega, and the fold's mask.  When
-    any prime is above the tiny band, one batch of (index, p) pairs
-    (_pair_batch) at PAIR_BYTES plus the prime's and the factor's lane,
-    and per such prime its inverse at INVERSE_BYTES and a window's hit,
-    p^j and Hensel arrays at PRIME_BYTES, int64 for (c mod p) * inv <
-    p^2 and t p^j < p^(j+1) (see the module).  And SCAN_OVERHEAD once.
+    each wanted array, in the lane but Omega, and the fold's mask.  Per
+    row, one (index, p) pair of a round (_apply_pairs) at PAIR_BYTES plus
+    the prime's and the factor's lane.  Per prime above the tiny band its
+    inverse at INVERSE_BYTES and a window's hit, p^j and Hensel arrays at
+    PRIME_BYTES, int64 for (c mod p) * inv < p^2 and t p^j < p^(j+1) (see
+    the module).  And SCAN_OVERHEAD once.
     """
     b = np.dtype(lane).itemsize
     per_entry = b + b * want_phi + b * want_sigma + 2 * want_omega + 1
-    pairs = _pair_batch(size) if primes else 0
     per_prime = PRIME_BYTES + INVERSE_BYTES
-    return per_entry * size + (PAIR_BYTES + 2 * b) * pairs + per_prime * primes + SCAN_OVERHEAD
-
-
-def _pair_batch(size: int) -> int:
-    """Most (index, p) pairs expanded at once in a window of `size`.
-
-    A prime p > 4 hits the window at most ceil(size/p) <= size//4 + 1
-    times at any power, so every batch holds at least one prime.  In a
-    full window the paired first powers make 0.2 to 0.5 pairs per
-    element at x = 1e7..1e8, one or two batches, the higher powers under
-    0.01.
-    """
-    return size // 4 + 1
+    return per_entry * size + (PAIR_BYTES + 2 * b) * rows + per_prime * primes + SCAN_OVERHEAD
 
 
 class _Workspace:
-    """The buffers segment_scan fills for windows of up to `size`
-    elements of one step: the remainder, the wanted phi and sigma, all
-    in the deal's `lane` dtype, and omega (each updated in place, with
-    no buffer beside it), the fold's rem > 1 mask and the index and
-    factor rows of one batch of _apply_pairs's pairs, beside the step's
-    table (n_tiny, inv), which it only reads: the index of the first
-    base prime above the tiny band, and (-step)^-1 mod p for every base
-    prime from n_tiny on.
+    """One worker's buffers for segment_scan's windows of up to `size`
+    elements, and the deal they scan: `deal` is (base, n_tiny, inv,
+    step), shared by every worker and only read, the base primes, the
+    index of the first above the tiny band, (-step)^-1 mod p for every
+    base prime from n_tiny on, and the step.
 
-    deal_windows builds one per worker, after charging its scan_bytes,
-    so its windows allocate no array per element and fault no fresh
-    pages.
+    The buffers: the remainder, the wanted phi and sigma, all in the
+    deal's `lane` dtype, and omega (each updated in place, with no buffer
+    beside it), the fold's rem > 1 mask, and the index and factor of
+    `rows` pairs, as many as any round of _apply_pairs expands.
+
+    deal_windows builds one per worker on the calling thread, after
+    charging its scan_bytes and before any thread starts, so its windows
+    allocate no array per element and fault no fresh pages.
     """
 
-    def __init__(self, size: int, table: tuple[int, np.ndarray], lane, *,
-                 want_phi: bool, want_sigma: bool, want_omega: bool):
-        self.table = table
+    def __init__(self, size: int, rows: int, lane, deal, *, want_phi: bool, want_sigma: bool,
+                 want_omega: bool):
+        self.base, self.n_tiny, self.inv, self.step = deal
         self.rem = np.empty(size, dtype=lane)
         self.phi = np.empty(size, dtype=lane) if want_phi else None
         self.sigma = np.empty(size, dtype=lane) if want_sigma else None
         self.omega = np.empty(size, dtype=np.int16) if want_omega else None
         self.big = np.empty(size, dtype=bool) if want_phi or want_sigma or want_omega else None
-        batch = _pair_batch(size) if len(table[1]) else 0
-        self.index = np.empty(batch, dtype=np.int64)
-        self.factor = np.empty(batch, dtype=lane)
+        self.index = np.empty(rows, dtype=np.int64)
+        self.factor = np.empty(rows, dtype=lane)
 
 
-def segment_scan(
-    lo: int,
-    hi: int,
-    base_primes: np.ndarray,
-    *,
-    want_phi: bool = False,
-    want_sigma: bool = False,
-    want_omega: bool = False,
-    smooth_bound: int | None = None,
-    step: int = 1,
-    workspace: _Workspace,
-):
+def segment_scan(ws: _Workspace, lo: int, hi: int, *, want_phi: bool, want_sigma: bool,
+                 want_omega: bool, smooth_bound: int | None):
     """Vectorized factor scan of the progression lo, lo+step, ... < hi,
-    one window of a deal (deal_windows), which has checked its bounds.
+    one window of a deal (deal_windows), which has checked its bounds,
+    on the worker's workspace ws, which carries the deal's step and base
+    primes and holds buffers for the wanted arrays.  deal_windows passes
+    the keywords that built ws; they also name the window's scan to a
+    wrapper, as bench/child.py reads them with hi - lo.
 
-    Divides every scanned integer by the supplied base primes (all
-    primes <= sqrt of the last element must be present for exact
-    phi/sigma/Omega; a smaller prime set is allowed when only the
-    divided remainder matters, e.g. smoothness tests with smooth_bound
-    set).
+    Divides every scanned integer by the base primes, those up to the
+    sqrt of the window's last element, all that exact phi/sigma/Omega
+    need, or up to smooth_bound when it is set, for smoothness tests,
+    where only the divided remainder matters.
 
     The base primes fall into the module's two bands.  A tiny prime is
     sliced at every power p^j up to the last element, on the strided
@@ -355,9 +338,8 @@ def segment_scan(
     Whatever remains above 1 after the base primes is a single prime
     factor (for exact modes) and is folded in last.
 
-    Every array is filled in place in the worker's workspace
-    (_Workspace), so the arrays returned are overwritten by its next
-    window.
+    Every array is filled in place in ws, so the arrays returned are
+    overwritten by its next window.
 
     Returns a dict with any of:
       'phi', 'sigma' : arrays of exact values, in the workspace's lane
@@ -367,14 +349,14 @@ def segment_scan(
                        base primes (only when smooth_bound is set).
     Element k of each array belongs to lo + k*step.
     """
+    step, base, n_tiny = ws.step, ws.base, ws.n_tiny
     size = (hi - lo + step - 1) // step
     last = lo + (size - 1) * step
     top = smooth_bound if smooth_bound is not None else math.isqrt(last)
-    n_tiny, inv = workspace.table
-    n_top = int(np.searchsorted(base_primes, top, "right"))
+    n_top = int(np.searchsorted(base, top, "right"))
 
     rem, phi, sigma, omega = (None if a is None else a[:size] for a in
-                              (workspace.rem, workspace.phi, workspace.sigma, workspace.omega))
+                              (ws.rem, ws.phi, ws.sigma, ws.omega))
     rem[0] = lo  # lo, lo + step, ... by doubling: no ramp array, no slow cumsum
     k = 1
     while k < size:
@@ -403,7 +385,7 @@ def segment_scan(
                 sg //= s
             sg *= s * p + 1
 
-    for p in base_primes[: min(n_tiny, n_top)].tolist():
+    for p in base[: min(n_tiny, n_top)].tolist():
         q, s = p, 1  # q = p^j, s = 1 + p + ... + p^(j-1)
         while q <= last:
             hit = _multiples(lo, step, q)
@@ -414,14 +396,14 @@ def segment_scan(
             q *= p
 
     if n_top > n_tiny:
-        _slice_or_pair(lo, step, base_primes[n_tiny:n_top], inv[: n_top - n_tiny], divide,
-                       rem, phi, sigma, omega, workspace)
+        _slice_or_pair(lo, base[n_tiny:n_top], ws.inv[: n_top - n_tiny], divide,
+                       rem, phi, sigma, omega, ws)
 
     # branch-free: rem + big and rem - big are p + 1 and p - 1 where a
     # prime p is left and 1 where rem = 1, sigma's and phi's factors with
     # no masked multiply; rem is restored after each use
     if want_phi or want_sigma or want_omega:
-        big = np.greater(rem, 1, out=workspace.big[:size])
+        big = np.greater(rem, 1, out=ws.big[:size])
     if want_omega:
         omega += big
     if want_sigma:
@@ -437,10 +419,10 @@ def segment_scan(
     return {key: arr for key, arr in out.items() if arr is not None}
 
 
-def _slice_or_pair(lo, step, primes, inv, divide, rem, phi, sigma, omega, ws) -> None:
-    """Divide every power of the primes, ascending and prime to step,
-    out of the window lo, lo+step, ... that rem covers, updating phi,
-    sigma and omega (those not None).  inv[i] is (-step)^-1 mod
+def _slice_or_pair(lo, primes, inv, divide, rem, phi, sigma, omega, ws) -> None:
+    """Divide every power of the primes, ascending and prime to step =
+    ws.step, out of the window lo, lo+step, ... that rem covers, updating
+    phi, sigma and omega (those not None).  inv[i] is (-step)^-1 mod
     primes[i].
 
     One round per exponent j, over the indices k_j, k_j + p^j, ... <
@@ -458,7 +440,7 @@ def _slice_or_pair(lo, step, primes, inv, divide, rem, phi, sigma, omega, ws) ->
     (_apply_pairs), as in the bucket sieve of T. Oliveira e Silva,
     S. Herzog and S. Pardi (Math. Comp. 83 (2014) 2033-2060).
     """
-    size = len(rem)
+    size, step = len(rem), ws.step
     last = lo + (size - 1) * step
     k = lo % primes * inv % primes
     hit = k < size  # a prime that misses the window misses it at every power
@@ -468,7 +450,8 @@ def _slice_or_pair(lo, step, primes, inv, divide, rem, phi, sigma, omega, ws) ->
         cut = int(np.searchsorted(q, size // SLICE_HITS, "right"))  # the sliced prefix
         for pi, qi, ki in zip(p[:cut].tolist(), q[:cut].tolist(), k[:cut].tolist()):
             divide(slice(ki, size, qi), pi, qi, (qi - 1) // (pi - 1))
-        _apply_pairs(j, k[cut:], q[cut:], p[cut:], rem, phi, sigma, omega, ws)
+        if cut < len(p):
+            _apply_pairs(j, k[cut:], q[cut:], p[cut:], rem, phi, sigma, omega, ws)
         n = int(np.count_nonzero(q <= last // p))  # p^(j+1) <= last: a prefix of the primes
         p, k, q, inv = p[:n], k[:n], q[:n], inv[:n]
         k += (lo + k * step) // q % p * inv % p * q
@@ -482,46 +465,45 @@ def _apply_pairs(j, first, stride, primes, rem, phi, sigma, omega, ws) -> None:
     < size, stride[i] = primes[i]^j, and update phi, sigma and omega
     (those not None) as segment_scan's slices for p^j do.
 
-    Every first[i] is below size.  Batches of whole primes, with at most
-    _pair_batch pairs each, are expanded into (index, p) pairs, the index
-    by one cumsum over the strides, and applied by ufunc.at, which
-    applies every pair even where two primes share an index.
+    Every first[i] is below size.  The round is expanded at once into
+    (index, p) pairs on the workspace's rows, the index by one cumsum
+    over the strides, and applied by ufunc.at, which applies every pair
+    even where two primes share an index.
+
+    The rows hold every round of every window of the deal.  In round j
+    a power q = p^j is paired only when q > w // SLICE_HITS, w the
+    window's length, and it then hits the window at most ceil(w/q)
+    times.  As w/q < SLICE_HITS, that is at most min(ceil(size/p),
+    SLICE_HITS), size the deal's longest window, and a round holds each
+    prime once, so rows = sum min(ceil(size/p), SLICE_HITS) over the
+    base primes above the tiny band (deal_windows) bounds it.  A round
+    with more pairs would make np.power below raise on the shape: it is
+    never truncated.
     """
-    size = len(rem)
-    primes = primes.astype(rem.dtype, copy=False)
-    count = (size - 1 - first) // stride + 1  # hits
-    ends = np.cumsum(count)
-    batch = len(ws.index)
-    a = 0
-    while a < len(primes):
-        done = int(ends[a - 1]) if a else 0
-        b = int(np.searchsorted(ends, done + batch, "right"))
-        first_k, c, q = first[a:b], count[a:b], stride[a:b]
-        p = np.repeat(primes[a:b], c)
-        idx, fac = ws.index[: len(p)], ws.factor[: len(p)]
-        # idx by one cumsum: the stride inside a group, the jump to first_k at its start
-        np.power(p, j, out=idx)
-        starts = ends[a:b] - c - done
-        idx[starts[0]] = first_k[0]
-        idx[starts[1:]] = first_k[1:] - (first_k[:-1] + (c[:-1] - 1) * q[:-1])
-        np.cumsum(idx, out=idx)
-        if omega is not None:
-            np.add.at(omega, idx, np.int16(1))
-        np.floor_divide.at(rem, idx, p)
-        if phi is not None:
-            np.multiply.at(phi, idx, np.subtract(p, 1, out=fac) if j == 1 else p)
-        if sigma is not None:
-            fac.fill(1)
-            for _ in range(j - 1):  # 1 + p + ... + p^(j-1)
-                fac *= p
-                fac += 1
-            if j > 1:
-                np.floor_divide.at(sigma, idx, fac)
+    count = (len(rem) - 1 - first) // stride + 1  # hits
+    p = np.repeat(primes.astype(rem.dtype, copy=False), count)
+    idx, fac = ws.index[: len(p)], ws.factor[: len(p)]
+    # idx by one cumsum: the stride inside a group, the jump to first at its start
+    np.power(p, j, out=idx)
+    starts = np.cumsum(count) - count
+    idx[starts[0]] = first[0]
+    idx[starts[1:]] = first[1:] - (first[:-1] + (count[:-1] - 1) * stride[:-1])
+    np.cumsum(idx, out=idx)
+    if omega is not None:
+        np.add.at(omega, idx, np.int16(1))
+    np.floor_divide.at(rem, idx, p)
+    if phi is not None:
+        np.multiply.at(phi, idx, np.subtract(p, 1, out=fac) if j == 1 else p)
+    if sigma is not None:
+        fac.fill(1)
+        for _ in range(j - 1):  # 1 + p + ... + p^(j-1)
             fac *= p
             fac += 1
-            np.multiply.at(sigma, idx, fac)
-        del p  # before the next batch's repeat, so one batch of primes is alive at a time
-        a = b
+        if j > 1:
+            np.floor_divide.at(sigma, idx, fac)
+        fac *= p
+        fac += 1
+        np.multiply.at(sigma, idx, fac)
 
 
 def cut_windows(progressions) -> list[tuple[int, int, int]]:
@@ -550,26 +532,30 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     """Deal the windows (cut_windows) of the progressions, which must
     start at 2 or above, end at 10**12 or below and share one step >= 1,
     longest first, round robin to min(threads, windows, CPUs) workers
-    (workers.worker_count), and charge them, before anything is
-    allocated or any thread starts, in one check_allocation: per worker
-    a scan workspace for the longest window (scan_bytes), in the lane
-    dtype that the last integer scanned and the wants decide (see the
-    module), and worker_bytes, and shared_bytes once.  Then sieve the
-    base primes, those <= sqrt of the last integer scanned or
-    <= smooth_bound when it is set, and build the step's inverse table
-    (see _Workspace), once for all workers.
+    (workers.worker_count).
 
-    Returns run(consume).  It runs the workers (workers.run_workers):
-    worker w fills one workspace (_Workspace) with a segment_scan of
-    each of windows[w::workers], with the want_* and smooth_bound
-    keywords, and calls consume(first, step, scan) on it, where first
-    is the window's first integer, so element k of each of scan's
-    arrays belongs to first + k*step.  The arrays are overwritten by
-    the worker's next window: consume or copy them first.  run returns
-    what consume returned for every window, grouped by worker, so how
-    the caller combines them must not depend on their order.  Worker
-    loads differ by at most one window in count and by at most the
-    longest window in elements: in each round of the deal a worker's
+    First sieve the base primes, those <= sqrt of the last integer
+    scanned or <= smooth_bound when it is set, under primes_up_to's own
+    charge.  Then charge, before anything else is allocated or any
+    thread starts, in one check_allocation: per worker a scan workspace
+    for the longest window (scan_bytes), with the rows of _apply_pairs's
+    bound and an inverse per base prime above the tiny band, in the lane
+    dtype that the last integer scanned and the wants decide (see the
+    module), and worker_bytes, and shared_bytes once.  Then build the
+    step's inverse table, once for all workers.
+
+    Returns run(consume).  It builds every worker's workspace
+    (_Workspace) on the calling thread, then runs the workers
+    (workers.run_workers): worker w fills its workspace with a
+    segment_scan of each of windows[w::workers], with the want_* and
+    smooth_bound keywords, and calls consume(first, step, scan) on it,
+    where first is the window's first integer, so element k of each of
+    scan's arrays belongs to first + k*step.  The arrays are overwritten
+    by the worker's next window: consume or copy them first.  run
+    returns what consume returned for every window, grouped by worker,
+    so how the caller combines them must not depend on their order.
+    Worker loads differ by at most one window in count and by at most
+    the longest window in elements: in each round of the deal a worker's
     window is no shorter than any later worker's, nor than any of the
     next round's.
     """
@@ -591,28 +577,26 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
     size = max(((last - lo) // step + 1 for lo, _, last in windows), default=0)
-    # each base prime above the tiny band, p <= max(23, step's primes), and <= this has an inverse
-    bound = math.isqrt(top) if smooth_bound is None else smooth_bound
+    base = primes_up_to(math.isqrt(top) if smooth_bound is None else smooth_bound)
+    # a base prime above the tiny band, p > max(23, step's primes), has an inverse
     tiny = max([TINY_PRIME_THRESHOLD, *(p for p, _ in factorize(step).pairs)])
-    inverses = min(max(0, bound - tiny), prime_count_bound(bound))
+    n_tiny = int(np.searchsorted(base, tiny, "right"))
+    rows = int(np.minimum(-(-size // base[n_tiny:]), SLICE_HITS).sum())  # see _apply_pairs
     wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
     # the lane: every value it holds is below top + 1, or 7 top with sigma (see the module)
     lane = np.uint32 if max(top + 1, 7 * top * want_sigma) < 1 << 32 else np.int64
-    check_allocation(n_workers * (scan_bytes(size, inverses, lane, **wants) + worker_bytes)
-                     + shared_bytes, f"{what} on {n_workers} workers")
-    base = primes_up_to(bound)
-    n_tiny = int(np.searchsorted(base, tiny, "right"))
-    # no prime above the tiny band divides step, so every inverse exists
-    table = (n_tiny, np.array([pow(-step, -1, p) for p in base[n_tiny:].tolist()], dtype=np.int64))
+    check_allocation(n_workers * (scan_bytes(size, rows, len(base) - n_tiny, lane, **wants)
+                                  + worker_bytes) + shared_bytes, f"{what} on {n_workers} workers")
+    inv = np.array([pow(-step, -1, p) for p in base[n_tiny:].tolist()], dtype=np.int64)
+    deal = (base, n_tiny, inv, step)
 
     def run(consume) -> list:
+        spaces = [_Workspace(size, rows, lane, deal, **wants) for _ in range(n_workers)]
         results = [[] for _ in range(n_workers)]
 
         def scan(w: int):
-            ws = _Workspace(size, table, lane, **wants)
             for lo, _, last in windows[w::n_workers]:
-                got = segment_scan(lo, last + 1, base, step=step, smooth_bound=smooth_bound,
-                                   workspace=ws, **wants)
+                got = segment_scan(spaces[w], lo, last + 1, smooth_bound=smooth_bound, **wants)
                 results[w].append(consume(lo, step, got))
                 yield
 

@@ -19,16 +19,20 @@ Memory: a bitmap over [0, x] costs (x+1)/8 bytes.  The build marks
 values in a scratch array of x/2 + 2 bytes, one byte per even value
 (the odd values are 1 and sigma's few at odd squares n = m^2, with
 their Mersenne multiples), packed into the bitmap at the end, and keeps
-one scan workspace per worker thread for all of its windows
-(sieve.scan_bytes, 3.5 to 3.8 MB at the default window size for x from
-10^7 to 10^8, on uint32 lanes; sigma's lane is int64 from x = 6.2e8 on,
+one scan workspace per worker thread for all of its windows, built on
+the calling thread (sieve.scan_bytes, at the default window size 4.6,
+5.3 and 6.2 MB for phi at x = 10^7, 10^8 and 10^9, and 4.2, 4.9 and
+9.2 MB for sigma, of which 2.0 to 4.3 MB are the rows for one round
+of prime-power pairs; sigma's lane is int64 from x = 6.2e8 on,
 phi's from x = 1.36e9 on).  Each window's values are clipped in place
 and marked by one fancy-index store, so no mask or filtered copy is
-made, and the closure runs in place.  All of it, with the pack's
-temporaries, is charged against the memory budget before anything is
-allocated or any thread starts: 0.69 x bytes plus the workspaces.  On a 2-vCPU VM,
-values-table to 10^8 peaks at 96 MB of resident memory on one thread
-and 100 MB on two, and to 10^9 at 0.7 GB.
+made, and the closure runs in place.  The scan's base primes are
+sieved first, under their own charge; all the rest, with the pack's
+temporaries, is charged against the memory budget in one request
+before anything else is allocated or any thread starts: 0.69 x bytes
+plus the workspaces.  On a 2-vCPU VM, values-table to 10^8 peaks at
+96 MB of resident memory on one thread and 100 MB on two, and to 10^9
+at 0.7 GB.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ own.  Both must agree exactly (==) in every mode.
 
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -134,6 +135,38 @@ def test_lifted_powers_sliced_in_long_windows(monkeypatch, mode, step, hits):
     start = {1: 2, 2: 3}.get(step, 7)
     _windows_equal_oracle(monkeypatch, start + step * (size - 1), size, step, MODES[mode],
                           start=start)
+
+
+ROUND_MODES = {"phi": MODES["phi"], "sigma": MODES["sigma"], "omega": MODES["omega"],
+               "smooth": {"smooth_bound": 5000}}
+
+
+@pytest.mark.parametrize("hits", [512, 8])
+def test_every_round_fits_the_deals_rows(monkeypatch, hits):
+    # each round of _apply_pairs expands all of its pairs at once into
+    # the workspace's rows, which deal_windows sizes by the bound in
+    # _apply_pairs: no round, in full or ragged windows of 1 to 2^18
+    # elements at steps 1 to 90 near 1e6 and 1e8, has more pairs
+    monkeypatch.setattr(sieve, "SLICE_HITS", hits)
+    rounds = []
+    real = sieve._apply_pairs
+
+    def spy(j, first, stride, primes, rem, phi, sigma, omega, ws):
+        pairs = int(((len(rem) - 1 - first) // stride + 1).sum())
+        assert pairs <= len(ws.index), (len(rem), ws.step, j, pairs, len(ws.index))
+        rounds.append(pairs)
+        real(j, first, stride, primes, rem, phi, sigma, omega, ws)
+
+    monkeypatch.setattr(sieve, "_apply_pairs", spy)
+    for size in (1, 64, 97, 4096, 1 << 18):
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
+        for step in (1, 2, 30, 90):
+            for near in (10**6, 10**8):
+                lo = near + 1
+                progression = [(lo, step, lo + step * (size + size // 3))]  # and a ragged window
+                for want in ROUND_MODES.values():
+                    deal_windows(progression, 1, what="test scan", **want)(lambda *window: None)
+    assert len(rounds) > 400  # the grid drives the pair pass
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -366,18 +399,24 @@ LANE_CASES = [pytest.param(mode, lo, id=mode if lane == "narrow" else f"{mode}-{
 
 @pytest.fixture
 def charges(monkeypatch):
-    """The bytes of every check_allocation made by sieve, anatomy and structure
-    (value_sets charges through sieve.deal_windows)."""
+    """(bytes, what) of every check_allocation made by sieve, anatomy and
+    structure (value_sets charges through sieve.deal_windows)."""
     seen = []
     original = sieve.check_allocation
 
     def record(nbytes, what):
-        seen.append(nbytes)
+        seen.append((nbytes, what))
         original(nbytes, what)
 
     for mod in (sieve, anatomy, structure):
         monkeypatch.setattr(mod, "check_allocation", record)
     return seen
+
+
+def deal_charge(charges):
+    """The bytes of the one deal's charge, the one ending 'on N workers'."""
+    (nbytes,) = [nbytes for nbytes, what in charges if re.search(r" on \d+ workers$", what)]
+    return nbytes
 
 
 def traced_peak(fn):
@@ -396,7 +435,9 @@ def test_segment_scan_peak_within_charge(monkeypatch, charges, mode, lo):
     size = sieve.DEFAULT_SEGMENT_SIZE
     scan = deal_windows([(lo, 2, lo + 2 * (size - 1))], 1, what="test scan", **want)
     peak = traced_peak(lambda: scan(lambda *window: None))
-    assert len(charges) == 2 and peak <= charges[0]  # the deal, then its base primes
+    # the base primes' sieve, then the deal
+    assert [what.split()[:2] for _, what in charges] == [["prime", "sieve"], ["test", "scan"]]
+    assert peak <= deal_charge(charges)
 
 
 @pytest.mark.parametrize("which, lo, hi", [
@@ -430,24 +471,29 @@ def test_sieve_peak_within_charge(charges, name):
     # and the primes, the spf table and the base primes, the mask and
     # the survivors
     peak = traced_peak(SIEVES[name])
-    assert peak <= max(charges)
+    assert peak <= max(nbytes for nbytes, _ in charges)
 
 
 @pytest.mark.parametrize("mode, lo", LANE_CASES)
 def test_deal_charged_once_per_run(monkeypatch, charges, mode, lo):
-    # one charge, the deal's, made first, covers every window of the run;
-    # the second run's progressions are three wheel classes of one step
+    # one charge, the deal's, made after the base primes' sieve, covers
+    # every window of the run; the second run's progressions are three
+    # wheel classes of one step; the third is one 64-element window 1e8
+    # further on, where every power above the tiny band is paired, so
+    # the rows are allocated at their bound
     want = MODES.get(mode, {"smooth_bound": 5000})
     size = 1 << 16
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     one_class = [(lo, 2, lo + 2 * (4 * size - 1))]
     wheel_classes = [(31, 30, 1559235), (15, 30, 2769694), (29, 30, 1559235)]
-    for progressions in (one_class, wheel_classes):
+    sixty_four = [(lo + 10**8, 2, lo + 10**8 + 2 * 63)]
+    assert 64 // SLICE_HITS < 29
+    for progressions in (one_class, wheel_classes, sixty_four):
         charges.clear()
         peak = traced_peak(lambda: deal_windows(progressions, 1, what="test scan", **want)(
             lambda *window: None))
-        assert len(charges) == 2  # the deal, then its base primes' sieve
-        assert peak <= charges[0]
+        assert len(charges) == 2  # the base primes' sieve, then the deal
+        assert peak <= deal_charge(charges)
 
 
 SCANS = {
@@ -459,8 +505,9 @@ SCANS = {
 
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_two_workers_share_one_setup(monkeypatch, scan):
-    # the deal sieves the base primes once, hands both workers' workspaces
-    # one inverse table and makes one charge, its own, for both of them
+    # the deal sieves the base primes once, under their own charge, hands
+    # both workers' workspaces one deal (base primes, inverse table, step)
+    # and makes one charge, its own, for both of them
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     calls = []
 
@@ -473,36 +520,37 @@ def test_two_workers_share_one_setup(monkeypatch, scan):
     for name in ("primes_up_to", "check_allocation", "_Workspace"):
         spy(name, getattr(sieve, name))
     SCANS[scan]()
-    deal, prime_sieve = [args[-1] for name, args in calls if name == "check_allocation"]
+    prime_sieve, deal = [args[-1] for name, args in calls if name == "check_allocation"]
     assert deal.endswith("on 2 workers") and prime_sieve.startswith("prime sieve")
     assert [name for name, _ in calls].count("primes_up_to") == 1
-    first, second = [args[1] for name, args in calls if name == "_Workspace"]
+    first, second = [args[3] for name, args in calls if name == "_Workspace"]
     assert first is second
 
 
 @pytest.mark.parametrize("f", ["phi", "sigma"])
 def test_value_bitmap_peak_within_charge(charges, f):
     peak = traced_peak(lambda: value_sets.build_value_bitmap(f, 10**6))
-    assert peak <= max(charges)
+    assert peak <= max(nbytes for nbytes, _ in charges)
 
 
 @pytest.mark.parametrize("segment", [sieve.DEFAULT_SEGMENT_SIZE, 1 << 12])
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("f", ["phi", "sigma"])
 def test_value_bitmap_threads_peak_within_charge(monkeypatch, charges, f, threads, segment):
-    # the build's one charge, made first, covers every worker's workspace,
-    # the scratch and the pack; 2^12-element windows fill the workspaces
+    # the build's one charge, made after the base primes' sieve and before
+    # anything else, covers every worker's workspace, the scratch and the
+    # pack; 2^12-element windows fill the workspaces
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment)
     peak = traced_peak(lambda: value_sets.build_value_bitmap(f, 10**5, threads=threads))
-    assert peak <= charges[0]
+    assert peak <= deal_charge(charges)
 
 
 @pytest.mark.parametrize("f", ["phi", "sigma"])
 def test_value_bitmap_refuses_second_worker_before_any_thread(monkeypatch, charges, f):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     want = value_sets.build_value_bitmap(f, 10**5, threads=2).bits
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(charges[0] - 1))
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(deal_charge(charges) - 1))
     started = []
     real_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
@@ -528,19 +576,20 @@ CENSUSES = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("census", sorted(CENSUSES))
 def test_census_threads_peak_within_charge(monkeypatch, charges, census, threads):
-    # the census's one charge, made first, covers every worker's workspace
-    # and, for r_l_sum, every slice, table and kept term (94% of the n are
-    # members at L = 6, xi = 100); the odd n of 1e6 are 2 windows, of 6e5 two
+    # the census's one charge, made after the base primes' sieve and before
+    # anything else, covers every worker's workspace and, for r_l_sum,
+    # every slice, table and kept term (94% of the n are members at L = 6,
+    # xi = 100); the odd n of 1e6 are 2 windows, of 6e5 two
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     peak = traced_peak(lambda: CENSUSES[census](threads))
-    assert peak <= charges[0]
+    assert peak <= deal_charge(charges)
 
 
 @pytest.mark.parametrize("census", sorted(CENSUSES))
 def test_census_refuses_second_worker_before_any_thread(monkeypatch, charges, census):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     want = CENSUSES[census](2)
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(charges[0] - 1))
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(deal_charge(charges) - 1))
     started = []
     real_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",

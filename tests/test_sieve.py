@@ -358,7 +358,7 @@ def test_deal_refuses_mixed_steps_before_any_charge(monkeypatch, threads):
             deal_windows(progressions, threads, what="test scan", want_phi=True)
     assert not charged and threading.active_count() == before
     deal_windows([(3, 2, 1001), (50, 7, 10)], threads, what="test scan", want_phi=True)
-    assert len(charged) == 2  # the deal, then its base primes
+    assert len(charged) == 2  # the base primes' sieve, then the deal
 
 
 def test_input_cap_enforced():

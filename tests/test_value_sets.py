@@ -420,9 +420,9 @@ def _dealt(monkeypatch, f, x, threads, cpus):
     real = sieve.segment_scan
     dealt = {}
 
-    def spy(lo, hi, *args, step, **kw):
-        dealt.setdefault(threading.current_thread(), []).append((lo, step, hi - 1))
-        return real(lo, hi, *args, step=step, **kw)
+    def spy(ws, lo, hi, **kw):
+        dealt.setdefault(threading.current_thread(), []).append((lo, ws.step, hi - 1))
+        return real(ws, lo, hi, **kw)
 
     monkeypatch.setattr(sieve, "segment_scan", spy)
     build_value_bitmap(f, x, threads=threads)
@@ -467,12 +467,14 @@ def test_one_workspace_per_worker(monkeypatch, f, threads):
 
     class Spy(real):
         def __init__(self, *args, **kw):
-            built.append(self)
+            built.append(threading.current_thread())
             super().__init__(*args, **kw)
 
     monkeypatch.setattr(sieve, "_Workspace", Spy)
     build_value_bitmap(f, 10**6, threads=threads)
     assert len(built) == threads  # one workspace per worker
+    # all built on the calling thread, before any worker thread starts
+    assert all(thread is threading.main_thread() for thread in built)
 
 
 def test_failing_scan_worker_reraised_and_no_thread_left(monkeypatch):
