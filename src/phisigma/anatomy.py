@@ -11,6 +11,7 @@ iterated natural logarithm), never the binary logarithm.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,7 +97,8 @@ def _window_scan(fact: Factorization, value: int, S: float):
     S <= U < T <= value is attained in the limit at windows whose
     endpoints sit at prime locations (approached from either side) or
     at the interval ends S and value.  Only those O(Omega^2) windows
-    are evaluated.
+    are evaluated, each counted as upto[b] - upto[a]: the prime factors
+    among the first b locations less those among the first a.
 
     Returns (passed, worst) where worst = (U, T, observed, expected,
     margin) for the largest margin.
@@ -105,40 +107,29 @@ def _window_scan(fact: Factorization, value: int, S: float):
     if value < S:
         return True, None  # vacuous: no admissible (U, T)
 
-    locs = [(p, e) for p, e in fact.pairs if S < p <= value]
-    # lower candidates: (point, include_point_in_count)
-    lowers = [(float(S), False)]
-    for p, _ in locs:
-        lowers.append((float(p), False))  # U = p, prime excluded
-        lowers.append((float(p), True))  # U -> p-, prime included
-    uppers = [(float(value), True)]
-    for p, _ in locs:
-        uppers.append((float(p), True))  # T = p, prime included
-        uppers.append((float(p), False))  # T -> p-, prime excluded
+    locs = [(float(p), e) for p, e in fact.pairs if S < p <= value]
+    upto = list(itertools.accumulate((e for _, e in locs), initial=0))
+    # the i-th location p ends a window at p, index i + 1 (U = p leaves p
+    # out, T = p takes it in), or at p-, index i (the reverse), reported
+    # as the float just below p to keep U < T strict in the stored tuple
+    ends = []
+    for i, (p, _) in enumerate(locs):
+        llp = _loglog(p)
+        ends += [(p, llp, p, i + 1), (p, llp, math.nextafter(p, 0.0), i)]
+    lowers = [(float(S), lls, float(S), 0), *ends]
+    uppers = [(float(value), _loglog(value), float(value), len(locs)), *ends]
 
     worst = None
-    passed = True
-    for u_pt, u_incl in lowers:
-        for t_pt, t_incl in uppers:
-            if t_pt < u_pt or (t_pt == u_pt and not (u_incl and t_incl)):
+    for u, llu, u_rep, a in lowers:
+        for t, llt, t_rep, b in uppers:
+            if t < u or (t == u and b <= a):
                 continue
-            observed = sum(
-                e
-                for p, e in locs
-                if (p > u_pt or (u_incl and p == u_pt))
-                and (p < t_pt or (t_incl and p == t_pt))
-            )
-            expected = _loglog(t_pt) - _loglog(u_pt)
-            margin = abs(observed - expected) - math.sqrt(lls * _loglog(t_pt))
+            observed = upto[b] - upto[a]
+            expected = llt - llu
+            margin = abs(observed - expected) - math.sqrt(lls * llt)
             if worst is None or margin > worst[4]:
-                # limit windows report the float just below the prime,
-                # keeping U < T strict in the stored tuple
-                u_rep = math.nextafter(u_pt, 0.0) if u_incl else u_pt
-                t_rep = t_pt if t_incl else math.nextafter(t_pt, 0.0)
                 worst = (u_rep, t_rep, observed, expected, margin)
-            if margin > 0.0:
-                passed = False
-    return passed, worst
+    return worst is None or worst[4] <= 0.0, worst
 
 
 def is_s_normal(p: int, S: float, sieve: FactorSieve | None = None) -> NormalityReport:
@@ -274,26 +265,44 @@ def omega_tail_census(x: int, alpha: float, *, threads: int = 1) -> tuple[int, f
     return observed, shape
 
 
-def poisson_tail_bound(z: float, alpha: float) -> float:
-    """The bound e^((1 - Q(alpha)) z) on the left Poisson tail."""
-    if z <= 0.0:
-        raise DomainError(f"need z > 0, got {z}")
+def _poisson_exponent(z: float, alpha: float) -> float:
+    """(1 - Q(alpha)) z, the log of the left Poisson tail bound."""
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"need finite z > 0, got {z}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"need 0 < alpha < 1, got {alpha}")
-    return math.exp((1.0 - q_function(alpha)) * z)
+    return (1.0 - q_function(alpha)) * z
+
+
+def poisson_tail_bound(z: float, alpha: float) -> float:
+    """The bound e^((1 - Q(alpha)) z) on the left Poisson tail; DomainError
+    where it is past the largest double."""
+    try:
+        return math.exp(_poisson_exponent(z, alpha))
+    except OverflowError:
+        raise DomainError(f"e^((1 - Q(alpha)) z) overflows at z={z}, alpha={alpha}") from None
 
 
 def check_poisson_tail(z: float, alpha: float) -> bool:
-    """Verify sum_{k <= alpha z} z^k/k! < e^((1-Q(alpha)) z) by summation."""
-    bound = poisson_tail_bound(z, alpha)
-    total = 0.0
-    term = 1.0
-    k = 0
-    while k <= alpha * z:
-        total += term
-        k += 1
-        term *= z / k
-    return total < bound
+    """Verify sum_{k <= alpha z} z^k/k! < e^((1-Q(alpha)) z) in logs.
+
+    With k0 = floor(alpha z), the sum is z^k0/k0! times the terms taken
+    relative to the last one, 1 + k0/z + k0 (k0-1)/z^2 + ...; each falls
+    by k/z <= alpha, so once one leaves the sum as it is, all later ones do.
+    The logs of the two sides differ by about log(2 pi k0)/2, a margin the
+    rounding of k0 log z and log k0! swamps near z = 10^16, so k0 log z
+    past 2^50 is a DomainError.
+    """
+    exponent = _poisson_exponent(z, alpha)
+    k = k0 = math.floor(alpha * z)
+    if k0 * math.log(z) > 2.0**50:
+        raise DomainError(f"z={z} is past what a double resolves in k0 log z")
+    rel, term = 0.0, 1.0
+    while k >= 0 and rel + term != rel:
+        rel += term
+        term *= k / z
+        k -= 1
+    return math.log(rel) + k0 * math.log(z) - math.lgamma(k0 + 1) < exponent
 
 
 def sieve_bound_census(

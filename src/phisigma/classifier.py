@@ -42,7 +42,7 @@ from functools import lru_cache
 from . import anatomy, value_sets
 from .constants import E_TO_E, iterated_log, series_coefficient
 from .errors import BudgetExceededError, DomainError, ResourceError
-from .sieve import FactorSieve, Factorization, factorize, phi_of, sigma_of
+from .sieve import INPUT_CAP, FactorSieve, Factorization, factorize, phi_of, sigma_of
 from .structure import SimplexSpec, _renormalize_fact, default_xi, simplex_contains
 
 UNITARY_DIVISOR_CAP = 1 << 20
@@ -208,6 +208,8 @@ def classify(
     """Evaluate all nine membership conditions for n.
 
     A FactorSieve covering n (and ideally f(n)) avoids trial division.
+    Where n alone shows f(n) > x, n is reported not applicable without
+    being factored; otherwise n past INPUT_CAP raises ResourceError.
     Raises BudgetExceededError rather than guessing when the unitary
     divisor enumeration of condition (4) would exceed its cap.
     """
@@ -218,17 +220,25 @@ def classify(
     x = params.x
     detail: dict = {}
 
+    def not_applicable(why: str) -> AfConditionsReport:
+        return AfConditionsReport(n=n, f_tag=f_tag, cond=(False,) * 9, member=False,
+                                  applicable=False, detail={"not_applicable": why})
+
+    # f(n) > X = floor(x), hence f(n) > x, can follow from n alone:
+    # phi(n) >= sqrt(n/2) for every n, and sigma(n) >= n + 1 for n >= 2
+    # (x > e^e, so n >= X means n >= 15)
+    X = math.floor(x)
+    if f_tag == "phi" and n > 2 * X * X:
+        return not_applicable(f"phi(n) >= sqrt(n/2) > x = {x:g}")
+    if f_tag == "sigma" and n >= X:
+        return not_applicable(f"sigma(n) >= n + 1 > x = {x:g}")
+    if n > INPUT_CAP:
+        raise ResourceError(f"n = {n} exceeds the 10^12 input cap of trial division")
+
     fact_n = factorize(n, sieve)
     fn = phi_of(fact_n) if f_tag == "phi" else sigma_of(fact_n)
     if fn > x:
-        return AfConditionsReport(
-            n=n,
-            f_tag=f_tag,
-            cond=(False,) * 9,
-            member=False,
-            applicable=False,
-            detail={"not_applicable": f"f(n) = {fn} > x = {x:g}"},
-        )
+        return not_applicable(f"f(n) = {fn} > x = {x:g}")
 
     llx = math.log(math.log(x))
     logx = math.log(x)
@@ -245,9 +255,9 @@ def classify(
     if not c1:
         detail["1"] = f"squarefull divisor {max(sq_n, sq_fn)} > (log x)^2 = {sq_cap:.6g}"
 
-    c2 = all(_normality_cached(p, params.s_effective) for p, _ in fact_n.pairs)
-    if not c2:
-        bad = [p for p, _ in fact_n.pairs if not _normality_cached(p, params.s_effective)]
+    bad = [p for p, _ in fact_n.pairs if not _normality_cached(p, params.s_effective)]
+    c2 = not bad
+    if bad:
         detail["2"] = f"non-S-normal primes {bad} at S = {params.s_effective:.6g}"
 
     c3 = fact_fn.big_omega() <= 10.0 * llx and fact_n.big_omega() <= 10.0 * llx

@@ -189,17 +189,17 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
 def factorize(n: int, sieve: FactorSieve | None = None) -> Factorization:
     """Factor n >= 1, primes ascending.
 
-    Each prime is read from the sieve's spf table while the cofactor
-    lies in its window; otherwise the next prime is found by trial
-    division, starting after the last prime found, since no smaller
-    prime divides the cofactor.  With no sieve this is plain trial
+    The power of 2 is read off the lowest set bit of n.  Each odd prime
+    is read from the sieve's spf table while the cofactor lies in its
+    window; otherwise it is found by trial division by odd d, starting
+    after the last prime found.  With no sieve this is plain trial
     division.  Any n >= 1 is accepted, in the window or not.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    pairs = []
-    m = n
-    d = 2  # no prime below d divides m; d is 2 or odd
+    e = (n & -n).bit_length() - 1
+    pairs = [(2, e)] if e else []
+    m, d = n >> e, 3  # m is odd, and no prime below d divides it
     while m > 1:
         if sieve is not None and sieve.covers(m):
             p = int(sieve.spf[m - sieve.window_lo])
@@ -207,14 +207,14 @@ def factorize(n: int, sieve: FactorSieve | None = None) -> Factorization:
                 p = m
         else:
             while d * d <= m and m % d:
-                d += 1 if d == 2 else 2
+                d += 2
             p = d if d * d <= m else m
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         pairs.append((p, e))
-        d = p + 1 if p == 2 else p + 2
+        d = p + 2
     return Factorization(tuple(pairs))
 
 

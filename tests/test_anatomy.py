@@ -343,6 +343,24 @@ def test_poisson_bound_approaches_full_series():
         assert check_poisson_tail(z, a)
 
 
+@pytest.mark.parametrize("z", [1e3, 1e4])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_poisson_tail_decided_past_the_largest_double(z, alpha):
+    # e^((1 - Q) z) is past the largest double in four of these six cases
+    # (e^(0.85 z) at alpha = 0.5), and so is the sum, but not their logs
+    assert check_poisson_tail(z, alpha)
+
+
+def test_poisson_tail_bound_past_the_largest_double():
+    assert poisson_tail_bound(700.0, 0.999) < math.inf
+    for z, alpha in ((1e3, 0.5), (1e4, 0.05)):
+        with pytest.raises(DomainError):
+            poisson_tail_bound(z, alpha)
+    for z in (math.inf, math.nan, 1e16):  # at 1e16 the logs' rounding swamps the margin
+        with pytest.raises(DomainError):
+            check_poisson_tail(z, 0.5)
+
+
 def test_poisson_tail_domain():
     with pytest.raises(DomainError):
         poisson_tail_bound(-1.0, 0.5)

@@ -8,10 +8,14 @@ from phisigma import (
     BudgetExceededError,
     DomainError,
     Factorization,
+    ResourceError,
     af_params,
     capture_census,
     classify,
+    factorize,
+    phi_of,
     primes_up_to,
+    sigma_of,
     structure_constants,
 )
 from phisigma.classifier import CAPTURE_CENSUS_CAP, _unitary_divisor_condition
@@ -71,6 +75,28 @@ def test_classify_not_applicable_when_value_exceeds_x():
     assert not rep.applicable
     assert not rep.member
     assert rep.cond == (False,) * 9
+
+
+@pytest.mark.parametrize("x", [100.5, 1e4])
+def test_classify_bound_from_n_alone_agrees_with_f_of_n(x):
+    # phi(n) > x for n > 2 floor(x)^2 and sigma(n) > x for n >= floor(x),
+    # read from n alone, say what factoring n says on both sides of each edge
+    params = af_params(x)
+    X = math.floor(x)
+    for f_tag, edge, f in (("phi", 2 * X * X, phi_of), ("sigma", X, sigma_of)):
+        for n in range(max(1, edge - 200), edge + 200):
+            assert classify(n, f_tag, params).applicable == (f(factorize(n)) <= x), (f_tag, n)
+
+
+def test_classify_refuses_trial_division_past_the_input_cap():
+    # phi(n) <= x is not ruled out by n alone at x = 1e30, and n = 10^12 + 39
+    # is prime: it would take some 5 * 10^5 odd trial divisors
+    params = af_params(1e30)
+    with pytest.raises(ResourceError):
+        classify(10**12 + 39, "phi", params)
+    assert classify(10**12, "phi", params).applicable  # at the cap itself: factored
+    rep = classify(10**12 + 39, "sigma", af_params(1e4))
+    assert not rep.applicable and "n + 1" in rep.detail["not_applicable"]
 
 
 def test_classify_prime_fails_odd_factor_count():

@@ -452,6 +452,26 @@ def test_every_flag_at_its_extremes(monkeypatch, capsys, tmp_path, cmd, flag, va
         assert not out.exists()
 
 
+@pytest.mark.parametrize("x, code", [("100", 0), ("1e300", 2)])
+def test_classify_large_prime_decided_before_any_trial_division(capsys, tmp_path, x, code):
+    # n = 10^18 + 3 is prime, and factoring it takes some 5 * 10^8 odd
+    # trial divisors: at x = 100, phi(n) >= sqrt(n/2) > x says not
+    # applicable from n alone; at x = 1e300 nothing does, and n is past
+    # the 10^12 input cap
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    got_code, got = _main(capsys, "classify", "--n", "1000000000000000003", "--f", "phi",
+                          "--x", x, "--output", str(out))
+    assert time.monotonic() - t0 < 5.0
+    assert got_code == code and "Traceback" not in got.err
+    if code == 0:
+        payload = json.loads(out.read_text())
+        assert payload["applicable"] is False
+        assert payload["detail"] == {"not_applicable": "phi(n) >= sqrt(n/2) > x = 100"}
+    else:
+        assert got.err.startswith("resource error") and not out.exists()
+
+
 @pytest.mark.parametrize("y", ["inf", "nan"])
 def test_non_finite_integer_flag_exits_64(capsys, y):
     code, out = _main(capsys, "smooth-count", "--x", "10", "--y", y)
