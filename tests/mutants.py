@@ -3,12 +3,13 @@
 A mutant is (file under src/phisigma, exact old text, new text, test node
 ids).  For each one, src/ is copied to a temporary directory, the old
 text must occur exactly once in the copied file, it is replaced there, and
-only the listed tests are run against the copy (PYTHONPATH points at it).
+only the listed tests are run against the copy (PYTHONPATH points at it),
+two mutants at a time.
 A mutant whose tests all pass survives.  Before any mutant, the same tests
 run against an unchanged copy and must pass, so that a broken environment
 cannot pass for killed mutants.
 
-    python tests/mutants.py [--jobs N]
+    python tests/mutants.py
 
 Exit status 0 when every mutant is killed, 1 when any survives, 2 when a
 mutant's old text is not found exactly once or the unchanged copy fails.
@@ -17,7 +18,6 @@ pytest does not collect this file (its name has no test_ prefix).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -43,6 +43,8 @@ MUTANTS = [
       "tests/test_sieve.py::test_factorize_out_of_window"]),
     ("classifier.py", 'if f_tag == "phi" and n > 2 * X * X:', "if False:",
      ["tests/test_cli.py::test_classify_large_prime_decided_before_any_trial_division"]),
+    ("classifier.py", "n > 2 * X * X:", "n > X:",
+     ["tests/test_classifier.py::test_classify_bound_from_n_alone_keeps_n_of_small_phi"]),
     ("classifier.py", 'if f_tag == "sigma" and n >= X:', "if False:",
      ["tests/test_classifier.py::test_classify_refuses_trial_division_past_the_input_cap"]),
     ("anatomy.py", "math.lgamma(k0 + 1) < exponent", "math.lgamma(k0 + 1) >= exponent",
@@ -84,10 +86,7 @@ def run_mutant(mutant) -> tuple[str, str]:
     return ("survived" if passed else "killed"), said
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once (default 2)")
-    args = parser.parse_args(argv)
+def main() -> int:
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="phisigma-control-") as tmp:
         tests = sorted({t for *_, ts in MUTANTS for t in ts})
@@ -95,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     if not passed:
         print(f"the unchanged copy fails its tests: {said}")
         return 2
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         outcomes = list(pool.map(run_mutant, MUTANTS))
     for (name, old, new, _), (verdict, said) in zip(MUTANTS, outcomes):
         print(f"{verdict:8} {name}: {old.strip()!r} -> {new.strip()!r}  ({said})")

@@ -88,6 +88,20 @@ def test_classify_bound_from_n_alone_agrees_with_f_of_n(x):
             assert classify(n, f_tag, params).applicable == (f(factorize(n)) <= x), (f_tag, n)
 
 
+def test_classify_bound_from_n_alone_keeps_n_of_small_phi():
+    # phi(n)/n is smallest on multiples of 2*3*5*7, where phi(n) <= x holds
+    # for n far above x (phi(210) = 48 at x = 100.5): a bound tighter than
+    # n > 2 floor(x)^2 would report such n not applicable
+    x = 100.5
+    params = af_params(x)
+    kept = 0
+    for n in range(210, 2 * 100 * 100 + 1, 210):
+        small = phi_of(factorize(n)) <= x
+        assert classify(n, "phi", params).applicable == small, n
+        kept += small
+    assert kept > 0
+
+
 def test_classify_refuses_trial_division_past_the_input_cap():
     # phi(n) <= x is not ruled out by n alone at x = 1e30, and n = 10^12 + 39
     # is prime: it would take some 5 * 10^5 odd trial divisors
