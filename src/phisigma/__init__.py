@@ -39,7 +39,6 @@ from .constants import (
     y_predictor,
 )
 from .errors import (
-    BudgetExceededError,
     DomainError,
     PhiSigmaError,
     ResourceError,

@@ -241,7 +241,10 @@ def omega_tail_census(x: int, alpha: float, *, threads: int = 1) -> tuple[int, f
     The odd m of [3, x] are scanned as in psi_smooth_count.  With
     T = ceil(alpha*loglog x) >= 2 and Omega(2^a m) = a + Omega(m), each
     window adds its m <= x >> a with Omega(m) >= T - a for every a (all of
-    them once a >= T), and m = 1 the a >= T with 2^a <= x.
+    them once a >= T), and m = 1 the a >= T with 2^a <= x.  T is clamped
+    at x.bit_length(), which no n <= x reaches (Omega(n) <= log2 x), so
+    every larger T counts the same 0 and an alpha*loglog x past the
+    largest double counts too.
 
     The comparator is x (log x)^(-Q(alpha)) for alpha < 2 and
     x (log x)^(1 - alpha log 2) loglog x for alpha >= 2 (constant
@@ -253,7 +256,7 @@ def omega_tail_census(x: int, alpha: float, *, threads: int = 1) -> tuple[int, f
         raise DomainError(f"need x >= e^e, got {x}")
     if x > SIEVE_CENSUS_CAP:
         raise ResourceError(f"x={x} beyond the {SIEVE_CENSUS_CAP} scan budget")
-    T = math.ceil(alpha * _loglog(x))
+    T = math.ceil(min(alpha * _loglog(x), x.bit_length()))
     scan = deal_windows([(3, 2, x)], threads, want_omega=True, what=f"Omega census to {x}")
     observed = max(0, x.bit_length() - T) + sum(scan(lambda lo, step, got: sum(
         k if a >= T else int(np.count_nonzero(got["omega"][:k] >= T - a))

@@ -26,11 +26,12 @@ would make condition (2) degenerate.  The classifier therefore carries
 an effective S (default min(S_formula, x^(1/10)), floored at e^e so
 the normality test stays in its domain) alongside the formula value;
 both are always reported.  Condition (7) needs p_1 < x^(1/(100 loglog x)),
-and that bound is below 2 for every x <= CAPTURE_CENSUS_CAP (1.06 at
-10^7; it grows with x), so no n is a member there.  classify still
-evaluates all nine conditions as stated; capture_census decides by this
-lemma (proved in its docstring) and counts the value set instead of
-classifying preimages, so it reports fraction 1.0 at every reachable x.
+and that bound is below 2 for every x up to the 10^12 input cap (1.06 at
+10^7, 1.09 at 10^12; it grows with x), so no n is a member there.
+classify still evaluates all nine conditions as stated; capture_census
+decides by this lemma (proved in its docstring) and counts the value set
+instead of classifying preimages, so it reports fraction 1.0 at every
+reachable x, whatever S.
 """
 
 from __future__ import annotations
@@ -41,13 +42,9 @@ from functools import lru_cache
 
 from . import anatomy, value_sets
 from .constants import E_TO_E, iterated_log, series_coefficient
-from .errors import BudgetExceededError, DomainError, ResourceError
+from .errors import DomainError, ResourceError
 from .sieve import INPUT_CAP, FactorSieve, Factorization, factorize, phi_of, sigma_of
 from .structure import SimplexSpec, _renormalize_fact, default_xi, simplex_contains
-
-UNITARY_DIVISOR_CAP = 1 << 20
-
-CAPTURE_CENSUS_CAP = 10**7
 
 DEFAULT_EPSILON = 0.1
 
@@ -172,7 +169,9 @@ def _unitary_divisor_condition(
 
     f is multiplicative and unitary divisors are subset products of the
     prime powers p^e || n, so Omega(f(d)) and log f(d) are subset sums
-    of the per-prime-power contributions.
+    of the per-prime-power contributions.  classify passes only n <= 10^12,
+    which has at most 11 distinct primes (2*3*...*37 > 10^12), so at most
+    2^11 subsets.
     """
     parts = []
     for p, e in fact.pairs:
@@ -180,10 +179,6 @@ def _unitary_divisor_condition(
         val = phi_of(pf) if f_tag == "phi" else sigma_of(pf)
         omega_val = factorize(val, sieve).big_omega()
         parts.append((math.log(p) * e, omega_val, math.log(val) if val > 1 else 0.0))
-    if 2 ** len(parts) > UNITARY_DIVISOR_CAP:
-        raise BudgetExceededError(
-            f"{2 ** len(parts)} unitary divisors exceed the {UNITARY_DIVISOR_CAP} cap"
-        )
     log_threshold = math.log(threshold)
     # subsets[(log d, Omega(f(d)), log f(d))]
     subsets = [(0.0, 0, 0.0)]
@@ -210,8 +205,6 @@ def classify(
     A FactorSieve covering n (and ideally f(n)) avoids trial division.
     Where n alone shows f(n) > x, n is reported not applicable without
     being factored; otherwise n past INPUT_CAP raises ResourceError.
-    Raises BudgetExceededError rather than guessing when the unitary
-    divisor enumeration of condition (4) would exceed its cap.
     """
     if f_tag not in ("phi", "sigma"):
         raise DomainError(f"f_tag must be 'phi' or 'sigma', got {f_tag!r}")
@@ -291,11 +284,7 @@ def classify(
     else:
         p0, p1 = primes_desc[0], primes_desc[1]
         shifted = p0 - 1 if f_tag == "phi" else p0 + 1
-        pplus = (
-            anatomy.largest_prime_factor(factorize(shifted, sieve))
-            if shifted > 1
-            else 1
-        )
+        pplus = anatomy.largest_prime_factor(factorize(shifted, sieve))
         lower = x ** (1.0 / llx)
         upper = x ** (1.0 / (100.0 * llx))
         c7 = pplus >= lower and p1 < upper
@@ -340,7 +329,6 @@ def capture_census(
     x: int,
     epsilon: float = DEFAULT_EPSILON,
     *,
-    s_override: float | None = None,
     threads: int = 1,
 ) -> CaptureCensus:
     """Count the values v <= x of f, and those of them having at least
@@ -351,19 +339,20 @@ def capture_census(
     a member at any accepted x.  Membership needs condition (7), hence
     p_1 < x^(1/(100 loglog x)).  Write t = loglog x; af_params requires
     t > 1.  The exponent log x / (100 loglog x) = e^t / (100 t) increases
-    for t > 1, so the bound rises with x: 1.028 near e^e, 1.060 at
-    CAPTURE_CENSUS_CAP = 10^7, and it first reaches 2 near x = 10^181.7.
-    p_1, when defined, is a prime, so at least 2; when it is not
-    (Omega(n) < 2), (7) is False.  So (7) fails for every n, whatever
-    epsilon and S, and every attained value has an outside preimage.
-    epsilon and s_override are still validated by af_params.  The
-    bitmap is built on up to `threads` worker threads.
+    for t > 1, so the bound rises with x: 1.028 near e^e, 1.060 at 10^7,
+    1.087 at the 10^12 input cap, and it first reaches 2 near
+    x = 10^181.7.  p_1, when defined, is a prime, so at least 2; when it
+    is not (Omega(n) < 2), (7) is False.  So (7) fails for every n,
+    whatever epsilon and S, and every attained value has an outside
+    preimage.  x past the input cap raises ResourceError; epsilon is still
+    validated by af_params.  The bitmap is built on up to `threads`
+    worker threads.
     """
     if f_tag not in ("phi", "sigma"):
         raise DomainError(f"f_tag must be 'phi' or 'sigma', got {f_tag!r}")
-    if x > CAPTURE_CENSUS_CAP:
-        raise ResourceError(f"x={x} beyond the {CAPTURE_CENSUS_CAP} preimage budget")
-    af_params(x, epsilon, s_override=s_override)
+    if x > INPUT_CAP:
+        raise ResourceError(f"x = {x} exceeds the 10^12 input cap")
+    af_params(x, epsilon)
     bitmap = value_sets.build_value_bitmap(f_tag, x, threads=threads)
     total = out = value_sets.count_values(bitmap, x)
     return CaptureCensus(

@@ -178,9 +178,7 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_capture_census(args) -> str:
-    census = classifier.capture_census(
-        args.f, args.x, args.epsilon, s_override=args.S_override, threads=args.threads
-    )
+    census = classifier.capture_census(args.f, args.x, args.epsilon, threads=args.threads)
     return _json(dataclasses.asdict(census))
 
 
@@ -279,7 +277,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--f", choices=("phi", "sigma"), required=True)
     sp.add_argument("--x", type=_int_arg, required=True)
     sp.add_argument("--epsilon", type=float, default=classifier.DEFAULT_EPSILON)
-    sp.add_argument("--S-override", dest="S_override", type=float, default=None)
     sp.set_defaults(func=_cmd_capture_census, formats=("json",))
 
     sp = add_parser("rl-sum", help="reciprocal sum over simplex-bound integers")

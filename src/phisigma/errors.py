@@ -2,8 +2,10 @@
 
 Every operation raises DomainError for inputs outside its mathematical
 domain and ResourceError when a computation would exceed the memory
-budget.  The budget is read from the PHISIGMA_MEMORY_BUDGET environment
-variable (bytes, read by parse_int) and defaults to 4 GiB.
+budget or a cap on its input (such as the 10^12 input cap of every
+scan and trial division).  The budget is read from the
+PHISIGMA_MEMORY_BUDGET environment variable (bytes, read by parse_int)
+and defaults to 4 GiB.
 """
 
 import os
@@ -26,10 +28,6 @@ class DomainError(PhiSigmaError, ValueError):
 
 class ResourceError(PhiSigmaError, MemoryError):
     """Computation would exceed the configured memory or scan budget."""
-
-
-class BudgetExceededError(ResourceError):
-    """Enumeration cap hit; the result is undetermined, never guessed."""
 
 
 # an exponent of ten digits or more is past any value's range

@@ -49,6 +49,13 @@ MUTANTS = [
      ["tests/test_classifier.py::test_classify_refuses_trial_division_past_the_input_cap"]),
     ("anatomy.py", "math.lgamma(k0 + 1) < exponent", "math.lgamma(k0 + 1) >= exponent",
      ["tests/test_anatomy.py::test_poisson_tail_grid"]),
+    # the premises of what the (7) lemma and the input cap made dead
+    ("classifier.py", "if n > INPUT_CAP:", "if False:",
+     ["tests/test_classifier.py::test_classify_refuses_trial_division_past_the_input_cap"]),
+    ("classifier.py", "if x > INPUT_CAP:", "if False:",
+     ["tests/test_cli.py::test_every_flag_at_its_extremes[capture-census--x=1e400]"]),
+    ("anatomy.py", "x.bit_length()))", "x.bit_length() - 3))",
+     ["tests/test_anatomy.py::test_omega_census_lift_matches_trial_division[1]"]),
 ]
 
 RUN_TIMEOUT = 300  # seconds; a mutant whose tests hang this long is killed

@@ -286,16 +286,20 @@ def omega_to_edges():
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_omega_census_lift_matches_trial_division(monkeypatch, omega_to_edges, threads):
     # every x in 16..1100 and around each 2^k, each on one of the three
-    # thread counts, against Omega by trial division
+    # thread counts, against Omega by trial division; the last two alphas
+    # put alpha loglog x past log2 x, which no Omega(n <= x) reaches, and
+    # past the largest double
     import os
+    import sys
 
     from phisigma import sieve
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 16)
     xs = [x for x in sorted({*range(16, 1101), *_EDGES}) if x >= 16 and x % 3 == threads - 1]
-    for alpha in (1.05, 1.5, 2.0, 2.9):
-        for x in xs:
+    for x in xs:
+        past_log2 = math.nextafter(math.log2(x) / math.log(math.log(x)), math.inf)
+        for alpha in (1.05, 1.5, 2.0, 2.9, past_log2, sys.float_info.max):
             threshold = alpha * math.log(math.log(x))
             want = int(np.count_nonzero(omega_to_edges[2 : x + 1] >= threshold))
             assert omega_tail_census(x, alpha, threads=threads)[0] == want, (x, alpha)

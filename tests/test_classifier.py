@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from phisigma import (
-    BudgetExceededError,
     DomainError,
-    Factorization,
     ResourceError,
     af_params,
     capture_census,
@@ -18,8 +16,7 @@ from phisigma import (
     sigma_of,
     structure_constants,
 )
-from phisigma.classifier import CAPTURE_CENSUS_CAP, _unitary_divisor_condition
-from phisigma.sieve import build_factor_sieve, segment_map
+from phisigma.sieve import INPUT_CAP, build_factor_sieve, segment_map
 
 from conftest import classify_oracle, phi_oracle_top
 from reference_loops import capture_census_loop
@@ -198,10 +195,12 @@ def test_condition_removal_never_shrinks_membership():
         assert relaxed >= full
 
 
-def test_unitary_divisor_budget_guard():
-    fact = Factorization(tuple((int(p), 1) for p in primes_up_to(80)))  # 22 primes
-    with pytest.raises(BudgetExceededError):
-        _unitary_divisor_condition(fact, "phi", 10.0, None)
+def test_input_cap_below_the_product_of_12_primes():
+    # classify factors only n <= INPUT_CAP, so condition (4) meets at most
+    # 11 distinct primes, 2^11 unitary divisors
+    primes = primes_up_to(37).tolist()
+    assert len(primes) == 12
+    assert math.prod(primes[:11]) <= INPUT_CAP < math.prod(primes)
 
 
 def test_condition3_never_fails_at_desk_scale():
@@ -231,10 +230,11 @@ def test_capture_census_pinned_1e4():
 
 
 def test_capture_census_rejects_oversized():
-    from phisigma import ResourceError
-
-    with pytest.raises(ResourceError):
-        capture_census("phi", 10**8)
+    # refused at once by the input cap, before af_params, which cannot
+    # take 10^400 as a float
+    for x in (INPUT_CAP + 1, 10**400):
+        with pytest.raises(ResourceError, match="input cap"):
+            capture_census("phi", x)
 
 
 _CENSUS_SETTINGS = [
@@ -248,7 +248,9 @@ _CENSUS_SETTINGS = [
 @pytest.mark.parametrize("x", [2000, 10**4])
 @pytest.mark.parametrize("kw", _CENSUS_SETTINGS, ids=["default", "eps0.5", "S50"])
 def test_capture_census_equals_reference_loop(f_tag, x, kw):
-    c = capture_census(f_tag, x, **kw)
+    # S is set on the oracle's side alone: the census takes no S, and
+    # counts the same for every S
+    c = capture_census(f_tag, x, kw.get("epsilon", 0.1))
     assert (c.total_values, c.values_with_outside_preimage) == capture_census_loop(
         f_tag, x, **kw
     )
@@ -265,9 +267,10 @@ def test_capture_census_independent_of_window(monkeypatch):
 
 
 def test_census_cap_below_condition7_lemma():
-    # capture_census relies on x^(1/(100 loglog x)) < 2 up to its cap
-    llx = math.log(math.log(CAPTURE_CENSUS_CAP))
-    assert CAPTURE_CENSUS_CAP ** (1.0 / (100.0 * llx)) < 2.0
+    # capture_census relies on x^(1/(100 loglog x)) < 2 up to its cap,
+    # the input cap
+    llx = math.log(math.log(INPUT_CAP))
+    assert INPUT_CAP ** (1.0 / (100.0 * llx)) < 2.0
 
 
 @pytest.mark.parametrize("f_tag", ["phi", "sigma"])

@@ -168,7 +168,7 @@ def test_domain_error_exit_1():
 
 
 def test_resource_error_exit_2():
-    r = run_cli("capture-census", "--f", "phi", "--x", "1e9")
+    r = run_cli("capture-census", "--f", "phi", "--x", "1e13")
     assert r.returncode == 2
     assert "resource error" in r.stderr
 
@@ -388,7 +388,8 @@ def test_unbounded_simplex_flags_refused_at_once(monkeypatch, capsys, tmp_path, 
 
 
 # every subcommand with small, valid values for its required flags, and
-# its integer and real flags, which FLAG_CASES set one at a time
+# its integer and real flags, which FLAG_CASES set one at a time; a flag
+# in REMOVED no longer exists and exits 64 at every value
 SUBCOMMANDS = {
     "values-table": (["--limits=100"], ["--limits"]),
     "constants": ([], ["--tol"]),
@@ -400,23 +401,22 @@ SUBCOMMANDS = {
     "capture-census": (["--f=phi", "--x=1000"], ["--x", "--epsilon", "--S-override"]),
     "rl-sum": (["--f=phi", "--x=1000", "--L=3"], ["--x", "--L", "--xi"]),
 }
-EXTREMES = ["1e13", "1e400", "-1", "0", "nan", "inf"]
+REMOVED = {("capture-census", "--S-override")}
+MAX = "1.7976931348623157e308"  # the largest double
+EXTREMES = ["1e13", "1e400", "-1", "0", "nan", "inf", MAX]
 FLAG_CASES = [(cmd, flag, value) for cmd, (_, flags) in SUBCOMMANDS.items()
               for flag in [*flags, "--threads", "--seed"] for value in EXTREMES]
 # the extremes inside a flag's domain, which run to completion
 IN_DOMAIN = {
-    *((cmd, "--threads", v) for cmd in SUBCOMMANDS for v in ("1e13", "1e400")),
+    *((cmd, "--threads", v) for cmd in SUBCOMMANDS for v in ("1e13", "1e400", MAX)),
     *((cmd, "--seed", v) for cmd in ("simplex-volume", "normal-primes") for v in ("1e13", "0")),
-    ("constants", "--tol", "1e13"),
-    ("simplex-volume", "--xi", "1e13"),
-    ("rl-sum", "--xi", "1e13"),
-    ("normal-primes", "--S", "1e13"),
-    *(("normal-primes", "--sample", v) for v in ("1e13", "1e400", "0")),
-    *(("smooth-count", "--y", v) for v in ("1e13", "1e400")),
-    ("omega-census", "--alpha", "1e13"),
-    *(("classify", "--n", v) for v in ("1e13", "1e400")),
-    *((cmd, "--S-override", "1e13") for cmd in ("classify", "capture-census")),
-    ("classify", "--x", "1e13"),
+    *((cmd, flag, v) for cmd, flag in (
+        ("constants", "--tol"), ("simplex-volume", "--xi"), ("rl-sum", "--xi"),
+        ("normal-primes", "--S"), ("omega-census", "--alpha"), ("classify", "--S-override"),
+        ("classify", "--x")) for v in ("1e13", MAX)),
+    *(("normal-primes", "--sample", v) for v in ("1e13", "1e400", "0", MAX)),
+    *(("smooth-count", "--y", v) for v in ("1e13", "1e400", MAX)),
+    *(("classify", "--n", v) for v in ("1e13", "1e400", MAX)),
 }
 
 
@@ -444,7 +444,9 @@ def test_every_flag_at_its_extremes(monkeypatch, capsys, tmp_path, cmd, flag, va
     assert time.monotonic() - t0 < 5.0
     assert "Traceback" not in got.err and got.out == ""
     assert all(n <= (os.cpu_count() or 1) for n in runs)
-    if (cmd, flag, value) in IN_DOMAIN:
+    if (cmd, flag) in REMOVED:
+        assert code == 64 and got.err.startswith("usage error") and not out.exists()
+    elif (cmd, flag, value) in IN_DOMAIN:
         assert code == 0 and out.exists(), got.err
     else:
         assert code in (1, 2, 64) and got.err.split(":")[0] in (
@@ -523,9 +525,9 @@ def test_empty_limits_item_exits_64(capsys, limits):
     ("omega-census", "--x", "1000", "--alpha", "nan"),
     ("normal-primes", "--x", "100", "--S", "nan"),
     ("classify", "--n", "10", "--f", "phi", "--x", "inf"),
-    ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "nan"),
+    ("classify", "--n", "10", "--f", "phi", "--x", "1000", "--S-override", "nan"),
     ("normal-primes", "--x", "100", "--S", "inf"),
-    ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "inf"),
+    ("classify", "--n", "10", "--f", "phi", "--x", "1000", "--S-override", "inf"),
     ("constants", "--tol", "inf"),
     ("constants", "--tol", "nan"),
     ("normal-primes", "--x", "100", "--S", "nan", "--sample", "0"),
@@ -564,7 +566,7 @@ def test_seed_accepted_where_something_is_drawn(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("capture-census", "--f", "phi", "--x", "1000", "--S", "20"),
+    ("classify", "--n", "10", "--f", "phi", "--x", "1000", "--S", "20"),
     ("values-table", "--lim", "100"),
     ("constants", "--to", "1e-13"),
     ("--se", "5", "simplex-volume", "--L", "2", "--samples", "1e3"),
@@ -585,7 +587,7 @@ def _bench_argvs():
 
 
 @pytest.mark.parametrize("argv", [
-    ("capture-census", "--f", "phi", "--x", "1000", "--S-override", "20"),
+    ("classify", "--n", "10", "--f", "phi", "--x", "1000", "--S-override", "20"),
     ("values-table", "--limits", "100"),
     ("constants", "--tol", "1e-13"),
     ("--seed", "5", "simplex-volume", "--L", "2", "--samples", "1e3"),
