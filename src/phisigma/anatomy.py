@@ -248,7 +248,9 @@ def omega_tail_census(x: int, alpha: float, *, threads: int = 1) -> tuple[int, f
 
     The comparator is x (log x)^(-Q(alpha)) for alpha < 2 and
     x (log x)^(1 - alpha log 2) loglog x for alpha >= 2 (constant
-    factors unknown; callers compare ratios).
+    factors unknown; callers compare ratios).  For large alpha it
+    underflows to 0.0 (at x = 1000, alpha = 600), where observed is 0
+    and no ratio exists: the CLI prints its ratio as null.
     """
     if not 1.0 < alpha < math.inf:
         raise DomainError(f"need finite alpha > 1, got {alpha}")

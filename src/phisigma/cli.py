@@ -73,7 +73,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"
+    # RFC 8259 JSON has no NaN or Infinity: printing one is a bug, not output
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_xi(raw: str, L: int) -> structure.SimplexSpec:
@@ -153,7 +154,7 @@ def _cmd_omega_census(args) -> str:
             "alpha": args.alpha,
             "observed": observed,
             "bound_shape": shape,
-            "ratio": observed / shape if shape else math.inf,
+            "ratio": observed / shape if shape else None,
         }
     )
 

@@ -1,8 +1,10 @@
 """Segmented sieving primitives.
 
-Prime generation, smallest-prime-factor windows, per-integer
-factorization, and bulk evaluation of the multiplicative functions
-phi (Euler totient) and sigma (sum of divisors) over ranges.
+Prime generation, smallest-prime-factor windows (and the odd-only
+table of structure.r_l_sum, odd_factor_table), per-integer
+factorization, bulk evaluation of the multiplicative functions phi
+(Euler totient) and sigma (sum of divisors) over ranges, and the exact
+sum of doubles that r_l_sum's workers reduce their terms by (fixed_sum).
 
 factorize is the one scalar factorizer: it reads each prime from a
 FactorSieve's spf table while the cofactor lies in the window, and
@@ -184,6 +186,61 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
         if start < size:  # the windows near 10^12 miss most base primes
             spf[start::p] = p
     return FactorSieve(window_lo=lo, window_hi=hi, spf=spf)
+
+
+def odd_factor_table(x: int) -> np.ndarray:
+    """build_factor_sieve(3, x + 1).spf[::2], x >= 1, as int32: over the
+    odd n = 2i + 3 <= x, the smallest prime factor of a composite n, n
+    for a prime n <= isqrt(x + 1) and 0 for a larger one.
+
+    Filled in place: each odd prime p <= isqrt(x + 1), from the largest
+    down so that smaller ones overwrite, marks its odd multiples from p
+    on, so no table over the even n exists.  The caller charges its 2
+    bytes per integer.
+    """
+    tab = np.zeros((x - 1) // 2, dtype=np.int32)
+    for p in reversed(primes_up_to(math.isqrt(x + 1))[1:].tolist()):
+        tab[(p - 3) // 2 :: p] = p
+    return tab
+
+
+SUM_SHIFT = 1126  # 2^-1074 = 2^52 2^-1126: times 2^1126, every finite double is an integer
+
+
+def fixed_sum(values: np.ndarray) -> int:
+    """The exact sum of at most 2^26 finite float64 values, times
+    2^SUM_SHIFT, as an int; fixed_to_float rounds such sums.
+
+    np.frexp writes a value as frac 2^ex with frac in [0.5, 1) in
+    magnitude (or 0), subnormals included, so it is m 2^(ex - 53) with
+    m = frac 2^53 an integer, |m| < 2^53, and ex - 53 + SUM_SHIFT >= 0.
+    m splits into a 27-bit half hi = floor(frac 2^27) and a 26-bit half
+    lo = m - hi 2^26, 0 <= lo < 2^26, both exact in float64.
+    np.bincount sums each half per binade: at most 2^26 halves of at
+    most 2^27 in magnitude keep every partial sum an integer of at most
+    2^53, so it is exact in whatever order they are added, and the
+    buckets are shifted into one int.
+    """
+    ex = np.empty(len(values), dtype=np.intp)
+    frac = np.frexp(values, out=(None, ex))[0]
+    frac *= 2.0**27  # hi + lo 2^-26
+    hi = np.floor(frac)
+    frac -= hi
+    frac *= 2.0**26  # lo
+    ex += SUM_SHIFT - 53
+    his, los = np.bincount(ex, weights=hi), np.bincount(ex, weights=frac)
+    return sum(((int(his[b]) << 26) + int(los[b])) << b
+               for b in np.flatnonzero(np.logical_or(his, los)).tolist())
+
+
+def fixed_to_float(total: int) -> float:
+    """total 2^-SUM_SHIFT, correctly rounded, ties to even.
+
+    CPython's int / int rounds correctly, as math.fsum does (Shewchuk,
+    Discrete Comput. Geom. 18 (1997) 305-363), so the float of a
+    fixed_sum is math.fsum's of the same values, bit for bit.
+    """
+    return total / (1 << SUM_SHIFT)
 
 
 def factorize(n: int, sieve: FactorSieve | None = None) -> Factorization:

@@ -19,7 +19,6 @@ with the a_i from constants.series_coefficient.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,14 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import E_TO_E, iterated_log, l0_of, series_coefficient, structure_constants
-from .errors import ARRAY_BYTES, DomainError, ResourceError, check_allocation
+from .errors import DomainError, ResourceError, check_allocation
 from . import sieve, workers
 from .sieve import (
     FactorSieve,
     Factorization,
-    build_factor_sieve,
     deal_windows,
     factorize,
+    fixed_sum,
+    fixed_to_float,
     power_of_2_prefixes,
     primes_up_to,
 )
@@ -56,7 +56,8 @@ RL_SLICE = 1 << 14  # integers of a window whose members r_l_sum finds at once
 
 # per integer of a slice beside the rows of X and the 2L bytes of the columns
 # simplex_mask may take: the survivors' indices, Omega, cofactors and primes,
-# and the other simplex_mask temporaries (traced at most 76 for L = 2..40)
+# the other simplex_mask temporaries and, in X's place, the terms of one lift
+# and their fixed_sum (traced at most 66 for L = 2..40 at x = 10^6)
 RL_SLICE_BYTES = 80
 
 XI_PRODUCT_CAP = 1.1
@@ -551,27 +552,29 @@ def check_comparison_lemma(spec: SimplexSpec, trials: int, seed: int) -> bool:
     return True
 
 
-def _member_reciprocals(lo, x, omega, fn, spec, start, tab, scaled, f2) -> list[np.ndarray]:
-    """1/f(n) for the members n = 2^a m <= x, m = lo, lo + 2, ... the odd
-    m of one r_l_sum window, given Omega(m), f(m) and f2[a] = f(2^a).
+def _member_reciprocals(lo, x, omega, fn, spec, start, tab, scaled, f2) -> int:
+    """The sum of 1/f(n), times 2^SUM_SHIFT and exact (sieve.fixed_sum),
+    over the members n = 2^a m <= x, m = lo, lo + 2, ... the odd m of one
+    r_l_sum window, given Omega(m), f(m) and f2[a] = f(2^a).
 
-    The window is walked in slices of RL_SLICE odd m, and each slice's
-    terms come back as one array.  A slice's survivors Omega(m) <= L
-    have their prime factors peeled off, smallest first, in L rounds
-    through tab, and each factor's scaled entry lands in the survivor's
-    column of X; simplex_mask selects the members.  The factors 2 of
-    2^a m, its smallest, map to 0.0, an unfilled row's value, so its
-    column is m's, bit for bit, and each member m adds 1.0 / (f2[a] f(m)),
-    with f(2^a m) exact in int64, for the a <= L - Omega(m) with
-    m <= x >> a (power_of_2_prefixes).
-    All of it is sized by the slice: beside its workspace and the kept
-    terms a worker holds at most RL_SLICE * (8 (L + start) + 2 L +
-    RL_SLICE_BYTES) bytes: X, at most a quarter of its columns taken by
-    simplex_mask, and the rest; the lift's temporaries take X's place.
+    The window is walked in slices of RL_SLICE odd m.  A slice's
+    survivors Omega(m) <= L have their prime factors peeled off,
+    smallest first, in L rounds through tab, and each factor's scaled
+    entry lands in the survivor's column of X; simplex_mask selects the
+    members.  The factors 2 of 2^a m, its smallest, map to 0.0, an
+    unfilled row's value, so its column is m's, bit for bit, and each
+    member m adds 1.0 / (f2[a] f(m)), with f(2^a m) exact in int64, for
+    the a <= L - Omega(m) with m <= x >> a (power_of_2_prefixes).  The
+    terms of one a, at most RL_SLICE, are reduced at once, so fixed_sum's
+    2^26 bound holds, and none is kept.
+    All of it is sized by the slice: beside its workspace a worker holds
+    at most RL_SLICE * (8 (L + start) + 2 L + RL_SLICE_BYTES) bytes: X,
+    at most a quarter of its columns taken by simplex_mask, and the
+    rest; the terms and their reduction take X's place.
     """
     L = spec.L
     lifts = [(a, k) for a, k in power_of_2_prefixes(lo, 2, len(omega), x) if a < L]
-    out = []
+    total = 0
     for b in range(0, len(omega), RL_SLICE):
         idx = np.flatnonzero(omega[b : b + RL_SLICE] <= L)
         idx += b
@@ -591,9 +594,9 @@ def _member_reciprocals(lo, x, omega, fn, spec, start, tab, scaled, f2) -> list[
         members = idx[simplex_mask(X[start:], spec)]
         del X
         om, fm = omega[members], fn[members].astype(np.int64)
-        out.append(np.concatenate([1.0 / (fm[(members < k) & (om <= L - a)] * f2[a])
-                                   for a, k in lifts]))  # Omega(2^a m) <= L, 2^a m <= x
-    return out
+        for a, k in lifts:  # Omega(2^a m) <= L, 2^a m <= x
+            total += fixed_sum(1.0 / (fm[(members < k) & (om <= L - a)] * f2[a]))
+    return total
 
 
 def r_l_sum(
@@ -612,26 +615,28 @@ def r_l_sum(
     (deal_windows).  Each window is one segment_scan for Omega and f;
     _member_reciprocals walks it in slices of RL_SLICE, peels the prime
     factors of the m with Omega(m) <= L, smallest first, in L rounds
-    through a smallest-prime-factor table over the odd n of [3, x] that
-    also holds the index of each prime, and maps each factor to
-    loglog(p)/loglog(x) through a table over the primes <= x, read from
-    the factor table and computed once with math.log (p = 2 and a missing
-    factor give 0).
-    simplex_mask selects the members m, and each worker keeps the 1/f(n)
-    of their 2^a m <= x with Omega <= L, which share m's vector, as
-    float64 arrays, bit for bit the floats 1.0 / f(n); no Python float is
-    made per integer.  math.fsum is correctly rounded, so the result does
-    not depend on the window or slice size, thread count or term order.
+    through a smallest-prime-factor table over the odd n of [3, x]
+    (sieve.odd_factor_table) that also holds the index of each prime,
+    and maps each factor to loglog(p)/loglog(x) through a table over the
+    primes <= x, read from the factor table and computed once with
+    math.log (p = 2 and a missing factor give 0).
+    simplex_mask selects the members m, and each worker reduces the
+    1/f(n) of their 2^a m <= x with Omega <= L, which share m's vector,
+    bit for bit the floats 1.0 / f(n), to one exact int per window
+    (sieve.fixed_sum); no term is kept and no Python float is made per
+    integer.  The ints are added after the join and rounded once
+    (sieve.fixed_to_float), to math.fsum's correctly rounded sum of the
+    terms, so the result does not depend on the window or slice size,
+    thread count or term order: an exact sum has no order.
 
     One charge, made before anything is allocated, covers the whole
-    sum: the factor table (4 bytes per odd n), at most one kept term per
-    n (8 bytes, and an array header per slice), the tables over the
+    sum: the factor table (4 bytes per odd n) and, while the primes are
+    read from it, a mask over it (1 byte per odd n), the tables over the
     primes and their temporaries (32 bytes per prime, pi(x) bounded by
     sieve.prime_count_bound), and per worker its scan workspace and one
     slice (_member_reciprocals: 1.8 MB at L = 3 from_p0, 2.4 MB at
-    L = 6 from_p1).  The transients of the factor sieve over [3, x], and
-    of reading the primes from its table, fit in the terms' share, not yet
-    taken while they live.
+    L = 6 from_p1); a window's int, some 200 bytes, fits in the
+    workspace's overhead.
     """
     if f not in ("phi", "sigma"):
         raise DomainError(f"f must be 'phi' or 'sigma', got {f!r}")
@@ -645,18 +650,16 @@ def r_l_sum(
         raise DomainError(f"need x >= e^e for the renormalization, got {x}")
 
     start = 0 if offset == "from_p0" else 1
-    pi_bound = sieve.prime_count_bound(x)
-    slices = x // 2 // RL_SLICE + x // 2 // sieve.DEFAULT_SEGMENT_SIZE + 2  # of the odd n
     scan = deal_windows([(3, 2, x)], threads, want_omega=True, want_phi=f == "phi",
                         want_sigma=f == "sigma",
                         worker_bytes=RL_SLICE * (10 * spec.L + 8 * start + RL_SLICE_BYTES),
-                        shared_bytes=10 * x + ARRAY_BYTES * slices + 32 * pi_bound,
+                        shared_bytes=5 * x // 2 + 32 * sieve.prime_count_bound(x),
                         what=f"R_L sum to {x}")
     llx = math.log(math.log(x))
     # tab[i], for the odd n = 2i + 3, is the smallest prime factor of a composite
     # n, n for a prime n <= isqrt(x + 1) and 0 above, so the primes <= x are read
     # from it; then minus the index in primes of a prime n (spf values fit int32)
-    tab = build_factor_sieve(3, x + 1).spf[::2].view(np.int32).copy()
+    tab = sieve.odd_factor_table(x)
     primes = np.concatenate([primes_up_to(math.isqrt(x + 1)), 2 * np.flatnonzero(tab == 0) + 3])
     tab[(primes[1:] >> 1) - 1] = -np.arange(1, len(primes), dtype=np.int32)
     # scaled[i] = loglog(p)/loglog(x) for p = primes[i], by math.log as in renormalize
@@ -669,7 +672,7 @@ def r_l_sum(
     fn_of = sieve.phi_of if f == "phi" else sieve.sigma_of
     f2 = [fn_of(factorize(1 << a)) for a in range(min(spec.L, x.bit_length() - 1) + 1)]
 
-    terms = scan(lambda lo, _, got: _member_reciprocals(lo, x, got["omega"], got[f], spec,
-                                                         start, tab, scaled, f2))
+    sums = scan(lambda lo, _, got: _member_reciprocals(lo, x, got["omega"], got[f], spec,
+                                                        start, tab, scaled, f2))
     # n = 2^a, a <= L, 1 included: the zero vector, always a member, f2 their f
-    return math.fsum(itertools.chain([1.0 / v for v in f2], *itertools.chain.from_iterable(terms)))
+    return fixed_to_float(sum(sums) + fixed_sum(np.array([1.0 / v for v in f2])))

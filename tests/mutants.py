@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PINS = "tests/test_per_integer_pins.py"
 GRID_SCAN = "tests/test_anatomy.py::test_s_normal_window_flags_match_grid_scan"
+FSUM = "tests/test_sieve.py::test_fixed_sum_rounds_to_fsum"
 MUTANTS = [
     ("anatomy.py", "(t == u and b <= a)", "(t == u and b < a)",
      [f"{PINS}::test_s_normal_reports_pinned"]),
@@ -56,6 +57,15 @@ MUTANTS = [
      ["tests/test_cli.py::test_every_flag_at_its_extremes[capture-census--x=1e400]"]),
     ("anatomy.py", "x.bit_length()))", "x.bit_length() - 3))",
      ["tests/test_anatomy.py::test_omega_census_lift_matches_trial_division[1]"]),
+    # r_l_sum's exact sum and its odd factor table
+    ("sieve.py", "((int(his[b]) << 26) + int(los[b]))", "(int(his[b]) << 26)",
+     [f"{FSUM}[binades]"]),
+    ("sieve.py", "ex += SUM_SHIFT - 53", "ex += SUM_SHIFT - 52", [f"{FSUM}[binades]"]),
+    ("sieve.py", "tab[(p - 3) // 2 :: p] = p", "tab[(p - 1) // 2 :: p] = p",
+     ["tests/test_sieve.py::test_odd_factor_table_is_the_odd_half_of_the_factor_sieve[1001]"]),
+    ("sieve.py", "return total / (1 << SUM_SHIFT)",  # truncated to 53 bits, not rounded
+     "return math.ldexp(total >> (k := max(total.bit_length() - 53, 0)), k - SUM_SHIFT)",
+     [f"{FSUM}[tie-broken-up]"]),
 ]
 
 RUN_TIMEOUT = 300  # seconds; a mutant whose tests hang this long is killed

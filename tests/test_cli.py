@@ -94,6 +94,22 @@ def test_omega_census_fields():
     assert payload["observed"] == 60
 
 
+def strict_json(text: str):
+    """json.loads refusing NaN and Infinity, which RFC 8259 does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_omega_census_ratio_null_where_the_shape_underflows():
+    # at alpha = 600 the bound shape underflows to 0.0; at 500 it does not
+    for alpha, ratio in (("600", None), ("500", 0.0)):
+        r = run_cli("omega-census", "--x", "1000", "--alpha", alpha)
+        payload = strict_json(r.stdout)
+        assert payload["observed"] == 0 and payload["ratio"] == ratio
+        assert (payload["bound_shape"] == 0.0) == (ratio is None)
+
+
 def test_classify_json_report():
     r = run_cli("classify", "--n", "1024", "--f", "phi", "--x", "1e6")
     payload = json.loads(r.stdout)
@@ -448,6 +464,8 @@ def test_every_flag_at_its_extremes(monkeypatch, capsys, tmp_path, cmd, flag, va
         assert code == 64 and got.err.startswith("usage error") and not out.exists()
     elif (cmd, flag, value) in IN_DOMAIN:
         assert code == 0 and out.exists(), got.err
+        if cmd not in ("values-table", "normal-primes"):  # CSV by default
+            strict_json(out.read_text())
     else:
         assert code in (1, 2, 64) and got.err.split(":")[0] in (
             "domain error", "resource error", "usage error")

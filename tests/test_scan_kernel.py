@@ -578,11 +578,32 @@ CENSUSES = {
 def test_census_threads_peak_within_charge(monkeypatch, charges, census, threads):
     # the census's one charge, made after the base primes' sieve and before
     # anything else, covers every worker's workspace and, for r_l_sum,
-    # every slice, table and kept term (94% of the n are members at L = 6,
-    # xi = 100); the odd n of 1e6 are 2 windows, of 6e5 two
+    # every slice and table and the reduction of its terms (94% of the n
+    # are members at L = 6, xi = 100); the odd n of 1e6 are 2 windows, of
+    # 6e5 two
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     peak = traced_peak(lambda: CENSUSES[census](threads))
     assert peak <= deal_charge(charges)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_r_l_sum_peak_does_not_grow_with_its_members(monkeypatch, charges, threads):
+    # as in rl-sum-wide, most n are members at L = 6, xi = 100, and the sum
+    # keeps none of their terms: its traced peak stays under 3 bytes per
+    # integer (the odd n's factor table and the mask the primes are read
+    # through take 2.5), 32 per prime and what the deal charges per worker;
+    # at 2e6 kept terms would exceed that on two workers too
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    deals = []
+    real = structure.deal_windows
+    monkeypatch.setattr(structure, "deal_windows",
+                        lambda *args, **kw: (deals.append(kw), real(*args, **kw))[1])
+    x = 2 * 10**6
+    spec = structure.SimplexSpec(L=6, xi=(100.0,) * 5)
+    peak = traced_peak(lambda: structure.r_l_sum("sigma", spec, x, "from_p1", threads=threads))
+    (deal,) = deals
+    per_worker = deal_charge(charges) - deal["shared_bytes"]
+    assert peak <= 3 * x + 32 * sieve.prime_count_bound(x) + per_worker
 
 
 @pytest.mark.parametrize("census", sorted(CENSUSES))

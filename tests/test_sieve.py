@@ -57,6 +57,49 @@ def test_factor_sieve_high_window_matches_trial_division():
         assert sv.spf[n - lo] == (SPF_PRIME_SENTINEL if smallest == n else smallest)
 
 
+@pytest.mark.parametrize("x", [3, 4, 7, 8, 16, 17, 1000, 1001, 123456, 1234567])
+def test_odd_factor_table_is_the_odd_half_of_the_factor_sieve(x):
+    # even x, odd x, and x < 9, where no odd prime is at most isqrt(x + 1)
+    # or only 3 is
+    tab = sieve.odd_factor_table(x)
+    assert tab.dtype == np.int32
+    assert np.array_equal(tab, build_factor_sieve(3, x + 1).spf[::2])
+
+
+def _binades(seed, n, signed=False):
+    rng = np.random.default_rng(seed)
+    values = np.ldexp(rng.random(n) + 0.5, rng.integers(-1074, 960, n))
+    return values * rng.choice([-1.0, 1.0], n) if signed else values
+
+
+FSUM_CASES = {  # built when a case runs: two of them hold 2 MB
+    "binades": lambda: _binades(1, 20000),
+    "binades-signed": lambda: _binades(2, 20000, signed=True),
+    "subnormals": lambda: np.ldexp(
+        np.random.default_rng(3).integers(1, 2**52, 5000).astype(float), -1074),
+    "least-subnormal": lambda: np.full(7, 2.0**-1074),
+    # exact half-ulp ties: down to even, up past the tie, up to even
+    "tie-to-even-down": lambda: np.array([1.0, 2.0**-53]),
+    "tie-broken-up": lambda: np.array([1.0, 2.0**-53, 2.0**-106]),
+    "tie-to-even-up": lambda: np.array([1.0 + 2.0**-52, 2.0**-53]),
+    "tie-to-even-up-large": lambda: np.array([2.0**53 + 2.0, 1.0]),
+    "copies-of-one-tenth": lambda: np.full(1 << 18, 0.1),
+    "copies-of-all-ones": lambda: np.full(1 << 18, 1.0 - 2.0**-53),  # the widest halves
+    "one": lambda: np.array([math.pi]),
+    "none": lambda: np.empty(0),
+}
+
+
+@pytest.mark.parametrize("case", FSUM_CASES)
+def test_fixed_sum_rounds_to_fsum(case):
+    values = FSUM_CASES[case]()
+    total = sieve.fixed_sum(values)
+    # the exact sum: each value's ratio has a power of 2 below 2^1075 as denominator
+    assert total == sum(num * (1 << sieve.SUM_SHIFT) // den
+                        for num, den in map(float.as_integer_ratio, values.tolist()))
+    assert sieve.fixed_to_float(total).hex() == math.fsum(values.tolist()).hex()
+
+
 def test_factor_sieve_rejects_bad_window():
     with pytest.raises(DomainError):
         build_factor_sieve(5, 5)
