@@ -2,13 +2,17 @@
 """How many integers up to N are totient values?  Sigma values?  Both?
 
 Builds one bitmap per function by scanning only odd preimages n, in
-the 15 odd residue classes mod 30 (sigma) or the 35 odd classes mod 90
-that skip the n with exactly one factor 3 (phi), each class up to its
-own top: N times an exact bound on n/f(n) over the class.  The other n
-are not scanned: their values are the scanned n's values times 2^j
-(phi, as phi(3m) = 2 phi(m) when 3 does not divide m) or a Mersenne
-number 2^j - 1 (sigma), added by one closure pass over the marked
-values.  All counts are read off the same pair of bitmaps.
+the 15 odd residue classes mod 30 (sigma), or in the 28 odd classes
+mod 90 and 7 mod 450 that skip the n with exactly one factor 3 or 5
+(phi), each class up to its own top: N times an exact bound on n/f(n)
+over the class, for phi over the n that 7, 11 and 13 do not divide.
+The phi values of the n q m above that top, q = 7, 11 or 13, are
+derived from the scanned m: phi(q m) is (q - 1) phi(m), or q phi(m)
+where q divides m.  The other n are not scanned: their values are the
+scanned and derived values times 2^j (phi, as phi(3m) = 2 phi(m) and
+phi(5m) = 4 phi(m) when 3, 5 do not divide m) or a Mersenne number
+2^j - 1 (sigma), added by one closure pass over the marked values.
+All counts are read off the same pair of bitmaps.
 phi_preimage_bound, printed below, is twice the top of the class 15
 mod 30: it bounds every n, even or odd, with phi(n) <= N.
 """

@@ -20,11 +20,12 @@ the window at least SLICE_HITS times is sliced, the rarer ones share
 one pair pass per exponent (_apply_pairs), expanded at once into rows
 that a proven bound sizes.
 deal_windows is the one window loop and segment_scan's one caller: it
-cuts a list of progressions into windows of DEFAULT_SEGMENT_SIZE
-elements (cut_windows), sieves the base primes under their own charge,
-charges the rest once, builds the inverse table and, on the calling
-thread, every worker's workspace (_Workspace), which carries the deal,
-and deals the windows round robin to worker threads.  Each worker fills
+cuts a list of progressions, of one step or several, into windows of
+DEFAULT_SEGMENT_SIZE elements (cut_windows), sieves the base primes
+under their own charge, charges the rest once, builds one inverse table
+per step and, on the calling thread, every worker's workspace
+(_Workspace), which carries the deal, and deals the windows round robin
+to worker threads.  Each worker fills
 its workspace in place at every window, as the bucket sieve reuses its
 fixed window buffers: freed and allocated afresh, arrays of this size
 would fault their pages back in at every window.  phi and sigma are
@@ -336,10 +337,12 @@ def scan_bytes(size: int, rows: int, primes: int, lane, *, want_phi: bool = Fals
 
 class _Workspace:
     """One worker's buffers for segment_scan's windows of up to `size`
-    elements, and the deal they scan: `deal` is (base, n_tiny, inv,
-    step), shared by every worker and only read, the base primes, the
-    index of the first above the tiny band, (-step)^-1 mod p for every
-    base prime from n_tiny on, and the step.
+    elements, and the deal they scan: `deal` is (base, n_tiny, invs),
+    shared by every worker and only read, the base primes, the index of
+    the first above the tiny band, and per step of the deal its inverse
+    table, (-step)^-1 mod p for every base prime from n_tiny on.  Before
+    each window deal_windows sets `step` and `inv` to the window's step
+    and its table.
 
     The buffers: the remainder, the wanted phi and sigma, all in the
     deal's `lane` dtype, and omega (each updated in place, with no buffer
@@ -353,7 +356,8 @@ class _Workspace:
 
     def __init__(self, size: int, rows: int, lane, deal, *, want_phi: bool, want_sigma: bool,
                  want_omega: bool):
-        self.base, self.n_tiny, self.inv, self.step = deal
+        self.base, self.n_tiny, self.invs = deal
+        self.step = self.inv = None  # the window's, set by deal_windows before each scan
         self.rem = np.empty(size, dtype=lane)
         self.phi = np.empty(size, dtype=lane) if want_phi else None
         self.sigma = np.empty(size, dtype=lane) if want_sigma else None
@@ -367,8 +371,9 @@ def segment_scan(ws: _Workspace, lo: int, hi: int, *, want_phi: bool, want_sigma
                  want_omega: bool, smooth_bound: int | None):
     """Vectorized factor scan of the progression lo, lo+step, ... < hi,
     one window of a deal (deal_windows), which has checked its bounds,
-    on the worker's workspace ws, which carries the deal's step and base
-    primes and holds buffers for the wanted arrays.  deal_windows passes
+    on the worker's workspace ws, which carries the base primes and the
+    window's step and inverse table and holds buffers for the wanted
+    arrays.  deal_windows passes
     the keywords that built ws; they also name the window's scan to a
     wrapper, as bench/child.py reads them with hi - lo.
 
@@ -587,9 +592,9 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
                  what: str, want_phi: bool = False, want_sigma: bool = False,
                  want_omega: bool = False, smooth_bound: int | None = None):
     """Deal the windows (cut_windows) of the progressions, which must
-    start at 2 or above, end at 10**12 or below and share one step >= 1,
-    longest first, round robin to min(threads, windows, CPUs) workers
-    (workers.worker_count).
+    start at 2 or above, end at 10**12 or below and have steps >= 1,
+    which may differ, longest first, round robin to min(threads,
+    windows, CPUs) workers (workers.worker_count).
 
     First sieve the base primes, those <= sqrt of the last integer
     scanned or <= smooth_bound when it is set, under primes_up_to's own
@@ -598,17 +603,20 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     for the longest window (scan_bytes), with the rows of _apply_pairs's
     bound and an inverse per base prime above the tiny band, in the lane
     dtype that the last integer scanned and the wants decide (see the
-    module), and worker_bytes, and shared_bytes once.  Then build the
-    step's inverse table, once for all workers.
+    module), and worker_bytes, and shared_bytes and the inverse tables
+    of the steps past the first once.  The tiny band reaches every
+    step's largest prime factor.  Then build each step's inverse table,
+    once for all workers.
 
     Returns run(consume).  It builds every worker's workspace
     (_Workspace) on the calling thread, then runs the workers
-    (workers.run_workers): worker w fills its workspace with a
-    segment_scan of each of windows[w::workers], with the want_* and
-    smooth_bound keywords, and calls consume(first, step, scan) on it,
-    where first is the window's first integer, so element k of each of
-    scan's arrays belongs to first + k*step.  The arrays are overwritten
-    by the worker's next window: consume or copy them first.  run
+    (workers.run_workers): worker w puts each of windows[w::workers]'s
+    step and inverse table on its workspace, fills it with a
+    segment_scan of the window, with the want_* and smooth_bound
+    keywords, and calls consume(first, step, scan) on it, where first
+    and step are the window's, so element k of each of scan's arrays
+    belongs to first + k*step.  The arrays are overwritten by the
+    worker's next window: consume or copy them first.  run
     returns what consume returned for every window, grouped by worker,
     so how the caller combines them must not depend on their order.
     Worker loads differ by at most one window in count and by at most
@@ -627,33 +635,35 @@ def deal_windows(progressions, threads: int, *, worker_bytes: int = 0, shared_by
     if top > INPUT_CAP:
         raise ResourceError(f"window end {top} exceeds the 10^12 input cap")
     windows = cut_windows(progressions)
-    steps = {step for _, step, _ in windows} or {1}  # no window: any step will do
-    if len(steps) > 1:
-        raise DomainError(f"need progressions of one step, got steps {sorted(steps)}")
-    (step,) = steps
+    steps = sorted({step for _, step, _ in windows})
     windows.sort(key=lambda w: (w[2] - w[0]) // w[1], reverse=True)  # longest first
     n_workers = workers.worker_count(threads, len(windows), os.cpu_count())
-    size = max(((last - lo) // step + 1 for lo, _, last in windows), default=0)
+    size = max(((last - lo) // step + 1 for lo, step, last in windows), default=0)
     base = primes_up_to(math.isqrt(top) if smooth_bound is None else smooth_bound)
-    # a base prime above the tiny band, p > max(23, step's primes), has an inverse
-    tiny = max([TINY_PRIME_THRESHOLD, *(p for p, _ in factorize(step).pairs)])
+    # a base prime above the tiny band, p > max(23, every step's primes), has an inverse
+    tiny = max([TINY_PRIME_THRESHOLD, *(p for step in steps for p, _ in factorize(step).pairs)])
     n_tiny = int(np.searchsorted(base, tiny, "right"))
     rows = int(np.minimum(-(-size // base[n_tiny:]), SLICE_HITS).sum())  # see _apply_pairs
     wants = dict(want_phi=want_phi, want_sigma=want_sigma, want_omega=want_omega)
     # the lane: every value it holds is below top + 1, or 7 top with sigma (see the module)
     lane = np.uint32 if max(top + 1, 7 * top * want_sigma) < 1 << 32 else np.int64
+    # scan_bytes holds one inverse table per worker; the steps past the first add theirs
+    tables = INVERSE_BYTES * (len(base) - n_tiny) * len(steps[1:])
     check_allocation(n_workers * (scan_bytes(size, rows, len(base) - n_tiny, lane, **wants)
-                                  + worker_bytes) + shared_bytes, f"{what} on {n_workers} workers")
-    inv = np.array([pow(-step, -1, p) for p in base[n_tiny:].tolist()], dtype=np.int64)
-    deal = (base, n_tiny, inv, step)
+                                  + worker_bytes) + shared_bytes + tables,
+                     f"{what} on {n_workers} workers")
+    deal = (base, n_tiny, {step: np.array([pow(-step, -1, p) for p in base[n_tiny:].tolist()],
+                                          dtype=np.int64) for step in steps})
 
     def run(consume) -> list:
         spaces = [_Workspace(size, rows, lane, deal, **wants) for _ in range(n_workers)]
         results = [[] for _ in range(n_workers)]
 
         def scan(w: int):
-            for lo, _, last in windows[w::n_workers]:
-                got = segment_scan(spaces[w], lo, last + 1, smooth_bound=smooth_bound, **wants)
+            ws = spaces[w]
+            for lo, step, last in windows[w::n_workers]:
+                ws.step, ws.inv = step, ws.invs[step]
+                got = segment_scan(ws, lo, last + 1, smooth_bound=smooth_bound, **wants)
                 results[w].append(consume(lo, step, got))
                 yield
 

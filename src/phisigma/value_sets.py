@@ -2,29 +2,35 @@
 
 A ValueBitmap records one bit per integer v <= x, set exactly when v is
 attained by the chosen function.  The preimage scan covers only odd n,
-by residue mod 30 for sigma and mod 90 for phi, which also skips the n
-with exactly one factor 3, each class up to its own exact cutoff
-(scan_progressions): x times an exact bound on n/f(n) over the class
-(_class_top).  For sigma that is prod p/(p + 1) over the wheel primes
-3, 5 dividing the residue; for phi, the product of p/(p - 1) over the
-first odd primes the class allows (3 and 5 only where they divide the
-residue), as many as phi(n) <= x leaves room for.  The same phi bound
-gives phi_preimage_bound, a cutoff for all n.  At x = 10^7 that is 7.1M
-n for phi, 12% of [2, phi_preimage_bound(x)], and 4.4M n for sigma.
-The other n's values are the scanned n's times 2^j (phi) or a Mersenne
-number 2^j - 1 (sigma), added by one pass over the scratch, the same
-for both (build_value_bitmap).
+by residue mod 30 for sigma; for phi by residue mod 90, which also skips
+the n with exactly one factor 3, and mod 450 where 5 divides the
+residue, which skips those with exactly one factor 5.  Each class runs
+up to its own exact cutoff (scan_progressions): x times an exact bound
+on n/f(n) over the class (_class_top).  For sigma that is
+prod p/(p + 1) over the wheel primes 3, 5 dividing the residue; for
+phi, the product of p/(p - 1) over the first odd primes the class
+allows (3 and 5 only where they divide the residue), as many as
+phi(n) <= x leaves room for.  phi's scan stops at the bound without 7,
+11 and 13: the class's n above it, up to the full bound, are q m for
+one of them, and their values are derived from the scanned m's.  The
+full phi bound gives phi_preimage_bound, a cutoff for all n.  At
+x = 10^7 that is 4.4M n for phi in 35 windows, 7.5% of
+[2, phi_preimage_bound(x)] (every class mod 90 to its full bound would
+be 7.1M n in 40 windows), and 4.4M n for sigma.  The other n's values
+are the scanned and derived ones times 2^j (phi) or a Mersenne number
+2^j - 1 (sigma), added by one pass over the scratch, the same for both
+(build_value_bitmap).
 
 Memory: a bitmap over [0, x] costs (x+1)/8 bytes.  The build marks
 values in a scratch array of x/2 + 2 bytes, one byte per even value
 (the odd values are 1 and sigma's few at odd squares n = m^2, with
 their Mersenne multiples), packed into the bitmap at the end, and keeps
 one scan workspace per worker thread for all of its windows, built on
-the calling thread (sieve.scan_bytes, at the default window size 4.6,
-5.3 and 6.2 MB for phi at x = 10^7, 10^8 and 10^9, and 4.2, 4.9 and
-9.2 MB for sigma, of which 2.0 to 4.3 MB are the rows for one round
+the calling thread (sieve.scan_bytes, at the default window size 3.7,
+5.2 and 6.1 MB for phi at x = 10^7, 10^8 and 10^9, and 4.2, 4.9 and
+9.2 MB for sigma, of which 1.7 to 4.3 MB are the rows for one round
 of prime-power pairs; sigma's lane is int64 from x = 6.2e8 on,
-phi's from x = 1.36e9 on).  Each window's values are clipped in place
+phi's from x = 1.78e9 on).  Each window's values are clipped in place
 and marked by one fancy-index store, so no mask or filtered copy is
 made, and the closure runs in place.  The scan's base primes are
 sieved first, under their own charge; all the rest, with the pack's
@@ -60,17 +66,19 @@ class ValueBitmap:
         return bool(self.bits[v >> 3] & (1 << (v & 7)))
 
 
-_WHEEL = (3, 5)  # odd primes whose divisibility splits the classes mod 30 and 90
+_WHEEL = (3, 5)  # odd primes whose divisibility splits the classes mod 30, 90 and 450
+_BAND = (7, 11, 13)  # left out of phi's scanned tops: the n above them are derived
 # prod (q - 1) > 1e46 exceeds any x; by trial division: a sieve charges the budget
 _ODD_PRIMES = [q for q in range(3, 128, 2) if all(q % d for d in range(3, math.isqrt(q) + 1, 2))]
 
 
-def _class_top(f: str, x: int, r: int) -> int:
-    """Largest n of the odd class r mod 30 or 90 with f(n) <= x possible.
+def _class_top(f: str, x: int, r: int, out=()) -> int:
+    """Largest n of the odd class r mod 30, 90 or 450 with f(n) <= x
+    possible; for phi, among the n that no prime in `out` divides.
 
     The residue r fixes which of the wheel primes 3, 5 divide n; only
-    r % 3 and r % 5 are read, so a class mod 90 has the top of its class
-    mod 30.
+    r % 3 and r % 5 are read, so a class mod 90 or 450 has the top of
+    its class mod 30.
     sigma: sigma(n)/n = prod_{p^e || n} (1 + 1/p + ... + 1/p^e) is at
     least prod (1 + 1/p) over the wheel primes p dividing r, so
     sigma(n) <= x forces n <= x * prod p/(p + 1).
@@ -82,7 +90,8 @@ def _class_top(f: str, x: int, r: int) -> int:
     p grows, n/phi(n) = prod_{i<=k} p_i/(p_i - 1) is at most R, the same
     product over the first K allowed primes, so n <= x * R.  Leaving 3
     out drops the factor 3/2 from R and lets the next allowed prime in,
-    whose factor is smaller.
+    whose factor is smaller; the primes in `out` leave the allowed ones
+    the same way.
     Both tops are computed exactly.
     """
     num = den = 1
@@ -93,7 +102,7 @@ def _class_top(f: str, x: int, r: int) -> int:
                 den *= p + 1
         return x * num // den
     for q in _ODD_PRIMES:
-        if q in _WHEEL and r % q:
+        if q in out or q in _WHEEL and r % q:
             continue
         if den * (q - 1) > x:
             break
@@ -121,19 +130,26 @@ def phi_preimage_bound(x: int) -> int:
 def scan_progressions(f: str, x: int) -> list[tuple[int, int, int]]:
     """The (start, step, top) progressions whose f-values cover those <= x.
 
-    sigma: the 15 odd residue classes mod 30.  phi: the 35 odd residue
-    classes r mod 90 with 3 not dividing r or 9 dividing r, so no odd n
-    with exactly one factor 3 is scanned (phi(3m) = 2 phi(m), added by
-    build_value_bitmap).  Each class runs up to its own top
-    (_class_top), x times a bound on n/phi(n) or n/sigma(n) over the
-    class.  Even n are not scanned: their values are odd n's values
-    times 2^j (phi) or a Mersenne number 2^j - 1 (sigma), added by
-    build_value_bitmap.  n = 1 is left out (f(1) = 1): the class 1
-    starts at 1 + step.
+    sigma: the 15 odd residue classes mod 30, each up to its own top
+    (_class_top), x times a bound on n/sigma(n) over the class.
+    phi: the 35 odd residue classes r mod 90 with 3 not dividing r or 9
+    dividing r, where 5 divides r only the subclass mod 450 of 25 | n,
+    so no odd n with exactly one factor 3 or 5 is scanned
+    (phi(3m) = 2 phi(m), phi(5m) = 4 phi(m)).  Each runs up to its top
+    with 7, 11 and 13 left out of the allowed primes (_class_top): the n
+    above it, up to the full top, are derived from the scanned ones
+    (_band_values).  Even n are not scanned: their values are odd n's
+    values times 2^j (phi) or a Mersenne number 2^j - 1 (sigma).
+    build_value_bitmap adds all of these.  n = 1 is left out (f(1) = 1):
+    the class 1 starts at 1 + step.
     """
-    step = 2 * math.prod(_WHEEL) * (3 if f == "phi" else 1)
-    return [(r if r > 1 else r + step, step, _class_top(f, x, r)) for r in range(1, step, 2)
-            if f == "sigma" or r % 3 or r % 9 == 0]
+    if f == "sigma":
+        return [(r if r > 1 else 31, 30, _class_top(f, x, r)) for r in range(1, 30, 2)]
+    # the odd s mod 450 with 3 not dividing s or 9 | s, and 25 | s, or
+    # 5 not dividing s and s < 90, a class mod 90
+    return [(s if s > 1 else 91, 90 if s % 5 else 450, _class_top(f, x, s, _BAND))
+            for s in range(1, 450, 2)
+            if (s % 3 or s % 9 == 0) and (s % 25 == 0 or s % 5 and s < 90)]
 
 
 _SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)],
@@ -154,23 +170,52 @@ def _odd_sigma_slots(lo: int, step: int, size: int) -> np.ndarray:
     return n[n % step == 0] // step
 
 
+def _band_values(vals: np.ndarray, first: int, step: int, x: int):
+    """Per q in _BAND, the phi(q m) that a phi window's values vals, of
+    m = first + k*step, derive for the band of its class: the m in
+    (C // q, T // q], C and T the class's tops without and with 7, 11
+    and 13 (_class_top).  phi(q m) is (q - 1) phi(m), or q phi(m) where
+    q | m.  Each is an array in vals's lane, with every value above x
+    replaced by one that is still above x.
+
+    No product leaves the lane, though T can pass 2^32 where the scanned
+    tops do not (x from 1.36e9 to 1.78e9): phi(m) is first clipped to
+    x // (q - 1) + 1, past which (q - 1) phi(m) > x, so every product is
+    at most q (x // (q - 1) + 1) <= 7x/6 + 13.  That is below 2^32 for
+    x < 3.6e9, and a uint32 lane means x < 2.3e9: from x >= 8 on, the
+    class 225 mod 450 has a top of at least x * 3/2 * 5/4 and scans up
+    to within 450 of it, and the deal's lane is int64 once the last
+    integer scanned reaches 2^32 - 1 (sieve.deal_windows).
+    """
+    low, top = _class_top("phi", x, first, _BAND), _class_top("phi", x, first)
+    for q in _BAND:
+        a = max((low // q - first) // step + 1, 0)  # the window's first m above low // q
+        b = min((top // q - first) // step + 1, len(vals))
+        if a < b:
+            w = np.minimum(vals[a:b], x // (q - 1) + 1)
+            d = w * (q - 1)
+            j = -(first + a * step) * pow(step, -1, q) % q  # the first k >= a with q | m
+            d[j::q] += w[j::q]
+            yield d
+
+
 def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     """Enumerate the value set of f up to x into a bitmap.
 
     Only the odd n of scan_progressions are scanned, cut into windows of
     DEFAULT_SEGMENT_SIZE elements (cut_windows); every n outside them
-    either has f(n) > x or has a value that the closure below derives
-    from a scanned n's.  The windows are dealt round robin to
-    min(threads, windows, CPUs) workers (deal_windows): worker w scans
-    every workers-th window from the w-th on one workspace, and marks
-    the even values v <= x in one shared scratch array,
-    half[v >> 1] = True.  The stores are idempotent and nothing is read
+    either has f(n) > x or has a value that the band marks or the
+    closure below derive from a scanned n's.  The windows are dealt
+    round robin to min(threads, windows, CPUs) workers (deal_windows):
+    worker w scans every workers-th window from the w-th on one
+    workspace, and marks the even values v <= x in one shared scratch
+    array, half[v >> 1] = True.  The stores are idempotent and nothing is read
     back, so the bytes never depend on the thread count.
 
-    Every scanned phi value is even (n >= 3).  A window's odd sigma
-    values sit at its odd squares (_odd_sigma_slots): they are kept
-    aside and their slots parked on the cap slot, where every value
-    above x lands.  After the join the scratch is closed (below), packed
+    Every scanned or derived phi value is even (n >= 3).  A window's
+    odd sigma values sit at its odd squares (_odd_sigma_slots): they
+    are kept aside and their slots parked on the cap slot, where every
+    value above x lands.  After the join the scratch is closed (below), packed
     and spread to the even bits (_SPREAD), and the odd values are set.
     Value 2u sits at half[u].
 
@@ -183,9 +228,24 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
     f(m) <= f(n) <= x, lies in a scanned class at or below its top.
     Each M multiplies only the scan's own values, which misses nothing:
     phi's multipliers are closed under products, and for sigma M M' w is
-    in general no value.  phi skips the odd n = 3m with 3 not dividing
-    m, as phi(3m) = 2 phi(m) with m = 1 or scanned, so phi(2^a 3m) =
-    2^(a+1) phi(m) is again a multiplier times a scanned value or 1.
+    in general no value.  phi skips the odd n = pm, p = 3 or 5, with p
+    not dividing m, as phi(pm) = (p - 1) phi(m), p - 1 = 2 or 4 a
+    multiplier, with m = 1, scanned, in a band below or again such an
+    n, so phi(2^a pm) is again a multiplier times a marked value or 1.
+
+    The bands: a phi class with tops C without 7, 11 and 13 and T with
+    them (_class_top) is scanned up to C.  An n of the class in (C, T]
+    with phi(n) <= x has a q in 7, 11, 13 dividing it, as C bounds the
+    n that none of them divides, and m = n/q lies in a scanned class
+    with the same tops, q being prime to 15.  And m <= T/q < C: if the
+    first K allowed primes of T's product R hold s of 7, 11, 13, the
+    first K - s others have a product of p - 1 at most x, so C's
+    product R' has at least K - s factors, and
+    T <= x R <= (7/6)(11/10)(13/12) x R' < 1.4 (C + 1) <= 7C.  So m is
+    1 or scanned, and mark sets phi(n) = (q - 1) phi(m), or q phi(m)
+    where q | m, for the m in (C // q, T // q] of each window
+    (_band_values), and phi(q) = q - 1 for m = 1; the closure
+    multiplies these too.
     With M_1 the least multiplier, the even w with
     M w <= x for some M are at most x/M_1, at u < (cap - 1)//M_1 + 1;
     the pass sets half[M u] |= half[u] for every M and every such u with
@@ -224,6 +284,7 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
                         what=f"value bitmap build at x={x}", **want)
     cap = x // 2 + 1  # the slot of 2 * cap, the first even value above x
     half = np.zeros(cap + 1, dtype=bool)
+    half[[(q - 1) >> 1 for q in _BAND if q - 1 <= x and not odd]] = True  # phi(q) = q - 1
 
     def mark(first: int, step: int, got) -> np.ndarray:
         """Mark a window's even values; return its odd values <= x."""
@@ -234,9 +295,10 @@ def build_value_bitmap(f: str, x: int, *, threads: int = 1) -> ValueBitmap:
             odd_vals = vals[slots]
             kept = odd_vals[odd_vals <= x]
             vals[slots] = 2 * cap
-        np.minimum(vals, 2 * cap, out=vals)  # 2 cap <= x + 2 fits the lane, whose bound exceeds x
-        vals >>= 1
-        half[vals] = True
+        for v in [*(() if odd else _band_values(vals, first, step, x)), vals]:
+            np.minimum(v, 2 * cap, out=v)  # 2 cap <= x + 2 fits the lane, whose bound exceeds x
+            v >>= 1
+            half[v] = True
         return kept
 
     kept = scan(mark)

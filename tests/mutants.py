@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINS = "tests/test_per_integer_pins.py"
 GRID_SCAN = "tests/test_anatomy.py::test_s_normal_window_flags_match_grid_scan"
 FSUM = "tests/test_sieve.py::test_fixed_sum_rounds_to_fsum"
+BAND = "tests/test_value_sets.py::test_band_values_are_phi_of_q_m"
 MUTANTS = [
     ("anatomy.py", "(t == u and b <= a)", "(t == u and b < a)",
      [f"{PINS}::test_s_normal_reports_pinned"]),
@@ -66,6 +67,15 @@ MUTANTS = [
     ("sieve.py", "return total / (1 << SUM_SHIFT)",  # truncated to 53 bits, not rounded
      "return math.ldexp(total >> (k := max(total.bit_length() - 53, 0)), k - SUM_SHIFT)",
      [f"{FSUM}[tie-broken-up]"]),
+    # phi's derived n: 5 || n, and the band above each class's scanned top
+    ("value_sets.py", "d[j::q] += w[j::q]", "d[j::q] += 0", [f"{BAND}[1000]"]),  # q | m
+    ("value_sets.py", "(low // q - first)", "(low // q + 1 - first)", [f"{BAND}[1000]"]),
+    ("value_sets.py", "half[[(q - 1) >> 1 for q in _BAND if q - 1 <= x and not odd]] = True",
+     "pass",
+     ["tests/test_value_sets.py::test_bitmap_phi_10"]),
+    ("value_sets.py", "(s % 25 == 0 or s % 5 and s < 90)", "(s < 90)",  # 5 || n, not 25 | n
+     ["tests/test_value_sets.py::test_phi_progressions_partition_the_classes[10000]"]),
+    ("value_sets.py", "    for q in _BAND:\n", "    for q in _BAND[:2]:\n", [f"{BAND}[1000]"]),
 ]
 
 RUN_TIMEOUT = 300  # seconds; a mutant whose tests hang this long is killed

@@ -1,7 +1,6 @@
 import math
 import os
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -348,9 +347,9 @@ def test_dealt_windows_equal_fresh_scans(monkeypatch, mode, start, top, step):
 @pytest.mark.parametrize("size", [None, 97])
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_dealt_windows_of_many_progressions_equal_fresh_scans(monkeypatch, mode, size):
-    # phi's classes mod 90, an empty progression, and a short one after
-    # the long ones, on one workspace: each window against a one-window
-    # deal of its range
+    # phi's classes mod 90 and 450, an empty progression, and a short
+    # one after the long ones, on one workspace: each window against a
+    # one-window deal of its range
     if size is not None:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
     size = sieve.DEFAULT_SEGMENT_SIZE
@@ -389,19 +388,31 @@ def test_dealt_windows_edges(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_deal_refuses_mixed_steps_before_any_charge(monkeypatch, threads):
-    # every window of a deal reads one inverse table, so one step; an
-    # empty progression has no window and mixes nothing
-    charged = []
-    monkeypatch.setattr(sieve, "check_allocation", lambda nbytes, what: charged.append(what))
+def test_deal_of_several_steps_equals_one_deal_per_step(monkeypatch, threads):
+    # each window of a deal reads its own step's inverse table, and the
+    # tiny band reaches every step's primes (29 for step 58): a deal of
+    # several steps yields, window for window, the arrays of one deal per
+    # step; an empty progression adds no window
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    before = threading.active_count()
-    for progressions in ([(3, 2, 1001), (5, 4, 1001)], [(31, 30, 10**4), (24, 60, 10**4)]):
-        with pytest.raises(DomainError, match="one step"):
-            deal_windows(progressions, threads, what="test scan", want_phi=True)
-    assert not charged and threading.active_count() == before
-    deal_windows([(3, 2, 1001), (50, 7, 10)], threads, what="test scan", want_phi=True)
-    assert len(charged) == 2  # the base primes' sieve, then the deal
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1 << 10)
+    progressions = [(91, 90, 10**6), (275, 450, 10**6), (3, 2, 5001), (50, 7, 10),
+                    (59, 58, 2 * 10**5), (10**6 + 1, 30, 10**6 + 9000)]
+    want = dict(want_phi=True, want_sigma=True, want_omega=True)
+
+    def windows(progressions, threads):
+        run = deal_windows(progressions, threads, what="test scan", **want)
+        got = run(lambda first, step, scan: ((first, step), {k: a.copy() for k, a in scan.items()}))
+        return dict(got)
+
+    together = windows(progressions, threads)
+    apart = {}
+    for step in {s for _, s, _ in progressions}:
+        apart.update(windows([p for p in progressions if p[1] == step], 1))
+    assert together.keys() == apart.keys() and len(together) > 6
+    for window, scan in together.items():
+        for key, arr in scan.items():
+            other = apart[window][key]
+            assert arr.dtype == other.dtype and np.array_equal(arr, other), (window, key)
 
 
 def test_input_cap_enforced():

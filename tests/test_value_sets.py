@@ -20,9 +20,9 @@ from phisigma import (
     values_table_csv,
 )
 from phisigma.sieve import cut_windows
-from phisigma.value_sets import scan_progressions
+from phisigma.value_sets import _BAND, _band_values, _class_top, scan_progressions
 
-from conftest import phi_oracle_top, phi_trial, sigma_trial
+from conftest import dealt_windows, phi_oracle_top, phi_trial, sigma_trial
 
 
 def test_phi_preimage_bound_captures_smallest_values():
@@ -32,7 +32,9 @@ def test_phi_preimage_bound_captures_smallest_values():
 
 def test_phi_cutoffs_cover_every_x_to_1e4():
     # for each x <= 1e4: the largest n <= 7x with phi(n) <= x, overall
-    # and per class, against phi_preimage_bound(x) and the class tops
+    # and per class, against phi_preimage_bound(x) and the class tops:
+    # the scanned top over the n prime to 7, 11 and 13, the full top
+    # (_class_top, the end of the derived band) over all of them
     top_x = 10**4
     n = np.arange(1, phi_oracle_top(top_x) + 1)
     phi = np.concatenate([[1], segment_map(2, len(n) + 1, "phi")])
@@ -50,9 +52,14 @@ def test_phi_cutoffs_cover_every_x_to_1e4():
     assert phi_preimage_bound(1) == 2
     assert all(phi_preimage_bound(x) >= want[x] for x in xs)
     by_x = [scan_progressions("phi", x) for x in xs]
+    full = {g: [_class_top("phi", x, g) for x in xs] for g in (1, 3, 5, 15)}
+    free = np.gcd(n, 7 * 11 * 13) == 1
     for i, (start, step, _) in enumerate(by_x[0]):
-        want = largest(n % step == start % step)
+        cls = n % step == start % step
+        want = largest(cls & free)
         assert all(p[i][2] >= want[x] for x, p in zip(xs, by_x)), (start, step)
+        want = largest(cls)
+        assert all(t >= want[x] for x, t in zip(xs, full[math.gcd(start, 15)])), (start, step)
 
 
 def test_phi_preimage_bound_sound_to_1e6():
@@ -169,41 +176,81 @@ def _multiples_of(v: np.ndarray, found: np.ndarray, multipliers) -> np.ndarray:
     return hit
 
 
+def _phi_of(m: np.ndarray) -> np.ndarray:
+    """phi at every m >= 1, by one segment_map over their span."""
+    out = np.ones(len(m), dtype=np.int64)  # phi(1) = 1
+    big = m > 1
+    if big.any():
+        lo = int(m[big].min())
+        out[big] = segment_map(lo, int(m.max()) + 1, "phi")[m[big] - lo]
+    return out
+
+
+def _tops_mod(modulus: int, progressions) -> np.ndarray:
+    """Per residue mod modulus, the top of the progression holding it, 0 if none."""
+    top = np.zeros(modulus, dtype=np.int64)
+    for start, step, t in progressions:
+        top[start % step :: step] = t
+    return top
+
+
+def _check_phi_preimages(x: int, n: np.ndarray, vals: np.ndarray, progressions,
+                         found: np.ndarray, unscanned: np.ndarray) -> None:
+    """For the odd n > 1 with phi(n) = vals <= x: n is d m, d = 1, 3, 5
+    or 15 with 3 || n, 5 || n or both, so phi(n) = phi(d) phi(m), and m
+    is 1, or scanned, or lies in (C, T] of its class, C its scanned top
+    and T the full one (_class_top), with some q in 7, 11, 13 dividing
+    it, m/q scanned or 1 and phi(m) = (q - 1) phi(m/q), or q phi(m/q)
+    where q | m/q.  Sets found at the values of the d = 1 n and
+    unscanned at the others'."""
+    low = _tops_mod(450, progressions)
+    full = np.array([_class_top("phi", x, r) for r in range(450)])
+    strip = (np.where((n % 3 == 0) & (n % 9 != 0), 3, 1)
+             * np.where((n % 5 == 0) & (n % 25 != 0), 5, 1))
+    for d, phi_d in ((1, 1), (3, 2), (5, 4), (15, 8)):
+        nd, v = n[strip == d], vals[strip == d]
+        m = nd // d
+        phi_m = v if d == 1 else _phi_of(m)
+        assert np.array_equal(v, phi_d * phi_m), (x, d, nd[:5])
+        ok = (m == 1) | _in_progressions(m, progressions)
+        band = ~ok & (m > low[m % 450]) & (m <= full[m % 450])
+        for q in (7, 11, 13):
+            sel = np.flatnonzero(band & (m % q == 0))
+            mq = m[sel] // q
+            good = ((mq == 1) | _in_progressions(mq, progressions)) & (
+                phi_m[sel] == np.where(mq % q, q - 1, q) * _phi_of(mq))
+            ok[sel[good]] = True
+        assert ok.all(), (x, d, nd[~ok][:5])
+        (found if d == 1 else unscanned)[v] = True
+
+
 def _check_cutoffs(x: int) -> None:
-    """Every preimage of a value <= x is scanned, or is even, or (phi) is
-    odd with exactly one factor 3, n = 3m, phi(n) = 2 phi(m), m = 1 or
-    scanned; and every unscanned value is M w, w the value of a scanned
-    n or w = 1: by the doubling lemma (phi) M = 2^j, j >= 0; by the
+    """Every preimage of a value <= x is even, or scanned, or (phi) is
+    odd and derived from smaller ones (_check_phi_preimages); and every
+    value of an even n, or (phi) of an n with exactly one factor 3 or 5,
+    is M w, w the value of a scanned n, of an n of a derived band (phi)
+    or w = 1: by the doubling lemma (phi) M = 2^j, j >= 0; by the
     Mersenne lemma (sigma) M = 2^j - 1, j >= 2."""
     window = 1 << 20
     multipliers = {"phi": [1 << j for j in range(x.bit_length())],
                    "sigma": [(1 << j) - 1 for j in range(2, (x + 1).bit_length())]}
     for f, top in (("phi", phi_oracle_top(x)), ("sigma", x)):
         progressions = scan_progressions(f, x)
-        scanned = np.zeros(x + 1, dtype=bool)  # values of the scanned n, and of n = 1
-        scanned[1] = True
+        found = np.zeros(x + 1, dtype=bool)  # values of the scanned n, the band n and n = 1
+        found[1] = True
         unscanned = np.zeros(x + 1, dtype=bool)  # values of the other n
         for lo in range(2, top + 1, window):
             vals = segment_map(lo, min(lo + window, top + 1), f)
             n = np.flatnonzero(vals <= x) + lo
-            ok = _in_progressions(n, progressions)
-            scanned[vals[n[ok] - lo]] = True
-            unscanned[vals[n[~ok] - lo]] = True
-            odd = n[~ok & (n % 2 == 1)]
-            if f == "phi" and len(odd):
-                m = odd // 3
-                assert ((odd % 3 == 0) & (m % 3 != 0)).all(), (x, odd[:5])
-                assert ((m == 1) | _in_progressions(m, progressions)).all(), (x, odd[:5])
-                phi_m = np.ones(len(m), dtype=np.int64)  # phi(1) = 1
-                big = m > 1
-                if big.any():
-                    m_lo = int(m[big].min())
-                    phi_m[big] = segment_map(m_lo, int(m.max()) + 1, f)[m[big] - m_lo]
-                assert np.array_equal(vals[odd - lo], 2 * phi_m), (x, odd[:5])
+            odd = n % 2 == 1
+            unscanned[vals[n[~odd] - lo]] = True
+            if f == "phi":
+                _check_phi_preimages(x, n[odd], vals[n[odd] - lo], progressions, found, unscanned)
             else:
-                assert not len(odd), (f, x, odd[:5])
+                assert _in_progressions(n[odd], progressions).all(), (f, x)
+                found[vals[n[odd] - lo]] = True
         v = np.flatnonzero(unscanned)
-        hit = _multiples_of(v, scanned, multipliers[f])
+        hit = _multiples_of(v, found, multipliers[f])
         assert hit.all(), (f, x, v[~hit][:5])
 
 
@@ -217,32 +264,40 @@ def test_scan_cutoffs_sound_1e7():
     _check_cutoffs(10**7)
 
 
-def _classes(f: str) -> tuple[int, list[int]]:
-    """The modulus of f's classes and their residues: the odd residues
-    mod 30 (sigma), and mod 90 with 3 not dividing them or 9 dividing
-    them (phi)."""
+def _classes(f: str) -> list[tuple[int, int]]:
+    """The (residue, step) of f's classes: the odd residues mod 30
+    (sigma); for phi, the odd r mod 90 with 5 not dividing r, and 3 not
+    dividing r or 9 dividing r, and the odd s mod 450 with 25 dividing s
+    and 3 not dividing s or 9 dividing s."""
     if f == "sigma":
-        return 30, list(range(1, 30, 2))
-    return 90, [r for r in range(1, 90, 2) if r % 3 or r % 9 == 0]
+        return [(r, 30) for r in range(1, 30, 2)]
+    return ([(r, 90) for r in range(1, 90, 2) if r % 5 and (r % 3 or r % 9 == 0)]
+            + [(s, 450) for s in range(25, 450, 50) if s % 3 or s % 9 == 0])
 
 
 def _check_class_tops(f: str, x: int) -> None:
     """The classes of f are _classes(f), and every n of a class with
-    f(n) <= x lies at or below its top."""
-    step, residues = _classes(f)
+    f(n) <= x lies at or below its top; for phi, every such n prime to
+    7, 11 and 13 at or below its scanned top, and every one at or below
+    the full top (_class_top), the end of the derived band."""
+    classes = _classes(f)
     progressions = scan_progressions(f, x)
-    assert sorted(start % s for start, s, _ in progressions) == residues
-    assert {s for _, s, _ in progressions} == {step}
-    top = np.zeros(step, dtype=np.int64)
-    for start, _, t in progressions:
-        top[start % step] = t
+    assert len(classes) == 35 - 20 * (f == "sigma")
+    assert sorted((start % s, s) for start, s, _ in progressions) == sorted(classes)
+    modulus = 450 if f == "phi" else 30
+    top = _tops_mod(modulus, progressions)
+    full = np.array([_class_top(f, x, r) for r in range(modulus)])
     window = 1 << 20
     bound = phi_oracle_top(x) if f == "phi" else x
     for lo in range(2, bound + 1, window):
         vals = segment_map(lo, min(lo + window, bound + 1), f)
         n = np.flatnonzero(vals <= x) + lo
-        odd = n[(n % 2 == 1) & np.isin(n % step, residues)]
-        over = odd[odd > top[odd % step]]
+        odd = n[(n % 2 == 1) & (top[n % modulus] > 0)]
+        over = odd[odd > full[odd % modulus]]
+        assert not len(over), (f, x, over[:5])
+        if f == "phi":
+            odd = odd[np.gcd(odd, 7 * 11 * 13) == 1]
+        over = odd[odd > top[odd % modulus]]
         assert not len(over), (f, x, over[:5])
 
 
@@ -268,31 +323,32 @@ def test_sigma_class_tops_sound_1e7():
 
 @pytest.mark.parametrize("x", [10**4, 10**5])
 def test_phi_progressions_partition_the_classes(x):
-    # each odd n > 1 with 3 not dividing n or 9 dividing n lies in exactly
-    # one progression, and no even n or odd n with exactly one factor 3:
-    # a duplicate class would only cost time, and the closure finds the
-    # values of the others
+    # each odd n > 1 with 3 not dividing n or 9 dividing n, and 5 not
+    # dividing n or 25 dividing n, lies in exactly one progression, and
+    # no other n: a duplicate class would only cost time, and the
+    # closure finds the values of the others
     progressions = scan_progressions("phi", x)
     top = min(t for *_, t in progressions)
     cover = np.zeros(top + 1, dtype=np.int64)
     for start, step, _ in progressions:
         cover[start::step] += 1
     n = np.arange(top + 1)
-    want = (n % 2 == 1) & (n >= 2) & ((n % 3 != 0) | (n % 9 == 0))
+    want = (n % 2 == 1) & (n >= 2) & ((n % 3 != 0) | (n % 9 == 0)) & ((n % 5 != 0) | (n % 25 == 0))
     assert np.array_equal(cover, want.astype(np.int64))
 
 
 def test_scan_progressions_at_1e7():
     x = 10**7
-    # tops by gcd(n, 15): the classes divisible by 15 keep the unsplit tops
-    odd = {1: 16301094, 3: 24451642, 5: 19490439, 15: 29235658}
-    _, residues = _classes("phi")
-    want = [(r if r > 1 else 91, 90, odd[math.gcd(r, 15)]) for r in residues]
-    assert scan_progressions("phi", x) == want
+    # scanned tops by gcd(n, 15), without 7, 11 and 13; the full tops end the derived bands
+    low = {1: 12548609, 3: 18215723, 5: 15179769, 15: 22769653}
+    full = {1: 16301094, 3: 24451642, 5: 19490439, 15: 29235658}
+    assert {g: _class_top("phi", x, g) for g in full} == full
+    want = [(r if r > 1 else 91, step, low[math.gcd(r, 15)]) for r, step in _classes("phi")]
+    assert sorted(scan_progressions("phi", x)) == sorted(want)
     scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("phi", x))
-    assert scanned == 7057902
+    assert scanned == 4408879  # 7,057,902 with every class mod 90 scanned to its full top
     # against the 61,811,115 n of the step-1 scan to the former minimal-order bound
-    assert scanned / 61811115 < 0.12
+    assert scanned / 61811115 < 0.072
     assert phi_preimage_bound(x) == 58471316
     # sigma: x times prod p/(p + 1) over the wheel primes dividing the class
     odd = {1: 10000000, 3: 7500000, 5: 8333333, 15: 6250000}
@@ -300,6 +356,59 @@ def test_scan_progressions_at_1e7():
     assert scan_progressions("sigma", x) == want
     scanned = sum(len(range(a, t + 1, s)) for a, s, t in scan_progressions("sigma", x))
     assert scanned == 4430553  # against 8,333,332 odd n <= x and even n <= 2x/3
+
+
+@pytest.mark.parametrize("x", [10, 1000, 12345, 10**5, 10**6])
+def test_band_values_are_phi_of_q_m(x):
+    # each phi window derives, for q = 7, 11, 13 in turn, phi(q m) for
+    # exactly its m in (C // q, T // q], C and T its class's tops without
+    # and with 7, 11 and 13: exact where at most x, above x elsewhere.
+    # The bitmap alone cannot show a lost band: most of its values have
+    # other preimages
+    full = {g: _class_top("phi", x, g) for g in (1, 3, 5, 15)}
+    phi = np.concatenate([[0, 1], segment_map(2, max(full.values()) + 1, "phi")])
+    bands = 0
+    for first, step, scan in dealt_windows(scan_progressions("phi", x), want_phi=True):
+        m = first + step * np.arange(len(scan["phi"]))
+        low, top = _class_top("phi", x, first, (7, 11, 13)), full[math.gcd(first, 15)]
+        want = [phi[q * m[(m > low // q) & (m <= top // q)]] for q in (7, 11, 13)]
+        got = list(_band_values(scan["phi"].copy(), first, step, x))
+        assert [len(g) for g in got] == [len(w) for w in want if len(w)], (first, step)
+        got, want = (np.concatenate([np.empty(0, dtype=np.int64), *a]) for a in (got, want))
+        small = want <= x
+        assert np.array_equal(got[small], want[small]) and (got[~small] > x).all(), (first, step)
+        bands += len(want)
+    assert bands or x == 10
+
+
+def test_band_values_fit_a_uint32_lane_at_its_edge():
+    # at x = 1.5e9 every scanned top is below 2^32, so the scan's lane is
+    # uint32, but the full top of the class 225 mod 450, where its bands
+    # end, passes 2^32: q phi(m) taken in the lane could wrap to a false
+    # value <= x.  A synthetic uint32 window of that class in the band
+    # of q = 7 (its values up to 2^32 - 1, not phi's) gives every product
+    # exactly where it is <= x and one above x elsewhere, none wrapped;
+    # the windows across the band's ends give only the m inside it
+    x = 1_500_000_000
+    assert max(t for *_, t in scan_progressions("phi", x)) + 1 < 2**32
+    low, top = _class_top("phi", x, 225, _BAND), _class_top("phi", x, 225)
+    assert low < 2**32 <= top
+    vals = np.random.default_rng(3).integers(0, 2**32, size=4096, dtype=np.uint32)
+    vals[:64] = np.arange(64) * 1000
+    start = low // 7 + 1 + (225 - low // 7 - 1) % 450  # the band's first m = 225 mod 450
+    (got,) = _band_values(vals.copy(), start, 450, x)
+    assert got.dtype == np.uint32
+    m = start + 450 * np.arange(len(vals), dtype=np.int64)
+    exact = np.where(m % 7 == 0, 7, 6) * vals.astype(np.int64)
+    assert ((exact >= 2**32) & (exact % 2**32 <= x)).sum() > 100  # those would wrap
+    small = exact <= x
+    got = got.astype(np.int64)
+    assert np.array_equal(got[small], exact[small]) and (got[~small] > x).all()
+    (got,) = _band_values(vals[:10].copy(), start - 4 * 450, 450, x)
+    assert np.array_equal(got, np.where(m[:6] % 7 == 0, 7, 6) * vals[4:10])
+    end = top // 7 - (top // 7 - 225) % 450  # the band's last m = 225 mod 450
+    (got,) = _band_values(vals[:10].copy(), end - 5 * 450, 450, x)
+    assert len(got) == 6
 
 
 def _full_range_bits(f: str, x: int) -> np.ndarray:
